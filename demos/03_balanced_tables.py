@@ -24,7 +24,7 @@ def main() -> None:
     ip4 = gen_inner_product(4)
 
     print("== almost balance of the inner-product table (takes a few seconds)")
-    rep = balance_check_almost(ip4, k=3, d=0, eps=0.25, u_size=1, threads=2)
+    rep = balance_check_almost(ip4, k=3, d=0, eps=0.25, u_size=1)
     print(f"  rectangles checked: {rep.rectangle_pairs}")
     print(
         f"  worst rectangle: {rep.worst_cells}/64 cells of one color"
@@ -34,7 +34,7 @@ def main() -> None:
     print(f"  witness rows {rep.worst_rectangle.rows} cols {rep.worst_rectangle.cols}")
 
     print("\n== eps* is the tightest eps the table supports")
-    star = measure_eps_star(ip4, k=3, d=0, threads=2)
+    star = measure_eps_star(ip4, k=3, d=0)
     print(f"  eps*(k=3, d=0) = {star}  (so eps=0.25 above had slack)")
 
     print("\n== rainbow balance of a random table")

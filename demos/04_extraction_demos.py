@@ -94,9 +94,7 @@ def main() -> None:
         table = gen_random(4, 6, 740)
         cond4 = build_complexity_table(4, [EMPTY] + all_strings(4), l_max=10)
         out6 = build_complexity_table(6, [EMPTY], l_max=12)
-        eq = equivalence_report(
-            table, 3, 0, cond4, out6, override=True, threads=2
-        )
+        eq = equivalence_report(table, 3, 0, cond4, out6, override=True)
         print(f"  eps* = {eq.eps_star} -> alpha = {eq.alpha}")
         print(
             f"  max deficiency {eq.table_report.max_deficiency} vs constant"

@@ -8,8 +8,10 @@ gives per-strip censuses, and a second indicator product aggregates
 strips into rectangles. That replaces per-rectangle popcount loops with
 BLAS calls while staying exact, because every value involved is a small
 integer and float64 addition of integers below 2^53 is associative with
-no rounding. Exactness also makes results independent of BLAS or worker
-thread count; the block partition is fixed by the problem size alone.
+no rounding. Exactness also makes results independent of BLAS thread
+count; the block partition is fixed by the problem size alone, and all
+three sweeps (almost balance, eps*, rainbow) walk it through one block
+generator.
 
 Work is estimated before anything is allocated, as rectangle pairs
 times per-rectangle color work, and runs past OPS_LIMIT are refused
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -85,53 +87,44 @@ def _one_hot_colors(colors: np.ndarray, num_colors: int) -> np.ndarray:
     return flat
 
 
-def _census_blocks(
-    colors: np.ndarray,
-    num_colors: int,
-    rows_mat: np.ndarray,
-    cols_mat: np.ndarray,
-    threads: int,
-    reduce_block: Callable[[int, np.ndarray], None],
-) -> None:
-    """Feed reduce_block(start, census[numB2, B, M]) over all row blocks.
+def _strip_blocks(
+    colors: np.ndarray, num_colors: int, rows_mat: np.ndarray, width: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, strip[B, side, M]) over all row-set blocks in order.
 
-    Blocks walk the B1 axis in a fixed order sized only by the problem
-    dimensions, so reductions see identical numbers at any thread count.
+    strip[b, v, z] counts the rows of row set start + b colored z in
+    column v. The block size depends only on the problem dimensions:
+    width is how many entries the caller expands each strip row into
+    (column sets for rectangle censuses, columns for rainbow), so a
+    block's working set stays near 2^23 values.
     """
     side = colors.shape[0]
-    num_b1 = rows_mat.shape[0]
-    num_b2 = cols_mat.shape[0]
     one_hot = _one_hot_colors(colors, num_colors)
-    block = max(1, min(4096, (1 << 23) // max(1, num_b2 * num_colors)))
-    starts = list(range(0, num_b1, block))
-
-    def census_of(start: int) -> np.ndarray:
+    block = max(1, min(4096, (1 << 23) // (width * num_colors)))
+    for start in range(0, rows_mat.shape[0], block):
         chunk = rows_mat[start : start + block]
-        strip = (chunk @ one_hot).reshape(chunk.shape[0], side, num_colors)
-        flat = strip.transpose(1, 0, 2).reshape(side, -1)
-        agg = cols_mat @ flat
-        return agg.reshape(num_b2, chunk.shape[0], num_colors)
+        yield start, (chunk @ one_hot).reshape(chunk.shape[0], side, num_colors)
 
-    if threads > 1 and len(starts) > 1:
-        from collections import deque
-        from concurrent.futures import ThreadPoolExecutor
 
-        # Bounded in-flight window: workers must not run ahead of the
-        # reduce loop, or finished censuses pile up in memory. Consuming
-        # in submission order keeps the reduction order fixed.
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pending: deque = deque()
-            for start in starts:
-                pending.append((start, pool.submit(census_of, start)))
-                if len(pending) > threads + 1:
-                    head, fut = pending.popleft()
-                    reduce_block(head, fut.result())
-            while pending:
-                head, fut = pending.popleft()
-                reduce_block(head, fut.result())
-    else:
-        for start in starts:
-            reduce_block(start, census_of(start))
+def _rect_census(cols_mat: np.ndarray, strip: np.ndarray) -> np.ndarray:
+    """census[numB2, B, M] of every rectangle from a block of strips."""
+    count, side, num_colors = strip.shape
+    flat = strip.transpose(1, 0, 2).reshape(side, -1)
+    return (cols_mat @ flat).reshape(cols_mat.shape[0], count, num_colors)
+
+
+def _top_sum(arr: np.ndarray, size: int, axis: int) -> np.ndarray:
+    """Sum of the size largest entries along axis."""
+    cut = arr.shape[axis] - size
+    if cut > 0:
+        arr = np.split(np.partition(arr, cut, axis=axis), [cut], axis=axis)[1]
+    return arr.sum(axis=axis)
+
+
+def _argmax(arr: np.ndarray) -> tuple[int, int]:
+    """(flat index, integer value) of the first maximum."""
+    flat = int(np.argmax(arr))
+    return flat, int(np.rint(arr.ravel()[flat]))
 
 
 def balance_check_almost(
@@ -141,7 +134,6 @@ def balance_check_almost(
     eps: float,
     u_size: int,
     override: bool = False,
-    threads: int = 1,
 ) -> BalanceReport:
     """Check every 2^k x 2^k rectangle against the color-set bound.
 
@@ -168,32 +160,23 @@ def balance_check_almost(
     bound = u_size / num_colors * (1 << d) + eps
     cells = rect * rect
 
-    best = {"cells": -1, "b1": -1, "b2": -1}
+    worst_cells, b1, b2 = -1, -1, -1
+    for start, strip in _strip_blocks(table.colors, num_colors, mat, num_sets):
+        # b2-major flat order: the first maximum is the earliest b2, then b1
+        flat, value = _argmax(_top_sum(_rect_census(mat, strip), u_size, 2))
+        if value > worst_cells:
+            b2, b1_off = divmod(flat, strip.shape[0])
+            worst_cells, b1 = value, start + b1_off
 
-    def reduce_block(start: int, census: np.ndarray) -> None:
-        if u_size < num_colors:
-            part = np.partition(census, num_colors - u_size, axis=2)
-            tops = part[:, :, num_colors - u_size :].sum(axis=2)
-        else:
-            tops = census.sum(axis=2)
-        flat = int(np.argmax(tops))
-        value = int(np.rint(tops.ravel()[flat]))
-        if value > best["cells"]:
-            b2, b1_off = divmod(flat, tops.shape[1])
-            best.update(cells=value, b1=start + b1_off, b2=b2)
-
-    _census_blocks(table.colors, num_colors, mat, mat, threads, reduce_block)
-
-    b1, b2 = best["b1"], best["b2"]
     census_row = _rectangle_census(table, subsets[b1], subsets[b2])
     order = np.lexsort((np.arange(num_colors), -census_row))
     worst_colors = tuple(sorted(int(z) for z in order[:u_size]))
-    fraction = best["cells"] / cells
+    fraction = worst_cells / cells
     return BalanceReport(
         passed=not fraction > bound,
         bound=bound,
         worst_fraction=fraction,
-        worst_cells=best["cells"],
+        worst_cells=worst_cells,
         worst_rectangle=Rectangle(subsets[b1], subsets[b2]),
         worst_colors=worst_colors,
         rectangle_pairs=num_sets * num_sets,
@@ -216,7 +199,6 @@ def measure_eps_star(
     k: int,
     d: int,
     override: bool = False,
-    threads: int = 1,
 ) -> float:
     """Smallest eps such that every flat (k, k) source pair pushes the
     table's output to within eps of min-entropy m - d.
@@ -241,16 +223,13 @@ def measure_eps_star(
     cells = rect * rect
     threshold = cells * 2.0 ** (-(table.m - d))
 
-    worst = [0.0]
-
-    def reduce_block(start: int, census: np.ndarray) -> None:
-        excess = np.maximum(census - threshold, 0.0).sum(axis=2)
-        value = float(excess.max())
-        if value > worst[0]:
-            worst[0] = value
-
-    _census_blocks(table.colors, num_colors, mat, mat, threads, reduce_block)
-    return worst[0] / cells
+    worst = 0.0
+    for _, strip in _strip_blocks(table.colors, num_colors, mat, num_sets):
+        excess = _rect_census(mat, strip)
+        excess -= threshold
+        np.maximum(excess, 0.0, out=excess)
+        worst = max(worst, float(excess.sum(axis=2).max()))
+    return worst / cells
 
 
 @dataclass(frozen=True)
@@ -286,7 +265,6 @@ def rainbow_check(
     rect_side: int,
     divisor: int,
     override: bool = False,
-    threads: int = 1,
 ) -> RainbowReport:
     """Exhaustive K x K rainbow balance verdict for both orientations.
 
@@ -308,38 +286,18 @@ def rainbow_check(
     subsets, mat = _subset_matrix(side, rect_side)
 
     def one_side(colors: np.ndarray) -> RainbowSide:
-        one_hot = _one_hot_colors(colors, num_colors)
-        block = max(1, min(4096, (1 << 23) // max(1, side * num_colors)))
-        best_cells = -1
-        best_b1 = -1
-        for start in range(0, mat.shape[0], block):
-            chunk = mat[start : start + block]
-            strip = (chunk @ one_hot).reshape(chunk.shape[0], side, num_colors)
-            if set_size < num_colors:
-                part = np.partition(strip, num_colors - set_size, axis=2)
-                w = part[:, :, num_colors - set_size :].sum(axis=2)
-            else:
-                w = strip.sum(axis=2)
-            if rect_side < side:
-                p = np.partition(w, side - rect_side, axis=1)[:, side - rect_side :]
-                totals = p.sum(axis=1)
-            else:
-                totals = w.sum(axis=1)
-            off = int(np.argmax(totals))
-            value = int(np.rint(totals[off]))
+        best_cells, best_b1 = -1, -1
+        for start, strip in _strip_blocks(colors, num_colors, mat, side):
+            per_col = _top_sum(strip, set_size, 2)
+            off, value = _argmax(_top_sum(per_col, rect_side, 1))
             if value > best_cells:
-                best_cells = value
-                best_b1 = start + off
+                best_cells, best_b1 = value, start + off
 
         rows = subsets[best_b1]
         strip = np.stack(
             [np.bincount(colors[list(rows), v], minlength=num_colors) for v in range(side)]
         )
-        if set_size < num_colors:
-            part = np.partition(strip, num_colors - set_size, axis=1)
-            w_row = part[:, num_colors - set_size :].sum(axis=1)
-        else:
-            w_row = strip.sum(axis=1)
+        w_row = _top_sum(strip, set_size, 1)
         col_order = np.lexsort((np.arange(side), -w_row))
         chosen = tuple(sorted(int(v) for v in col_order[:rect_side]))
         sets = []

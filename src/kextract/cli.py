@@ -7,9 +7,9 @@ a report envelope with --out. Exit codes: 0 on pass/complete, 1 when a
 report assertion fails, 2 on usage or feasibility errors.
 
 Randomized subcommands require an explicit --seed; nothing here reads
-environmental entropy. --threads and --override-feasibility are
-execution details: they never change results and are not recorded in
-reports.
+environmental entropy. Every sweep runs sequentially in a fixed order.
+--override-feasibility is an execution detail: it lifts the op guard,
+never changes results, and is not recorded in reports.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ def _common_flags(
     out_help: str = "write a JSON report here",
 ) -> None:
     parser.add_argument("--out", help=out_help)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument(
         "--override-feasibility",
         action="store_true",
@@ -255,7 +254,6 @@ def cmd_oracle_build(args) -> int:
         l_max=args.l_max,
         budget=budget,
         max_l_max=args.max_l_max,
-        threads=args.threads,
     )
     if not args.out:
         raise ValueError("oracle build needs --out for the table file")
@@ -329,7 +327,6 @@ def cmd_table_verify(args) -> int:
             args.eps,
             args.u_size,
             override=args.override_feasibility,
-            threads=args.threads,
         )
         print(
             f"[table verify almost] worst={report.worst_cells}/{1 << (2 * args.k)} "
@@ -353,7 +350,6 @@ def cmd_table_verify(args) -> int:
         args.side,
         args.divisor,
         override=args.override_feasibility,
-        threads=args.threads,
     )
     print(
         f"[table verify rainbow] K={args.side} D={args.divisor} "
@@ -413,7 +409,6 @@ def cmd_table_eps_star(args) -> int:
         args.k,
         args.d,
         override=args.override_feasibility,
-        threads=args.threads,
     )
     print(f"[table eps-star] k={args.k} d={args.d} eps*={value!r}")
     params = {"table": args.table, "k": args.k, "d": args.d}
@@ -462,7 +457,6 @@ def cmd_extract_equiv(args) -> int:
         output_oracle,
         delta=args.delta,
         override=args.override_feasibility,
-        threads=args.threads,
     )
     print(
         f"[extract equiv] eps*={report.eps_star!r} alpha={report.alpha} "
@@ -614,7 +608,6 @@ def cmd_pipeline_run(args) -> int:
         config_path=args.config,
         standard=args.standard,
         out_dir=args.out_dir,
-        threads=args.threads,
         override=args.override_feasibility,
     )
 

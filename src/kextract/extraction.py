@@ -17,10 +17,9 @@ from typing import Optional
 
 from .balance import measure_eps_star
 from .bits import EMPTY, BitString
+from .calibration import DELTA_MARGIN
 from .oracle import NOT_FOUND, Complexity, ComplexityTable
 from .tables import SingleSourceTable, TwoSourceTable, gen_constant
-
-DELTA_MARGIN = 2
 
 
 def dependency(
@@ -437,7 +436,6 @@ def equivalence_report(
     output_oracle: ComplexityTable,
     delta: int = DELTA_MARGIN,
     override: bool = False,
-    threads: int = 1,
 ) -> EquivalenceReport:
     """Translate a table's measured eps* into a class-deficiency claim.
 
@@ -447,7 +445,7 @@ def equivalence_report(
     all-zeros constant table's census. `separated` records whether the
     table's worst deficiency is strictly below the constant table's.
     """
-    eps_star = measure_eps_star(table, k, d, override=override, threads=threads)
+    eps_star = measure_eps_star(table, k, d, override=override)
     cap = 2 * table.n
     if eps_star <= 0:
         alpha, capped = cap, True

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -128,7 +128,6 @@ def build_complexity_table(
     l_max: Optional[int] = None,
     budget: MachineBudget = DEFAULT_BUDGET,
     max_l_max: int = MAX_L_MAX,
-    threads: int = 1,
 ) -> ComplexityTable:
     """Enumerate all programs up to l_max and record minimal lengths.
 
@@ -138,9 +137,6 @@ def build_complexity_table(
     only become NOT_FOUND-free once l_max reaches that scale. The
     max_l_max guard refuses enumerations past 2^(max_l_max+1) programs;
     raise it deliberately if you can afford the run.
-
-    threads only partitions the condition set; results are identical for
-    every thread count.
     """
     if n < 0:
         raise ValueError("target length must be nonnegative")
@@ -169,33 +165,19 @@ def build_complexity_table(
 
     size = 1 << n
     entries = [np.full(size, -1, dtype=np.int32) for _ in conds]
-    cond_pairs = [(y.value, y.length) for y in conds]
-
-    def sweep(indices: Sequence[int]) -> None:
-        local = [(i, *cond_pairs[i]) for i in indices]
-        for length in range(l_max + 1):
-            for value in range(1 << length):
-                ops = parse_program(value, length)
-                if _output_length(ops, budget) != n:
+    rows = [(entries[i], y.value, y.length) for i, y in enumerate(conds)]
+    for length in range(l_max + 1):
+        for value in range(1 << length):
+            ops = parse_program(value, length)
+            if _output_length(ops, budget) != n:
+                continue
+            for row, cv, cl in rows:
+                result = execute_ops(ops, cv, cl, budget)
+                if result is None:
                     continue
-                for i, cv, cl in local:
-                    row = entries[i]
-                    result = execute_ops(ops, cv, cl, budget)
-                    if result is None:
-                        continue
-                    out_v = result[0]
-                    if row[out_v] < 0:
-                        row[out_v] = length
-
-    if threads > 1 and len(conds) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = [list(range(len(conds)))[i::threads] for i in range(threads)]
-        chunks = [c for c in chunks if c]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            list(pool.map(sweep, chunks))
-    else:
-        sweep(range(len(conds)))
+                out_v = result[0]
+                if row[out_v] < 0:
+                    row[out_v] = length
 
     table = ComplexityTable(
         n=n,
@@ -266,17 +248,33 @@ def table_to_json(table: ComplexityTable) -> dict:
 
 
 def table_from_json(doc: dict) -> ComplexityTable:
+    """Inverse of table_to_json.
+
+    Raises ValueError on an entry whose cond_idx is not a condition
+    index, whose c lies outside [0, l_max], or whose (cond_idx, target)
+    pair repeats an earlier entry.
+    """
     if doc.get("version") != 1:
         raise ValueError(f"unsupported table version {doc.get('version')!r}")
     n = doc["n"]
+    l_max = doc["l_max"]
     conds = [BitString.unpack_hex(c["len"], c["hex"]) for c in doc["conditions"]]
     entries = [np.full(1 << n, -1, dtype=np.int32) for _ in conds]
     for e in doc["entries"]:
+        ci, c = e["cond_idx"], e["c"]
+        if type(ci) is not int or not 0 <= ci < len(conds):
+            raise ValueError(f"entry cond_idx {ci!r} is not in [0, {len(conds)})")
+        if type(c) is not int or not 0 <= c <= l_max:
+            raise ValueError(f"entry c {c!r} is not in [0, l_max={l_max}]")
         x = BitString.unpack_hex(n, e["target_hex"])
-        entries[e["cond_idx"]][x.value] = e["c"]
+        if entries[ci][x.value] >= 0:
+            raise ValueError(
+                f"duplicate entry for cond_idx {ci}, target {e['target_hex']}"
+            )
+        entries[ci][x.value] = c
     table = ComplexityTable(
         n=n,
-        l_max=doc["l_max"],
+        l_max=l_max,
         budget=MachineBudget(doc["budget"]["out"], doc["budget"]["ops"]),
         conditions=tuple(conds),
         _entries=entries,

@@ -2,10 +2,11 @@
 
 A pipeline config is a JSON object {"steps": [...]} where each step has
 a name, a CLI argv list, and declared inputs/outputs. Path-valued
-entries use the "{out}" placeholder for the output directory and
-"{threads}" for the worker cap. Inputs are checked up front against
-earlier outputs: a dangling reference aborts with exit 2 before any
-step runs, so a broken pipeline leaves no partial summary.
+entries use the "{out}" placeholder for the output directory; no other
+placeholder is expanded. Inputs are checked up front against earlier
+outputs: a dangling reference aborts with exit 2 before any step runs,
+so a broken pipeline leaves no partial summary. A step whose argv the
+CLI rejects (an old config's --threads, say) also aborts with exit 2.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ SUMMARY_NAME = "pipeline_summary.json"
 # The committed n=4 reproduction pipeline: oracles, tables,
 # verifications, demos, experiments. Every assertion in every step is
 # expected to pass, and a rerun must reproduce every artifact byte for
-# byte (report timestamps aside) at any thread count.
+# byte (report timestamps aside).
 STANDARD_N4 = {
     "steps": [
         {
@@ -111,7 +112,6 @@ STANDARD_N4 = {
                 "table", "verify", "--table", "{out}/ip4.kext",
                 "--mode", "almost", "--k", "3", "--d", "0",
                 "--eps", "0.25", "--u-size", "1",
-                "--threads", "{threads}",
                 "--out", "{out}/verify_ip4_almost.json",
             ],
             "inputs": ["{out}/ip4.kext"],
@@ -121,7 +121,7 @@ STANDARD_N4 = {
             "name": "eps-star-ip4",
             "argv": [
                 "table", "eps-star", "--table", "{out}/ip4.kext",
-                "--k", "3", "--d", "0", "--threads", "{threads}",
+                "--k", "3", "--d", "0",
                 "--out", "{out}/eps_star_ip4.json",
             ],
             "inputs": ["{out}/ip4.kext"],
@@ -230,10 +230,6 @@ STANDARD_N4 = {
 }
 
 
-def _template(text: str, out_dir: str, threads: int) -> str:
-    return text.replace("{out}", out_dir).replace("{threads}", str(threads))
-
-
 def load_config(config_path: Optional[str], standard: Optional[str]) -> dict:
     if (config_path is None) == (standard is None):
         raise ValueError("pass exactly one of --config / --standard")
@@ -245,16 +241,20 @@ def load_config(config_path: Optional[str], standard: Optional[str]) -> dict:
         return json.load(fh)
 
 
-def preflight(config: dict, out_dir: str, threads: int) -> list[dict]:
-    """Resolve templates and check the input/output dependency chain."""
+def preflight(config: dict, out_dir: str, _unused: object = None) -> list[dict]:
+    """Resolve "{out}" and check the input/output dependency chain.
+
+    The optional third argument is ignored. It was the worker count of
+    the former signature, and kbench/workloads.py still passes it.
+    """
     steps = []
     produced: set[str] = set()
     for raw in config["steps"]:
         step = {
             "name": raw["name"],
-            "argv": [_template(a, out_dir, threads) for a in raw["argv"]],
-            "inputs": [_template(p, out_dir, threads) for p in raw.get("inputs", [])],
-            "outputs": [_template(p, out_dir, threads) for p in raw.get("outputs", [])],
+            "argv": [a.replace("{out}", out_dir) for a in raw["argv"]],
+            "inputs": [p.replace("{out}", out_dir) for p in raw.get("inputs", [])],
+            "outputs": [p.replace("{out}", out_dir) for p in raw.get("outputs", [])],
         }
         for path in step["inputs"]:
             if path not in produced and not os.path.exists(path):
@@ -271,7 +271,6 @@ def run_pipeline(
     config_path: Optional[str],
     standard: Optional[str],
     out_dir: str,
-    threads: int = 1,
     override: bool = False,
 ) -> int:
     from .cli import dispatch
@@ -279,7 +278,7 @@ def run_pipeline(
     try:
         config = load_config(config_path, standard)
         os.makedirs(out_dir, exist_ok=True)
-        steps = preflight(config, out_dir, threads)
+        steps = preflight(config, out_dir)
     except (FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -290,7 +289,10 @@ def run_pipeline(
         if override and argv[0] in ("table", "extract"):
             argv.append("--override-feasibility")
         print(f"== step {step['name']}")
-        code = dispatch(argv)
+        try:
+            code = dispatch(argv)
+        except SystemExit:  # argparse rejected the step's argv
+            code = 2
         if code == 2:
             print(f"error: step {step['name']!r} failed with usage/feasibility error",
                   file=sys.stderr)

@@ -63,7 +63,7 @@ def test_acceptance_01_counting_bound(capsys):
             l_max = n + 6
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                table = build_complexity_table(n, [EMPTY], l_max=l_max, threads=2)
+                table = build_complexity_table(n, [EMPTY], l_max=l_max)
             for k in range(l_max + 1):
                 assert table.count_below(k) <= (1 << k) - 1, (n, k)
         assert time.time() - t0 < 120
@@ -111,9 +111,7 @@ def test_acceptance_03_heavy_and_flatten(capsys):
 def test_acceptance_04_inner_product_balance(capsys):
     with criterion(capsys, 4, "inner-product almost balance at n=4"):
         t0 = time.time()
-        rep = balance_check_almost(
-            gen_inner_product(4), k=3, d=0, eps=0.25, u_size=1, threads=2
-        )
+        rep = balance_check_almost(gen_inner_product(4), k=3, d=0, eps=0.25, u_size=1)
         assert rep.passed
         assert rep.worst_fraction <= 0.5 + 0.25
         assert rep.worst_cells == calibration.IP4_WORST_CELLS
@@ -124,7 +122,7 @@ def test_acceptance_05_prefix_floor(capsys):
     with criterion(capsys, 5, "popular prefix floors, n=2..5"):
         t0 = time.time()
         pair_oracles = {
-            n: build_complexity_table(2 * n, [EMPTY], threads=2) for n in range(2, 6)
+            n: build_complexity_table(2 * n, [EMPTY]) for n in range(2, 6)
         }
         tables = [gen_inner_product(4)]
         for n in range(2, 6):
@@ -162,11 +160,11 @@ def test_acceptance_07_separation(capsys, oracle_n4_all, oracle_m6_out):
         table = gen_random(4, calibration.SEPARATION_M, calibration.SEPARATION_SEED)
         balance = balance_check_almost(
             table, k=3, d=0, eps=calibration.SEPARATION_EPS_BALANCE, u_size=1,
-            override=True, threads=2,
+            override=True,
         )
         assert balance.passed
         rep = equivalence_report(
-            table, 3, 0, oracle_n4_all, oracle_m6_out, override=True, threads=2
+            table, 3, 0, oracle_n4_all, oracle_m6_out, override=True
         )
         assert rep.eps_star == calibration.SEPARATION_EPS_STAR
         assert rep.alpha == calibration.SEPARATION_ALPHA
@@ -228,9 +226,9 @@ def test_acceptance_09_hitting_consistency(capsys, oracle_n4_all, oracle_m2_out)
 def test_acceptance_10_pipeline_determinism(capsys, tmp_path):
     with criterion(capsys, 10, "n=4 pipeline byte-identical across reruns"):
         out = str(tmp_path / "run")
-        assert run_pipeline(None, "n4", out, threads=1) == 0
+        assert run_pipeline(None, "n4", out) == 0
         first = artifact_digests(out)
         assert len(first) == 21
-        assert run_pipeline(None, "n4", out, threads=2) == 0
+        assert run_pipeline(None, "n4", out) == 0
         assert artifact_digests(out) == first
         assert os.path.exists(os.path.join(out, "pipeline_summary.json"))

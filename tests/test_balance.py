@@ -1,4 +1,9 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import (
     brute_balance_worst,
     brute_eps_star,
@@ -9,12 +14,20 @@ from reference import (
 from kextract import balance
 from kextract.balance import (
     FeasibilityError,
+    RainbowSide,
+    Rectangle,
     balance_check_almost,
     measure_eps_star,
     rainbow_check,
     search_rainbow,
 )
-from kextract.tables import gen_constant, gen_gf2_mult, gen_inner_product, gen_random
+from kextract.tables import (
+    TwoSourceTable,
+    gen_constant,
+    gen_gf2_mult,
+    gen_inner_product,
+    gen_random,
+)
 
 SMALL_TABLES = [
     gen_inner_product(2),
@@ -49,11 +62,29 @@ def test_witness_reconstructs():
     assert rep.rectangle_pairs == 70 * 70
 
 
-def test_thread_count_does_not_change_answer():
-    table = gen_random(3, 2, 21)
-    a = balance_check_almost(table, 2, 0, 0.125, 1, threads=1)
-    b = balance_check_almost(table, 2, 0, 0.125, 1, threads=3)
-    assert a == b
+@pytest.mark.parametrize(
+    "table, u_size, cells, rows, cols, colors",
+    [
+        (gen_random(3, 2, 5), 1, 13, (0, 2, 4, 5), (0, 2, 5, 7), (3,)),
+        (gen_random(3, 2, 5), 2, 16, (2, 3, 4, 5), (0, 1, 2, 5), (2, 3)),
+        (gen_inner_product(3), 1, 13, (0, 1, 2, 4), (0, 1, 2, 4), (0,)),
+        (gen_inner_product(3), 2, 16, (0, 1, 2, 3), (0, 1, 2, 3), (0, 1)),
+        # 1820 row sets: one block at m=1, two at m=2; the first three
+        # witnesses move if the block size halves or doubles
+        (gen_random(4, 1, 0), 1, 16, (7, 9, 10, 14), (0, 3, 13, 15), (1,)),
+        (gen_random(4, 2, 8), 1, 14, (2, 5, 13, 15), (3, 5, 7, 13), (0,)),
+        (gen_random(4, 2, 6), 1, 13, (1, 5, 7, 12), (1, 6, 11, 14), (0,)),
+        (gen_random(4, 2, 1), 1, 13, (0, 1, 5, 13), (1, 4, 6, 10), (1,)),
+        (gen_random(4, 2, 1), 3, 16, (0, 5, 7, 14), (0, 1, 2, 3), (1, 2, 3)),
+    ],
+)
+def test_almost_witness_tie_break(table, u_size, cells, rows, cols, colors):
+    """The witness is the first maximum in row-block order, b2-major
+    within a block; changing either order moves some of these values."""
+    rep = balance_check_almost(table, k=2, d=0, eps=0.0, u_size=u_size)
+    assert rep.worst_cells == cells
+    assert rep.worst_rectangle == Rectangle(rows, cols)
+    assert rep.worst_colors == colors
 
 
 def test_pass_fail_threshold():
@@ -194,6 +225,22 @@ def test_rainbow_witness_reconstructs():
     assert all(len(s) == rep.set_size for s in side.color_sets)
 
 
+def test_rainbow_witness_tie_break():
+    rep = rainbow_check(gen_random(3, 2, 77), 3, 2)
+    assert rep.per_column == RainbowSide(
+        passed=True,
+        worst_cells=9,
+        rectangle=Rectangle((0, 1, 2), (0, 1, 4)),
+        color_sets=((0, 1), (0, 1), (1, 3)),
+    )
+    assert rep.per_row == RainbowSide(
+        passed=True,
+        worst_cells=9,
+        rectangle=Rectangle((0, 1, 2), (0, 1, 3)),
+        color_sets=((0, 1), (0, 1), (0, 3)),
+    )
+
+
 def test_rainbow_orientation_flip():
     table = gen_random(3, 2, 13)
     rep = rainbow_check(table, 2, 3)
@@ -253,3 +300,57 @@ def test_search_rainbow_exhausted():
     assert res.seed is None and res.table is None and res.report is None
     with pytest.raises(ValueError):
         search_rainbow(2, 2, 1, 4, seed=0, max_trials=0)
+
+
+# ----------------------------------------------------- property checks
+
+# Rainbow's tuple brute force costs C(2^m, set_size)^side assignments per
+# rectangle; (side, divisor) pairs above this many assignments in total
+# (only reachable at n=2, m=3) are left to the fixed cases above.
+RAINBOW_BRUTE_BUDGET = 20_000
+
+
+@st.composite
+def small_tables(draw):
+    n = draw(st.integers(0, 2))
+    m = draw(st.integers(0, 3))
+    side = 1 << n
+    cells = draw(
+        st.lists(st.integers(0, (1 << m) - 1), min_size=side * side, max_size=side * side)
+    )
+    return TwoSourceTable(n, m, np.array(cells).reshape(side, side))
+
+
+def _rainbow_pairs(table):
+    pairs = []
+    for rect_side in range(1, table.side + 1):
+        for divisor in range(1, table.num_colors * rect_side + 1):
+            set_size = max(1, table.num_colors // divisor)
+            cost = (
+                math.comb(table.num_colors, set_size) ** rect_side
+                * math.comb(table.side, rect_side) ** 2
+            )
+            if cost <= RAINBOW_BRUTE_BUDGET:
+                pairs.append((rect_side, divisor))
+    return pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_tables(), st.data())
+def test_sweeps_match_brute_force_on_random_tables(table, data):
+    k = data.draw(st.integers(0, table.n), label="k")
+    u_size = data.draw(st.integers(1, table.num_colors), label="u_size")
+    d = data.draw(st.integers(0, table.m + 1), label="d")
+    rep = balance_check_almost(table, k, d, 0.0, u_size)
+    assert rep.worst_cells == brute_balance_worst(table, k, u_size)
+    counts = rect_census(
+        table.colors, rep.worst_rectangle.rows, rep.worst_rectangle.cols, table.num_colors
+    )
+    assert sum(counts[z] for z in rep.worst_colors) == rep.worst_cells
+    got = measure_eps_star(table, k, d)
+    assert got == pytest.approx(brute_eps_star(table, k, d), abs=1e-12)
+
+    rect_side, divisor = data.draw(st.sampled_from(_rainbow_pairs(table)), label="rainbow")
+    rb = rainbow_check(table, rect_side, divisor)
+    for oriented, one_side in ((table, rb.per_column), (table.transposed(), rb.per_row)):
+        assert one_side.worst_cells == brute_rainbow_worst_tuples(oriented, rect_side, divisor)

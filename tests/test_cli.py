@@ -100,6 +100,10 @@ def test_argparse_usage_errors():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         dispatch(["no-such-group"])
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["table", "verify", "--table", "t.kext", "--mode", "almost",
+                  "--k", "1", "--threads", "2"])  # the option no longer exists
+    assert exc.value.code == 2
     with pytest.raises(SystemExit):
         dispatch([])
 
@@ -295,7 +299,7 @@ def test_reports_reproducible_from_params(workdir, tmp_path):
     argv = ["table", "eps-star", "--table", workdir["rnd2"], "--k", "1", "--d", "0"]
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert dispatch(argv + ["--out", a]) == 0
-    assert dispatch(argv + ["--out", b, "--threads", "2"]) == 0
+    assert dispatch(argv + ["--out", b]) == 0
     assert comparable_bytes(a) == comparable_bytes(b)
     # the params block alone is enough to rebuild the invocation
     params = load_report(a)["params"]

@@ -6,6 +6,7 @@ import pytest
 from reference import brute_complexity_map
 
 from kextract.bits import EMPTY, BitString, all_strings
+from kextract.cli import dispatch
 from kextract.machine import FAIL, MachineBudget, parse_program, run_machine
 from kextract.oracle import (
     NOT_FOUND,
@@ -66,14 +67,6 @@ def test_output_length_shortcut_agrees_with_execution():
             else:
                 for out in outs:
                     assert out is FAIL or out.length == predicted
-
-
-def test_threads_do_not_change_entries():
-    conds = [EMPTY] + all_strings(3)
-    a = build_quiet(3, conds, l_max=6, threads=1)
-    b = build_quiet(3, conds, l_max=6, threads=4)
-    for y in conds:
-        assert (a.entries(y) == b.entries(y)).all()
 
 
 # ------------------------------------------------------- machine facts
@@ -245,6 +238,30 @@ def test_json_version_check(oracle_n2_all):
     doc["version"] = 2
     with pytest.raises(ValueError):
         table_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("cond_idx", 5),  # past the last of the 5 conditions
+        ("cond_idx", -1),  # would alias the last condition
+        ("c", 99),  # above l_max = 6
+        ("c", -1),
+        ("duplicate", None),
+    ],
+)
+def test_corrupt_json_is_a_usage_error(tmp_path, oracle_n2_all, field, value):
+    doc = table_to_json(oracle_n2_all)
+    if field == "duplicate":
+        doc["entries"].append(dict(doc["entries"][0]))
+    else:
+        doc["entries"][0][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        table_from_json(doc)
+    code = dispatch(["oracle", "query", "--table", str(path), "--target", "00"])
+    assert code == 2
 
 
 def test_save_is_canonical(tmp_path, oracle_n2_all):

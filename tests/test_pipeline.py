@@ -27,8 +27,7 @@ TINY = {
         {
             "name": "verify",
             "argv": ["table", "verify", "--table", "{out}/t.kext", "--mode",
-                     "almost", "--k", "1", "--d", "2", "--threads", "{threads}",
-                     "--out", "{out}/v.json"],
+                     "almost", "--k", "1", "--d", "2", "--out", "{out}/v.json"],
             "inputs": ["{out}/t.kext"],
             "outputs": ["{out}/v.json"],
         },
@@ -58,9 +57,10 @@ def test_load_config(tmp_path):
 
 
 def test_preflight_templating(tmp_path):
-    steps = preflight(TINY, str(tmp_path), threads=7)
+    steps = preflight(TINY, str(tmp_path))
     assert steps[0]["argv"][-1] == f"{tmp_path}/t.kext"
-    assert steps[1]["argv"][steps[1]["argv"].index("--threads") + 1] == "7"
+    # the former third argument (a worker count) is accepted and ignored
+    assert preflight(TINY, str(tmp_path), 7) == steps
     assert steps[1]["inputs"] == [f"{tmp_path}/t.kext"]
     # inputs satisfied by earlier outputs pass even before files exist
     assert not os.path.exists(f"{tmp_path}/t.kext")
@@ -75,14 +75,14 @@ def test_preflight_rejects_dangling_input(tmp_path):
         ]
     }
     with pytest.raises(FileNotFoundError):
-        preflight(config, str(tmp_path), 1)
+        preflight(config, str(tmp_path))
     out = str(tmp_path / "run")
-    code = run_pipeline(None, None, out, threads=1)  # invalid selector
+    code = run_pipeline(None, None, out)  # invalid selector
     assert code == 2
     path = str(tmp_path / "c.json")
     with open(path, "w") as fh:
         json.dump(config, fh)
-    code = run_pipeline(path, None, out, threads=1)
+    code = run_pipeline(path, None, out)
     assert code == 2
     # nothing ran, nothing was written
     assert os.listdir(out) == []
@@ -93,7 +93,7 @@ def test_tiny_pipeline_runs_and_reruns_identically(tmp_path):
     with open(config_path, "w") as fh:
         json.dump(TINY, fh)
     out = str(tmp_path / "work")
-    assert run_pipeline(config_path, None, out, threads=1) == 0
+    assert run_pipeline(config_path, None, out) == 0
     summary = load_report(os.path.join(out, SUMMARY_NAME))
     assert summary["params"]["steps"] == 3
     assert [a["name"] for a in summary["assertions"]] == [
@@ -102,8 +102,8 @@ def test_tiny_pipeline_runs_and_reruns_identically(tmp_path):
     assert all(a["passed"] for a in summary["assertions"])
     first = artifact_digests(out)
     assert set(first) == {"t.kext", "v.json", "e.json", SUMMARY_NAME}
-    # rerun into the same directory at a different thread count
-    assert run_pipeline(config_path, None, out, threads=3) == 0
+    # rerun into the same directory
+    assert run_pipeline(config_path, None, out) == 0
     assert artifact_digests(out) == first
 
 
@@ -137,7 +137,7 @@ def test_failed_step_keeps_going(tmp_path):
     with open(config_path, "w") as fh:
         json.dump(config, fh)
     out = str(tmp_path / "work")
-    assert run_pipeline(config_path, None, out, threads=1) == 1
+    assert run_pipeline(config_path, None, out) == 1
     summary = load_report(os.path.join(out, SUMMARY_NAME))
     flags = {a["name"]: a["passed"] for a in summary["assertions"]}
     assert flags == {"step_gen": True, "step_verify": False, "step_eps": True}
@@ -159,8 +159,20 @@ def test_usage_error_aborts_without_summary(tmp_path):
     with open(config_path, "w") as fh:
         json.dump(config, fh)
     out = str(tmp_path / "work")
-    assert run_pipeline(config_path, None, out, threads=1) == 2
+    assert run_pipeline(config_path, None, out) == 2
     assert os.path.exists(os.path.join(out, "t.kext"))  # the good step ran
+    assert not os.path.exists(os.path.join(out, SUMMARY_NAME))
+
+
+def test_old_threads_flag_is_a_usage_error(tmp_path):
+    config = json.loads(json.dumps(TINY))
+    config["steps"][1]["argv"] += ["--threads", "{threads}"]
+    config_path = str(tmp_path / "old.json")
+    with open(config_path, "w") as fh:
+        json.dump(config, fh)
+    out = str(tmp_path / "work")
+    assert run_pipeline(config_path, None, out) == 2
+    assert os.path.exists(os.path.join(out, "t.kext"))  # the step before ran
     assert not os.path.exists(os.path.join(out, SUMMARY_NAME))
 
 
@@ -170,9 +182,9 @@ def test_override_reaches_table_steps(tmp_path, monkeypatch):
         json.dump(TINY, fh)
     monkeypatch.setattr(balance, "OPS_LIMIT", 10)
     out1 = str(tmp_path / "no_override")
-    assert run_pipeline(config_path, None, out1, threads=1) == 2
+    assert run_pipeline(config_path, None, out1) == 2
     out2 = str(tmp_path / "with_override")
-    assert run_pipeline(config_path, None, out2, threads=1, override=True) == 0
+    assert run_pipeline(config_path, None, out2, override=True) == 0
 
 
 def test_artifact_digests_canonicalize_reports(tmp_path):
