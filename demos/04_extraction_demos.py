@@ -8,7 +8,8 @@ popular set then pins the complexity of some witness input from below.
 The punchline is the prefix demo: conditioning on the pair oracle costs
 an alpha that the output's own complexity does not pay back, so the
 floor certifies a deficiency. Run with --separation to reproduce the
-expensive random-vs-constant split (a couple of minutes).
+expensive random-vs-constant split (about a minute, nearly all of it
+the m=6 eps* sweep).
 
 Every oracle below is built live, so this script has no stored numbers
 to go stale.

@@ -58,12 +58,16 @@ class BitString:
 
     @classmethod
     def unpack_hex(cls, length: int, hex_str: str) -> "BitString":
+        """Inverse of pack_hex; the padding bits must be zero."""
         raw = bytes.fromhex(hex_str)
         nbytes = (length + 7) // 8
         if len(raw) != nbytes:
             raise ValueError("hex payload does not match bit length")
-        value = int.from_bytes(raw, "big") >> (8 * nbytes - length)
-        return cls(length, value)
+        pad = 8 * nbytes - length
+        packed = int.from_bytes(raw, "big")
+        if packed & ((1 << pad) - 1):
+            raise ValueError(f"hex payload {hex_str!r} sets padding bits")
+        return cls(length, packed >> pad)
 
     def __len__(self) -> int:
         return self.length

@@ -247,18 +247,29 @@ def table_to_json(table: ComplexityTable) -> dict:
     }
 
 
+def _json_count(value: object, name: str) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} {value!r} is not a nonnegative int")
+    return value
+
+
 def table_from_json(doc: dict) -> ComplexityTable:
     """Inverse of table_to_json.
 
-    Raises ValueError on an entry whose cond_idx is not a condition
-    index, whose c lies outside [0, l_max], or whose (cond_idx, target)
-    pair repeats an earlier entry.
+    Raises ValueError on a header count (n, l_max, a condition's len,
+    budget out/ops) that is not a nonnegative int, on an entry whose
+    cond_idx is not a condition index, whose c lies outside [0, l_max],
+    or whose (cond_idx, target) pair repeats an earlier entry, and on
+    hex payloads with nonzero padding bits.
     """
     if doc.get("version") != 1:
         raise ValueError(f"unsupported table version {doc.get('version')!r}")
-    n = doc["n"]
-    l_max = doc["l_max"]
-    conds = [BitString.unpack_hex(c["len"], c["hex"]) for c in doc["conditions"]]
+    n = _json_count(doc["n"], "n")
+    l_max = _json_count(doc["l_max"], "l_max")
+    conds = [
+        BitString.unpack_hex(_json_count(c["len"], "condition len"), c["hex"])
+        for c in doc["conditions"]
+    ]
     entries = [np.full(1 << n, -1, dtype=np.int32) for _ in conds]
     for e in doc["entries"]:
         ci, c = e["cond_idx"], e["c"]
@@ -275,7 +286,10 @@ def table_from_json(doc: dict) -> ComplexityTable:
     table = ComplexityTable(
         n=n,
         l_max=l_max,
-        budget=MachineBudget(doc["budget"]["out"], doc["budget"]["ops"]),
+        budget=MachineBudget(
+            _json_count(doc["budget"]["out"], "budget out"),
+            _json_count(doc["budget"]["ops"], "budget ops"),
+        ),
         conditions=tuple(conds),
         _entries=entries,
         _cond_index={y: i for i, y in enumerate(conds)},

@@ -12,6 +12,7 @@ from reference import (
 )
 
 from kextract import balance
+from kextract.calibration import IP4_EPS_STAR, IP4_WORST_CELLS
 from kextract.balance import (
     FeasibilityError,
     RainbowSide,
@@ -172,6 +173,60 @@ def test_feasibility_guard(monkeypatch):
 def test_feasibility_guard_real_size():
     with pytest.raises(FeasibilityError):
         balance_check_almost(gen_random(5, 2, 1), 4, 0, 0.0, 1)
+
+
+def test_guard_prices_the_decomposed_sweep(monkeypatch):
+    # ip4 at k=3 has 12,870 row sets and 2 colors: the decomposed sweeps
+    # cost 12870 * 16 * 2 * (16 + #color sets) < 1e7 ops, the full sweep
+    # 12870^2 * 2 > 3e8
+    monkeypatch.setattr(balance, "OPS_LIMIT", 10**8)
+    table = gen_inner_product(4)
+    assert balance_check_almost(table, 3, 0, 0.25, 1).worst_cells == IP4_WORST_CELLS
+    assert measure_eps_star(table, 3, 0) == IP4_EPS_STAR
+
+
+def test_guard_refuses_n5_decomposed_sweeps():
+    # C(32, 8) * 32 * 2 * (32 + 2) is about 2.3e10 ops; the guard must
+    # refuse before the 10.5M-row subset matrix is built
+    table = gen_inner_product(5)
+    with pytest.raises(FeasibilityError):
+        balance_check_almost(table, 3, 0, 0.0, 1)
+    with pytest.raises(FeasibilityError):
+        measure_eps_star(table, 3, 0)
+
+
+def test_decomposed_only_when_color_sets_are_fewer():
+    assert balance._plan(1820, 1819, 16, 16, override=False)
+    assert not balance._plan(1820, 1820, 16, 16, override=False)
+
+
+# ------------------------------------------- decomposed vs full sweep
+
+
+@pytest.mark.parametrize(
+    "table, k",
+    [
+        pytest.param(gen_inner_product(3), 1, id="ip3-k1"),
+        pytest.param(gen_inner_product(3), 2, id="ip3-k2"),
+        pytest.param(gen_gf2_mult(3, 3), 2, id="gf3-k2"),
+        pytest.param(gen_random(3, 2, 5), 1, id="rnd3m2-k1"),
+        pytest.param(gen_random(3, 3, 4), 2, id="rnd3m3-k2"),
+        pytest.param(gen_constant(3, 2, 1), 2, id="const3-k2"),
+        pytest.param(gen_inner_product(4), 2, id="ip4-k2"),
+        pytest.param(gen_random(4, 1, 0), 2, id="rnd4m1-k2"),
+        pytest.param(gen_random(4, 2, 1), 2, id="rnd4m2-k2"),
+        pytest.param(gen_random(4, 3, 6), 2, id="rnd4m3-k2"),
+    ],
+)
+def test_decomposed_sweeps_equal_full_sweeps(table, k):
+    for u_size in range(1, table.num_colors + 1):
+        decomposed = balance._check_almost(table, k, 0, 0.0, u_size, decomposed=True)
+        full = balance._check_almost(table, k, 0, 0.0, u_size, decomposed=False)
+        assert decomposed == full
+    for d in range(table.m + 2):
+        assert balance._eps_star(table, k, d, decomposed=True) == balance._eps_star(
+            table, k, d, decomposed=False
+        )
 
 
 # -------------------------------------------------------------- rainbow
@@ -342,12 +397,14 @@ def test_sweeps_match_brute_force_on_random_tables(table, data):
     u_size = data.draw(st.integers(1, table.num_colors), label="u_size")
     d = data.draw(st.integers(0, table.m + 1), label="d")
     rep = balance_check_almost(table, k, d, 0.0, u_size)
+    assert rep == balance._check_almost(table, k, d, 0.0, u_size, decomposed=False)
     assert rep.worst_cells == brute_balance_worst(table, k, u_size)
     counts = rect_census(
         table.colors, rep.worst_rectangle.rows, rep.worst_rectangle.cols, table.num_colors
     )
     assert sum(counts[z] for z in rep.worst_colors) == rep.worst_cells
     got = measure_eps_star(table, k, d)
+    assert got == balance._eps_star(table, k, d, decomposed=False)
     assert got == pytest.approx(brute_eps_star(table, k, d), abs=1e-12)
 
     rect_side, divisor = data.draw(st.sampled_from(_rainbow_pairs(table)), label="rainbow")

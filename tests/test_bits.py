@@ -81,6 +81,12 @@ def test_pack_hex_pads_on_the_right():
         BitString.unpack_hex(4, "0000")
 
 
+@pytest.mark.parametrize("length, hex_str", [(2, "3f"), (1, "01"), (7, "ff"), (12, "fff1")])
+def test_unpack_hex_rejects_padding_bits(length, hex_str):
+    with pytest.raises(ValueError):
+        BitString.unpack_hex(length, hex_str)
+
+
 def test_all_strings():
     assert all_strings(0) == [EMPTY]
     assert [s.to01() for s in all_strings(2)] == ["00", "01", "10", "11"]

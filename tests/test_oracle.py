@@ -248,12 +248,26 @@ def test_json_version_check(oracle_n2_all):
         ("c", 99),  # above l_max = 6
         ("c", -1),
         ("duplicate", None),
+        ("target_hex", "3f"),  # "00" with its six padding bits set
+        ("l_max", "6"),
+        ("l_max", -1),
+        ("n", 2.0),
+        ("n", None),
+        ("len", "2"),  # of the first 2-bit condition
+        ("out", True),
+        ("ops", -5),
     ],
 )
 def test_corrupt_json_is_a_usage_error(tmp_path, oracle_n2_all, field, value):
     doc = table_to_json(oracle_n2_all)
     if field == "duplicate":
         doc["entries"].append(dict(doc["entries"][0]))
+    elif field in ("n", "l_max"):
+        doc[field] = value
+    elif field == "len":
+        doc["conditions"][1][field] = value
+    elif field in ("out", "ops"):
+        doc["budget"][field] = value
     else:
         doc["entries"][0][field] = value
     path = tmp_path / "bad.json"
