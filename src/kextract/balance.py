@@ -29,8 +29,9 @@ full-sweep block that holds one.
 
 Work is estimated for the sweep that will run before anything is
 allocated: rectangle pairs times colors for the full sweep, row sets
-times the strip and color-set products for the decomposed one. Runs
-past OPS_LIMIT are refused unless explicitly overridden.
+times the strip and color-set products for the decomposed one, and
+both orientations' strip products (row sets x 2^n x 2^n x M each) for
+rainbow. Runs past OPS_LIMIT are refused unless explicitly overridden.
 """
 
 from __future__ import annotations
@@ -419,7 +420,7 @@ def rainbow_check(
         raise ValueError("divisor must be in [1, 2^m * rect_side]")
     set_size = max(1, num_colors // divisor)
     num_sets = math.comb(side, rect_side)
-    _guard(2 * num_sets * side * num_colors, override)
+    _guard(2 * num_sets * side * side * num_colors, override)
     subsets, mat = _subset_matrix(side, rect_side)
     block = _block_size(side * num_colors)
 

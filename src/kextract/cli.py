@@ -3,20 +3,23 @@
 Subcommands: oracle build|query, table gen|verify|search|eps-star,
 extract check|equiv, demo popular|curse|vv, exp dep-census|hitting,
 pipeline run. Every subcommand echoes a one-screen summary and can write
-a report envelope with --out. Exit codes: 0 on pass/complete, 1 when a
-report assertion fails, 2 on usage or feasibility errors.
+a report envelope with --out; the report's command and params come from
+the parsed arguments. Exit codes: 0 on pass/complete, 1 when a report
+assertion fails, 2 on usage or feasibility errors.
 
 Randomized subcommands require an explicit --seed; nothing here reads
 environmental entropy. Every sweep runs sequentially in a fixed order.
---override-feasibility is an execution detail: it lifts the op guard,
-never changes results, and is not recorded in reports.
+--override-feasibility lifts the op guard. Only the subcommands in
+GUARDED reach that guard (table verify, table search, table eps-star,
+extract equiv), so only they and pipeline run, which passes the flag on
+to its steps among them, accept it; elsewhere it is a usage error. It
+never changes results and is not recorded in reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
 
 from . import __version__, calibration
 from .balance import (
@@ -52,20 +55,42 @@ from .tables import (
     write_table,
 )
 
+# (group, command) of the subcommands whose sweeps reach the feasibility
+# guard.
+GUARDED = frozenset(
+    {("table", "verify"), ("table", "search"), ("table", "eps-star"), ("extract", "equiv")}
+)
 
-def _common_flags(
-    parser: argparse.ArgumentParser,
-    seed: bool = False,
-    out_help: str = "write a JSON report here",
-) -> None:
-    parser.add_argument("--out", help=out_help)
-    parser.add_argument(
-        "--override-feasibility",
-        action="store_true",
-        help="run sweeps past the primitive-op guard",
-    )
-    if seed:
-        parser.add_argument("--seed", type=int, required=True)
+# table gen --kind -> (options it needs besides --n, generator call). The
+# calls look the gen_* names up when they run, so a wrapper patched onto
+# those module names (a tracer, say) sees every generation.
+TABLE_KINDS = {
+    "inner-product": ((), lambda a: gen_inner_product(a.n)),
+    "gf2": (("m",), lambda a: gen_gf2_mult(a.n, a.m)),
+    "random": (("m", "seed"), lambda a: gen_random(a.n, a.m, a.seed)),
+    "random-single": (("m", "seed"), lambda a: gen_random_single(a.n, a.m, a.seed)),
+    "constant": (("m",), lambda a: gen_constant(a.n, a.m, a.color)),
+    "truncate": (("m",), lambda a: gen_truncate(a.n, a.m)),
+}
+
+
+def _group(top, group: str, help: str):
+    """Add a subcommand group; return a function that adds its subcommands."""
+    sub = top.add_parser(group, help=help).add_subparsers(dest="command", required=True)
+
+    def command(name, func, help=None, out_help="write a JSON report here"):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", help=out_help)
+        if (group, name) in GUARDED or group == "pipeline":
+            p.add_argument(
+                "--override-feasibility",
+                action="store_true",
+                help="run sweeps past the primitive-op guard",
+            )
+        p.set_defaults(func=func)
+        return p
+
+    return command
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,9 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     top = parser.add_subparsers(dest="group", required=True)
 
-    oracle = top.add_parser("oracle", help="complexity table builds and lookups")
-    oracle_sub = oracle.add_subparsers(dest="command", required=True)
-    p = oracle_sub.add_parser("build", help="enumerate programs into a table")
+    oracle = _group(top, "oracle", "complexity table builds and lookups")
+    p = oracle("build", cmd_oracle_build, "enumerate programs into a table",
+               out_help="write the oracle table JSON here")
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--conditions",
@@ -89,30 +114,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-l-max", type=int, default=24)
     p.add_argument("--budget-out", type=int, default=4096)
     p.add_argument("--budget-ops", type=int, default=4096)
-    _common_flags(p, out_help="write the oracle table JSON here")
-    p.set_defaults(func=cmd_oracle_build)
-    p = oracle_sub.add_parser("query", help="look up one complexity value")
+    p = oracle("query", cmd_oracle_query, "look up one complexity value")
     p.add_argument("--table", required=True)
     p.add_argument("--target", required=True, help="target as a 01 string")
     p.add_argument("--cond", default="", help="condition as a 01 string; empty = lambda")
-    _common_flags(p)
-    p.set_defaults(func=cmd_oracle_query)
 
-    table = top.add_parser("table", help="generate and verify color tables")
-    table_sub = table.add_subparsers(dest="command", required=True)
-    p = table_sub.add_parser("gen", help="write a table in KEXT binary form")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=["inner-product", "gf2", "random", "random-single", "constant", "truncate"],
-    )
+    table = _group(top, "table", "generate and verify color tables")
+    p = table("gen", cmd_table_gen, "write a table in KEXT binary form",
+              out_help="write the KEXT table here")
+    p.add_argument("--kind", required=True, choices=list(TABLE_KINDS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--color", type=int, default=0, help="constant tables only")
-    _common_flags(p, out_help="write the KEXT table here")
-    p.set_defaults(func=cmd_table_gen)
-    p = table_sub.add_parser("verify", help="exhaustive rectangle balance verdict")
+    p = table("verify", cmd_table_verify, "exhaustive rectangle balance verdict")
     p.add_argument("--table", required=True)
     p.add_argument("--mode", required=True, choices=["almost", "rainbow"])
     p.add_argument("--k", type=int, help="almost: log2 of the rectangle side")
@@ -121,77 +136,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-size", type=int, default=1)
     p.add_argument("--side", type=int, help="rainbow: rectangle side K")
     p.add_argument("--divisor", type=int, help="rainbow: imbalance divisor D")
-    _common_flags(p)
-    p.set_defaults(func=cmd_table_verify)
-    p = table_sub.add_parser("search", help="draw seeded tables until rainbow passes")
+    p = table("search", cmd_table_search, "draw seeded tables until rainbow passes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--side", type=int, required=True)
     p.add_argument("--divisor", type=int, required=True)
     p.add_argument("--max-trials", type=int, required=True)
     p.add_argument("--table-out", help="write the passing table here")
-    _common_flags(p, seed=True)
-    p.set_defaults(func=cmd_table_search)
-    p = table_sub.add_parser("eps-star", help="exact eps* over flat source pairs")
+    p.add_argument("--seed", type=int, required=True)
+    p = table("eps-star", cmd_table_eps_star, "exact eps* over flat source pairs")
     p.add_argument("--table", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    _common_flags(p)
-    p.set_defaults(func=cmd_table_eps_star)
 
-    extract = top.add_parser("extract", help="class deficiency checks")
-    extract_sub = extract.add_subparsers(dest="command", required=True)
-    p = extract_sub.add_parser("check", help="deficiency census over a class")
+    extract = _group(top, "extract", "class deficiency checks")
+    p = extract("check", cmd_extract_check, "deficiency census over a class")
     p.add_argument("--table", required=True)
     p.add_argument("--cond-oracle", required=True)
     p.add_argument("--output-oracle", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--require-d", type=int, default=None)
-    _common_flags(p)
-    p.set_defaults(func=cmd_extract_check)
-    p = extract_sub.add_parser("equiv", help="balance-to-class comparison report")
+    p = extract("equiv", cmd_extract_equiv, "balance-to-class comparison report")
     p.add_argument("--table", required=True)
     p.add_argument("--cond-oracle", required=True)
     p.add_argument("--output-oracle", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", type=int, default=calibration.DELTA_MARGIN)
-    _common_flags(p)
-    p.set_defaults(func=cmd_extract_equiv)
 
-    demo = top.add_parser("demo", help="counting demonstrations")
-    demo_sub = demo.add_subparsers(dest="command", required=True)
-    p = demo_sub.add_parser("popular", help="popular color pigeonhole witness")
+    demo = _group(top, "demo", "counting demonstrations")
+    p = demo("popular", cmd_demo_popular, "popular color pigeonhole witness")
     p.add_argument("--table", required=True, help="single-source KEXT table")
     p.add_argument("--oracle", required=True)
-    _common_flags(p)
-    p.set_defaults(func=cmd_demo_popular)
-    p = demo_sub.add_parser("curse", help="popular output prefix witness pair")
+    p = demo("curse", cmd_demo_curse, "popular output prefix witness pair")
     p.add_argument("--table", required=True)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--pair-oracle", required=True)
     p.add_argument("--output-oracle", default=None)
-    _common_flags(p)
-    p.set_defaults(func=cmd_demo_curse)
-    p = demo_sub.add_parser("vv", help="shared-range recovery by popularity voting")
+    p = demo("vv", cmd_demo_vv, "shared-range recovery by popularity voting")
     p.add_argument("--oracle", required=True, help="m-bit targets, all n-bit conditions")
     p.add_argument("--advice", type=int, required=True)
     p.add_argument("--n", type=int, default=None, help="validate the condition length")
     p.add_argument("--m", type=int, default=None, help="validate the target length")
-    _common_flags(p)
-    p.set_defaults(func=cmd_demo_vv)
 
-    exp = top.add_parser("exp", help="census and hitting experiments")
-    exp_sub = exp.add_subparsers(dest="command", required=True)
-    p = exp_sub.add_parser("dep-census", help="alpha-dependent partner census sweep")
+    exp = _group(top, "exp", "census and hitting experiments")
+    p = exp("dep-census", cmd_exp_dep_census, "alpha-dependent partner census sweep")
     p.add_argument("--oracle", required=True)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--csv", default=None)
     p.add_argument("--max-c", type=float, default=None)
-    _common_flags(p)
-    p.set_defaults(func=cmd_exp_dep_census)
-    p = exp_sub.add_parser("hitting", help="threshold argument vs direct scan")
+    p = exp("hitting", cmd_exp_hitting, "threshold argument vs direct scan")
     p.add_argument("--table", required=True)
     p.add_argument("--cond-oracle", required=True)
     p.add_argument("--output-oracle", required=True)
@@ -204,17 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="use the most popular color of this row as the set",
     )
-    _common_flags(p)
-    p.set_defaults(func=cmd_exp_hitting)
 
-    pipe = top.add_parser("pipeline", help="run committed step sequences")
-    pipe_sub = pipe.add_subparsers(dest="command", required=True)
-    p = pipe_sub.add_parser("run")
+    pipe = _group(top, "pipeline", "run committed step sequences")
+    p = pipe("run", cmd_pipeline_run)
     p.add_argument("--config", default=None, help="JSON step list")
     p.add_argument("--standard", default=None, choices=["n4"], help="built-in pipeline")
     p.add_argument("--out-dir", required=True)
-    _common_flags(p)
-    p.set_defaults(func=cmd_pipeline_run)
 
     return parser
 
@@ -235,8 +225,20 @@ def _conditions_for(spec: str, n: int) -> list[BitString]:
     raise ValueError(f"unknown condition spec {spec!r}")
 
 
-def _finish(args, command: str, params: dict, data, assertions: list[dict]) -> int:
-    report = build_report(command, params, data, assertions)
+def _params(args, *names: str) -> dict:
+    """The report params: each named option as it was parsed."""
+    return {name: getattr(args, name) for name in names}
+
+
+def _two_source(path: str, what: str) -> TwoSourceTable:
+    table = read_table(path)
+    if not isinstance(table, TwoSourceTable):
+        raise ValueError(f"{what} needs a two-source table")
+    return table
+
+
+def _finish(args, params: dict, data, assertions: list[dict]) -> int:
+    report = build_report(f"{args.group} {args.command}", params, data, assertions)
     for entry in assertions:
         print(f"  {'PASS' if entry['passed'] else 'FAIL'} {entry['name']}")
     if args.out:
@@ -273,50 +275,25 @@ def cmd_oracle_query(args) -> int:
     cond = _parse_bits(args.cond)
     value = table.complexity(target, cond)
     print(f"[oracle query] C({target.to01()!r} | {cond.to01()!r}) = {value}")
-    params = {
-        "table": args.table,
-        "target": target.to01(),
-        "cond": cond.to01(),
-    }
-    return _finish(args, "oracle query", params, {"complexity": value}, [])
+    params = dict(_params(args, "table"), target=target.to01(), cond=cond.to01())
+    return _finish(args, params, {"complexity": value}, [])
 
 
 def cmd_table_gen(args) -> int:
-    kind = args.kind
-    if kind == "inner-product":
-        table = gen_inner_product(args.n)
-    elif kind == "gf2":
-        if args.m is None:
-            raise ValueError("gf2 needs --m")
-        table = gen_gf2_mult(args.n, args.m)
-    elif kind == "random":
-        if args.m is None or args.seed is None:
-            raise ValueError("random needs --m and --seed")
-        table = gen_random(args.n, args.m, args.seed)
-    elif kind == "random-single":
-        if args.m is None or args.seed is None:
-            raise ValueError("random-single needs --m and --seed")
-        table = gen_random_single(args.n, args.m, args.seed)
-    elif kind == "constant":
-        if args.m is None:
-            raise ValueError("constant needs --m")
-        table = gen_constant(args.n, args.m, args.color)
-    else:
-        if args.m is None:
-            raise ValueError("truncate needs --m")
-        table = gen_truncate(args.n, args.m)
+    needs, generate = TABLE_KINDS[args.kind]
+    if any(getattr(args, name) is None for name in needs):
+        raise ValueError(f"{args.kind} needs " + " and ".join(f"--{o}" for o in needs))
+    table = generate(args)
     if not args.out:
         raise ValueError("table gen needs --out for the KEXT file")
     write_table(table, args.out)
     shape = "two-source" if isinstance(table, TwoSourceTable) else "single-source"
-    print(f"[table gen] {kind} n={table.n} m={table.m} ({shape}) -> {args.out}")
+    print(f"[table gen] {args.kind} n={table.n} m={table.m} ({shape}) -> {args.out}")
     return 0
 
 
 def cmd_table_verify(args) -> int:
-    table = read_table(args.table)
-    if not isinstance(table, TwoSourceTable):
-        raise ValueError("verification needs a two-source table")
+    table = _two_source(args.table, "verification")
     if args.mode == "almost":
         if args.k is None:
             raise ValueError("--mode almost needs --k")
@@ -333,16 +310,9 @@ def cmd_table_verify(args) -> int:
             f"fraction={report.worst_fraction} bound={report.bound} "
             f"passed={report.passed}"
         )
-        params = {
-            "table": args.table,
-            "mode": "almost",
-            "k": args.k,
-            "d": args.d,
-            "eps": args.eps,
-            "u_size": args.u_size,
-        }
+        params = _params(args, "table", "mode", "k", "d", "eps", "u_size")
         checks = [assertion("balance_pass", report.passed, report.worst_fraction)]
-        return _finish(args, "table verify", params, report, checks)
+        return _finish(args, params, report, checks)
     if args.side is None or args.divisor is None:
         raise ValueError("--mode rainbow needs --side and --divisor")
     report = rainbow_check(
@@ -356,14 +326,8 @@ def cmd_table_verify(args) -> int:
         f"per_column={report.per_column.worst_cells} "
         f"per_row={report.per_row.worst_cells} passed={report.passed}"
     )
-    params = {
-        "table": args.table,
-        "mode": "rainbow",
-        "side": args.side,
-        "divisor": args.divisor,
-    }
-    checks = [assertion("rainbow_pass", report.passed)]
-    return _finish(args, "table verify", params, report, checks)
+    params = _params(args, "table", "mode", "side", "divisor")
+    return _finish(args, params, report, [assertion("rainbow_pass", report.passed)])
 
 
 def cmd_table_search(args) -> int:
@@ -383,27 +347,18 @@ def cmd_table_search(args) -> int:
     if result.found and args.table_out:
         write_table(result.table, args.table_out)
         print(f"  table -> {args.table_out}")
-    params = {
-        "n": args.n,
-        "m": args.m,
-        "side": args.side,
-        "divisor": args.divisor,
-        "seed": args.seed,
-        "max_trials": args.max_trials,
-    }
+    params = _params(args, "n", "m", "side", "divisor", "seed", "max_trials")
     data = {
         "found": result.found,
         "trials": result.trials,
         "seed_used": result.seed,
         "report": result.report,
     }
-    return _finish(args, "table search", params, data, [])
+    return _finish(args, params, data, [])
 
 
 def cmd_table_eps_star(args) -> int:
-    table = read_table(args.table)
-    if not isinstance(table, TwoSourceTable):
-        raise ValueError("eps-star needs a two-source table")
+    table = _two_source(args.table, "eps-star")
     value = measure_eps_star(
         table,
         args.k,
@@ -411,8 +366,7 @@ def cmd_table_eps_star(args) -> int:
         override=args.override_feasibility,
     )
     print(f"[table eps-star] k={args.k} d={args.d} eps*={value!r}")
-    params = {"table": args.table, "k": args.k, "d": args.d}
-    return _finish(args, "table eps-star", params, {"eps_star": value}, [])
+    return _finish(args, _params(args, "table", "k", "d"), {"eps_star": value}, [])
 
 
 def cmd_extract_check(args) -> int:
@@ -425,14 +379,9 @@ def cmd_extract_check(args) -> int:
         f"[extract check] class={cls.size} (indeterminate {cls.indeterminate}) "
         f"max_deficiency={report.max_deficiency} min_C={report.min_output_complexity}"
     )
-    params = {
-        "table": args.table,
-        "cond_oracle": args.cond_oracle,
-        "output_oracle": args.output_oracle,
-        "k": args.k,
-        "alpha": args.alpha,
-        "require_d": args.require_d,
-    }
+    params = _params(
+        args, "table", "cond_oracle", "output_oracle", "k", "alpha", "require_d"
+    )
     checks = []
     if args.require_d is not None:
         checks.append(
@@ -442,7 +391,7 @@ def cmd_extract_check(args) -> int:
                 report.max_deficiency,
             )
         )
-    return _finish(args, "extract check", params, report, checks)
+    return _finish(args, params, report, checks)
 
 
 def cmd_extract_equiv(args) -> int:
@@ -464,19 +413,12 @@ def cmd_extract_equiv(args) -> int:
         f"constant_max_def={report.constant_report.max_deficiency} "
         f"separated={report.separated}"
     )
-    params = {
-        "table": args.table,
-        "cond_oracle": args.cond_oracle,
-        "output_oracle": args.output_oracle,
-        "k": args.k,
-        "d": args.d,
-        "delta": args.delta,
-    }
+    params = _params(args, "table", "cond_oracle", "output_oracle", "k", "d", "delta")
     checks = [
         assertion("class_nonempty", report.class_size > 0, report.class_size),
         assertion("separated", report.separated),
     ]
-    return _finish(args, "extract equiv", params, report, checks)
+    return _finish(args, params, report, checks)
 
 
 def cmd_demo_popular(args) -> int:
@@ -490,18 +432,15 @@ def cmd_demo_popular(args) -> int:
         f"witness_x={report.witness_x} C={report.witness_complexity} "
         f"floor={report.floor}"
     )
-    params = {"table": args.table, "oracle": args.oracle}
     checks = [
         assertion("preimage_bound_met", report.preimage_bound_met, report.preimages),
         assertion("floor_certified", report.floor_certified, report.floor),
     ]
-    return _finish(args, "demo popular", params, report, checks)
+    return _finish(args, _params(args, "table", "oracle"), report, checks)
 
 
 def cmd_demo_curse(args) -> int:
-    table = read_table(args.table)
-    if not isinstance(table, TwoSourceTable):
-        raise ValueError("demo curse needs a two-source table")
+    table = _two_source(args.table, "demo curse")
     pair_oracle = load_table(args.pair_oracle)
     output_oracle = load_table(args.output_oracle) if args.output_oracle else None
     report = popular_prefix_demo(table, args.alpha, pair_oracle, output_oracle)
@@ -510,17 +449,12 @@ def cmd_demo_curse(args) -> int:
         f"witness={report.witness} C={report.witness_complexity} "
         f"floor={report.floor} deficiency={report.output_deficiency}"
     )
-    params = {
-        "table": args.table,
-        "alpha": args.alpha,
-        "pair_oracle": args.pair_oracle,
-        "output_oracle": args.output_oracle,
-    }
+    params = _params(args, "table", "alpha", "pair_oracle", "output_oracle")
     checks = [
         assertion("pair_bound_met", report.pair_bound_met, report.pair_count),
         assertion("floor_certified", report.floor_certified, report.floor),
     ]
-    return _finish(args, "demo curse", params, report, checks)
+    return _finish(args, params, report, checks)
 
 
 def cmd_demo_vv(args) -> int:
@@ -534,12 +468,11 @@ def cmd_demo_vv(args) -> int:
         f"[demo vv] chosen={list(report.chosen)} case={report.case} "
         f"witnesses={report.witness_count} bound_met={report.count_bound_met}"
     )
-    params = {"oracle": args.oracle, "advice": args.advice, "n": args.n, "m": args.m}
     checks = [
         assertion("count_bound_met", report.count_bound_met, report.witness_count),
         assertion("ranges_match", report.ranges_match),
     ]
-    return _finish(args, "demo vv", params, report, checks)
+    return _finish(args, _params(args, "oracle", "advice", "n", "m"), report, checks)
 
 
 def cmd_exp_dep_census(args) -> int:
@@ -552,7 +485,6 @@ def cmd_exp_dep_census(args) -> int:
     if args.csv:
         write_census_csv(report.censuses, report.n, args.csv)
         print(f"  csv -> {args.csv}")
-    params = {"oracle": args.oracle, "alpha": args.alpha, "max_c": args.max_c}
     checks = []
     if args.max_c is not None:
         checks.append(
@@ -564,13 +496,11 @@ def cmd_exp_dep_census(args) -> int:
         "max_fitted_c": report.max_fitted_c,
         "size_histogram": report.size_histogram,
     }
-    return _finish(args, "exp dep-census", params, data, checks)
+    return _finish(args, _params(args, "oracle", "alpha", "max_c"), data, checks)
 
 
 def cmd_exp_hitting(args) -> int:
-    table = read_table(args.table)
-    if not isinstance(table, TwoSourceTable):
-        raise ValueError("exp hitting needs a two-source table")
+    table = _two_source(args.table, "exp hitting")
     cond_oracle = load_table(args.cond_oracle)
     output_oracle = load_table(args.output_oracle)
     if (args.target_set is None) == (args.set_popular_row is None):
@@ -589,16 +519,11 @@ def cmd_exp_hitting(args) -> int:
         f"[exp hitting] set={targets} applies={report.threshold_applies} "
         f"hits={len(report.hits)} consistent={report.consistent}"
     )
-    params = {
-        "table": args.table,
-        "cond_oracle": args.cond_oracle,
-        "output_oracle": args.output_oracle,
-        "k": args.k,
-        "alpha": args.alpha,
-        "set": targets,
-    }
+    params = dict(
+        _params(args, "table", "cond_oracle", "output_oracle", "k", "alpha"), set=targets
+    )
     checks = [assertion("consistent", report.consistent, len(report.hits))]
-    return _finish(args, "exp hitting", params, report, checks)
+    return _finish(args, params, report, checks)
 
 
 def cmd_pipeline_run(args) -> int:
@@ -617,10 +542,7 @@ def dispatch(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FeasibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (FeasibilityError, FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

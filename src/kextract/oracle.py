@@ -35,6 +35,9 @@ from .bits import EMPTY, BitString
 from .machine import DEFAULT_BUDGET, MachineBudget, execute_ops, parse_program
 
 MAX_L_MAX = 24
+# Target lengths past this would allocate more than a 64 MB row per
+# condition (2^n int32 entries).
+MAX_N = 24
 
 
 class _NotFound:
@@ -138,8 +141,7 @@ def build_complexity_table(
     max_l_max guard refuses enumerations past 2^(max_l_max+1) programs;
     raise it deliberately if you can afford the run.
     """
-    if n < 0:
-        raise ValueError("target length must be nonnegative")
+    _check_n(n)
     if l_max is None:
         l_max = n + 6
     if l_max < 0:
@@ -247,6 +249,11 @@ def table_to_json(table: ComplexityTable) -> dict:
     }
 
 
+def _check_n(n: int) -> None:
+    if not 0 <= n <= MAX_N:
+        raise ValueError(f"target length n={n} is not in [0, {MAX_N}]")
+
+
 def _json_count(value: object, name: str) -> int:
     if type(value) is not int or value < 0:
         raise ValueError(f"{name} {value!r} is not a nonnegative int")
@@ -257,14 +264,15 @@ def table_from_json(doc: dict) -> ComplexityTable:
     """Inverse of table_to_json.
 
     Raises ValueError on a header count (n, l_max, a condition's len,
-    budget out/ops) that is not a nonnegative int, on an entry whose
-    cond_idx is not a condition index, whose c lies outside [0, l_max],
-    or whose (cond_idx, target) pair repeats an earlier entry, and on
-    hex payloads with nonzero padding bits.
+    budget out/ops) that is not a nonnegative int, on n > MAX_N, on an
+    entry whose cond_idx is not a condition index, whose c lies outside
+    [0, l_max], or whose (cond_idx, target) pair repeats an earlier
+    entry, and on hex payloads with nonzero padding bits.
     """
     if doc.get("version") != 1:
         raise ValueError(f"unsupported table version {doc.get('version')!r}")
     n = _json_count(doc["n"], "n")
+    _check_n(n)
     l_max = _json_count(doc["l_max"], "l_max")
     conds = [
         BitString.unpack_hex(_json_count(c["len"], "condition len"), c["hex"])

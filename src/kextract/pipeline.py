@@ -7,6 +7,8 @@ placeholder is expanded. Inputs are checked up front against earlier
 outputs: a dangling reference aborts with exit 2 before any step runs,
 so a broken pipeline leaves no partial summary. A step whose argv the
 CLI rejects (an old config's --threads, say) also aborts with exit 2.
+With override set, --override-feasibility is appended to the steps whose
+subcommand is in cli.GUARDED, the ones that reach the op guard.
 """
 
 from __future__ import annotations
@@ -273,7 +275,7 @@ def run_pipeline(
     out_dir: str,
     override: bool = False,
 ) -> int:
-    from .cli import dispatch
+    from .cli import GUARDED, dispatch
 
     try:
         config = load_config(config_path, standard)
@@ -286,7 +288,7 @@ def run_pipeline(
     results = []
     for step in steps:
         argv = list(step["argv"])
-        if override and argv[0] in ("table", "extract"):
+        if override and tuple(argv[:2]) in GUARDED:
             argv.append("--override-feasibility")
         print(f"== step {step['name']}")
         try:

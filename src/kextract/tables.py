@@ -228,6 +228,8 @@ def read_table(path: str):
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise ValueError("not a KEXT file")
+    if len(blob) < 10:
+        raise ValueError("truncated KEXT header")
     version, n, m, flag = struct.unpack_from("<BHHB", blob, 4)
     if version != VERSION:
         raise ValueError(f"unsupported KEXT version {version}")

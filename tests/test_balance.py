@@ -195,6 +195,15 @@ def test_guard_refuses_n5_decomposed_sweeps():
         measure_eps_star(table, 3, 0)
 
 
+def test_rainbow_guard_prices_the_strip_products(monkeypatch):
+    # n=6, m=2, K=3: each orientation multiplies C(64, 3) row sets by a
+    # 64 x (64 * 4) one-hot expansion, about 1.4e9 ops over both; the
+    # estimate must not drop the factor 2^n (2.1e7)
+    monkeypatch.setattr(balance, "OPS_LIMIT", 10**8)
+    with pytest.raises(FeasibilityError):
+        rainbow_check(gen_random(6, 2, 1), 3, 2)
+
+
 def test_decomposed_only_when_color_sets_are_fewer():
     assert balance._plan(1820, 1819, 16, 16, override=False)
     assert not balance._plan(1820, 1820, 16, 16, override=False)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import kextract
-from kextract.cli import dispatch, main
+from kextract.cli import GUARDED, build_parser, dispatch, main
 from kextract.reports import comparable_bytes, load_report
 from kextract.tables import read_table
 
@@ -108,6 +108,37 @@ def test_argparse_usage_errors():
         dispatch([])
 
 
+def test_override_flag_only_where_a_sweep_is_guarded(workdir, tmp_path):
+    unguarded = [
+        ["oracle", "query", "--table", workdir["o2all"], "--target", "00"],
+        ["table", "gen", "--kind", "inner-product", "--n", "2",
+         "--out", str(tmp_path / "g.kext")],
+        ["extract", "check", "--table", workdir["rnd2"], "--cond-oracle",
+         workdir["o2all"], "--output-oracle", workdir["om1"], "--k", "3",
+         "--alpha", "0"],
+    ]
+    for argv in unguarded:
+        assert dispatch(argv) == 0
+        with pytest.raises(SystemExit) as exc:
+            dispatch(argv + ["--override-feasibility"])
+        assert exc.value.code == 2
+    guarded = [
+        ["table", "verify", "--table", workdir["rnd2"], "--mode", "almost", "--k", "1",
+         "--d", "2"],
+        ["table", "search", "--n", "2", "--m", "2", "--side", "1", "--divisor", "4",
+         "--max-trials", "1", "--seed", "0"],
+        ["table", "eps-star", "--table", workdir["rnd2"], "--k", "1", "--d", "0"],
+        ["extract", "equiv", "--table", workdir["rnd2"], "--cond-oracle",
+         workdir["o2all"], "--output-oracle", workdir["om1"], "--k", "1", "--d", "0"],
+        ["pipeline", "run", "--out-dir", str(tmp_path / "p")],  # no config: exit 2
+    ]
+    parser = build_parser()
+    for argv in guarded:
+        assert tuple(argv[:2]) in GUARDED or argv[0] == "pipeline"
+        assert parser.parse_args(argv + ["--override-feasibility"]).override_feasibility
+        assert dispatch(argv + ["--override-feasibility"]) == dispatch(argv)
+
+
 def test_oracle_build_and_query(workdir, tmp_path):
     out = str(tmp_path / "q.json")
     code = dispatch(["oracle", "query", "--table", workdir["o2all"],
@@ -138,6 +169,8 @@ def test_table_gen_kinds(workdir, tmp_path):
                      "--out", str(tmp_path / "x.kext")]) == 2  # gf2 needs --m
     assert dispatch(["table", "gen", "--kind", "random", "--n", "2", "--m", "1",
                      "--out", str(tmp_path / "y.kext")]) == 2  # random needs --seed
+    assert dispatch(["table", "gen", "--kind", "random", "--n", "2",
+                     "--out", str(tmp_path / "z.kext")]) == 2  # and --m
 
 
 def test_table_verify_almost(workdir, tmp_path):

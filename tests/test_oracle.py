@@ -9,6 +9,7 @@ from kextract.bits import EMPTY, BitString, all_strings
 from kextract.cli import dispatch
 from kextract.machine import FAIL, MachineBudget, parse_program, run_machine
 from kextract.oracle import (
+    MAX_N,
     NOT_FOUND,
     _output_length,
     build_complexity_table,
@@ -194,6 +195,8 @@ def test_builder_guards():
         build_complexity_table(2, [])
     with pytest.raises(ValueError):
         build_complexity_table(-1, [EMPTY])
+    with pytest.raises(ValueError, match="target length"):
+        build_complexity_table(MAX_N + 1, [EMPTY], l_max=4)  # refused before allocating
 
 
 def test_duplicate_conditions_collapse():
@@ -253,6 +256,7 @@ def test_json_version_check(oracle_n2_all):
         ("l_max", -1),
         ("n", 2.0),
         ("n", None),
+        ("n", 40),  # a 2^40-entry row per condition
         ("len", "2"),  # of the first 2-bit condition
         ("out", True),
         ("ops", -5),

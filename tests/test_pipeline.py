@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -185,6 +186,22 @@ def test_override_reaches_table_steps(tmp_path, monkeypatch):
     assert run_pipeline(config_path, None, out1) == 2
     out2 = str(tmp_path / "with_override")
     assert run_pipeline(config_path, None, out2, override=True) == 0
+
+
+# sha256 of the sorted (artifact, digest) pairs of the standard n4 run
+# into the relative out_dir "out". Report params record the paths, so the
+# digest depends on that name; any change to a report's command, params,
+# data or assertions changes it.
+STANDARD_N4_DIGEST = "e2447bb01cc7e4533f607d6627073b5ffb5d3cd875519251003e600d455a9307"
+
+
+def test_standard_n4_artifacts_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_pipeline(None, "n4", "out") == 0
+    digests = artifact_digests("out")
+    assert len(digests) == 21
+    combined = hashlib.sha256(json.dumps(sorted(digests.items())).encode()).hexdigest()
+    assert combined == STANDARD_N4_DIGEST
 
 
 def test_artifact_digests_canonicalize_reports(tmp_path):

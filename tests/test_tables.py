@@ -3,6 +3,7 @@ import pytest
 from reference import gf2_poly_is_irreducible
 
 from kextract import prng
+from kextract.cli import dispatch
 from kextract.tables import (
     IRREDUCIBLE_POLYS,
     SingleSourceTable,
@@ -216,3 +217,14 @@ def test_kext_rejects_garbage(tmp_path):
         read_table(path)  # unknown kind flag
     with pytest.raises(TypeError):
         write_table(object(), str(tmp_path / "x.kext"))
+
+
+@pytest.mark.parametrize("blob", [b"KEXT", b"KEXT\x01\x02"], ids=["4-byte", "6-byte"])
+def test_kext_truncated_header_is_a_usage_error(tmp_path, blob):
+    path = str(tmp_path / "short.kext")
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    with pytest.raises(ValueError, match="truncated KEXT header"):
+        read_table(path)
+    code = dispatch(["table", "verify", "--table", path, "--mode", "almost", "--k", "1"])
+    assert code == 2
