@@ -2,9 +2,10 @@
 
 Subcommands: oracle build|query, table gen|verify|search|eps-star,
 extract check|equiv, demo popular|curse|vv, exp dep-census|hitting,
-pipeline run. Every subcommand echoes a one-screen summary and can write
-a report envelope with --out; the report's command and params come from
-the parsed arguments. Exit codes: 0 on pass/complete, 1 when a report
+pipeline run. Every subcommand echoes a one-screen summary, and all but
+pipeline run (whose summary goes into --out-dir) can write a report
+envelope with --out; the report's command and params come from the
+parsed arguments. Exit codes: 0 on pass/complete, 1 when a report
 assertion fails, 2 on usage or feasibility errors.
 
 Randomized subcommands require an explicit --seed; nothing here reads
@@ -40,7 +41,7 @@ from .extraction import (
     popular_range_procedure,
 )
 from .machine import MachineBudget
-from .oracle import build_complexity_table, load_table, save_table
+from .oracle import MAX_N, build_complexity_table, check_shape, load_table, save_table
 from .reports import all_passed, assertion, build_report, write_report
 from .tables import (
     SingleSourceTable,
@@ -79,8 +80,11 @@ def _group(top, group: str, help: str):
     sub = top.add_parser(group, help=help).add_subparsers(dest="command", required=True)
 
     def command(name, func, help=None, out_help="write a JSON report here"):
-        p = sub.add_parser(name, help=help)
-        p.add_argument("--out", help=out_help)
+        """out_help=None leaves the subcommand without --out; a stray --out
+        is then a usage error, not an abbreviation of a longer option."""
+        p = sub.add_parser(name, help=help, allow_abbrev=out_help is not None)
+        if out_help is not None:
+            p.add_argument("--out", help=out_help)
         if (group, name) in GUARDED or group == "pipeline":
             p.add_argument(
                 "--override-feasibility",
@@ -201,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     pipe = _group(top, "pipeline", "run committed step sequences")
-    p = pipe("run", cmd_pipeline_run)
+    p = pipe("run", cmd_pipeline_run, out_help=None)
     p.add_argument("--config", default=None, help="JSON step list")
     p.add_argument("--standard", default=None, choices=["n4"], help="built-in pipeline")
     p.add_argument("--out-dir", required=True)
@@ -219,10 +223,15 @@ def _conditions_for(spec: str, n: int) -> list[BitString]:
     if spec == "lambda":
         return [EMPTY]
     if spec == "all":
-        return [EMPTY] + all_strings(n)
-    if spec.startswith("all:"):
-        return [EMPTY] + all_strings(int(spec.split(":", 1)[1]))
-    raise ValueError(f"unknown condition spec {spec!r}")
+        length = n
+    elif spec.startswith("all:"):
+        length = int(spec.split(":", 1)[1])
+    else:
+        raise ValueError(f"unknown condition spec {spec!r}")
+    if not 0 <= length <= MAX_N:
+        raise ValueError(f"condition length {length} is not in [0, {MAX_N}]")
+    check_shape(n, 1 + (1 << length))
+    return [EMPTY] + all_strings(length)
 
 
 def _params(args, *names: str) -> dict:
@@ -248,6 +257,8 @@ def _finish(args, params: dict, data, assertions: list[dict]) -> int:
 
 
 def cmd_oracle_build(args) -> int:
+    if not args.out:
+        raise ValueError("oracle build needs --out for the table file")
     conds = _conditions_for(args.conditions, args.n)
     budget = MachineBudget(args.budget_out, args.budget_ops)
     table = build_complexity_table(
@@ -257,8 +268,6 @@ def cmd_oracle_build(args) -> int:
         budget=budget,
         max_l_max=args.max_l_max,
     )
-    if not args.out:
-        raise ValueError("oracle build needs --out for the table file")
     save_table(table, args.out)
     print(
         f"[oracle build] n={table.n} l_max={table.l_max} "
@@ -280,12 +289,12 @@ def cmd_oracle_query(args) -> int:
 
 
 def cmd_table_gen(args) -> int:
+    if not args.out:
+        raise ValueError("table gen needs --out for the KEXT file")
     needs, generate = TABLE_KINDS[args.kind]
     if any(getattr(args, name) is None for name in needs):
         raise ValueError(f"{args.kind} needs " + " and ".join(f"--{o}" for o in needs))
     table = generate(args)
-    if not args.out:
-        raise ValueError("table gen needs --out for the KEXT file")
     write_table(table, args.out)
     shape = "two-source" if isinstance(table, TwoSourceTable) else "single-source"
     print(f"[table gen] {args.kind} n={table.n} m={table.m} ({shape}) -> {args.out}")

@@ -12,7 +12,9 @@ import csv
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .bits import BitString
+import numpy as np
+
+from .bits import EMPTY, BitString, all_strings
 from .extraction import SourcePairClass
 from .oracle import NOT_FOUND, Complexity, ComplexityTable
 from .tables import TwoSourceTable
@@ -51,36 +53,36 @@ def count_dependent(
     pair is counted indeterminate (a found unconditional entry can
     never certify alpha >= 1 on its own).
     """
+    member, indeterminate = _dependent(table, [x], alpha)
+    return _census(table.n, x.value, alpha, member[0], indeterminate[0])
+
+
+def _dependent(
+    table: ComplexityTable, xs: list[BitString], alpha: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """count_dependent's member and indeterminate masks, row i for xs[i],
+    column y."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    n = table.n
-    members = []
-    indeterminate = 0
-    for yv in range(1 << n):
-        y = BitString(n, yv)
-        c_y = table.complexity(y)
-        c_yx = table.complexity(y, x)
-        if c_yx is NOT_FOUND:
-            if alpha == 0:
-                members.append(yv)
-            else:
-                indeterminate += 1
-            continue
-        if c_y is NOT_FOUND:
-            if table.l_max + 1 - c_yx >= alpha:
-                members.append(yv)
-            else:
-                indeterminate += 1
-            continue
-        if c_y - c_yx >= alpha:
-            members.append(yv)
-    fitted = len(members) / 2.0 ** (n - alpha)
+    c_y = table.entries(EMPTY)[None, :].astype(np.int64)
+    c_yx = table.rows(xs).astype(np.int64)
+    found = c_yx >= 0
+    # A missing C(y) still certifies a drop of at least l_max + 1 - C(y|x).
+    drop = np.where(c_y < 0, table.l_max + 1, c_y) - c_yx
+    member = np.where(found, drop >= alpha, alpha == 0)
+    return member, ~member & (~found | (c_y < 0))
+
+
+def _census(
+    n: int, x: int, alpha: int, member: np.ndarray, indeterminate: np.ndarray
+) -> DependentCensus:
+    members = tuple(np.flatnonzero(member).tolist())
     return DependentCensus(
-        x=x.value,
+        x=x,
         alpha=alpha,
-        members=tuple(members),
-        indeterminate=indeterminate,
-        fitted_c=fitted,
+        members=members,
+        indeterminate=int(indeterminate.sum()),
+        fitted_c=len(members) / 2.0 ** (n - alpha),
     )
 
 
@@ -104,12 +106,14 @@ def dependent_census_sweep(
 ) -> CensusSweepReport:
     """Census every x; optionally gate the fitted constant against a
     committed calibration value."""
-    censuses = []
+    n = table.n
+    member, indeterminate = _dependent(table, all_strings(n), alpha)
+    censuses = [
+        _census(n, xv, alpha, member[xv], indeterminate[xv]) for xv in range(1 << n)
+    ]
     hist: dict[int, int] = {}
     max_c = 0.0
-    for xv in range(1 << table.n):
-        census = count_dependent(table, BitString(table.n, xv), alpha)
-        censuses.append(census)
+    for census in censuses:
         hist[census.size] = hist.get(census.size, 0) + 1
         if census.fitted_c > max_c:
             max_c = census.fitted_c

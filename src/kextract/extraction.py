@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .balance import measure_eps_star
 from .bits import EMPTY, BitString
 from .calibration import DELTA_MARGIN
@@ -78,23 +80,21 @@ def enumerate_class(
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     n = table.n
-    pairs = []
-    indeterminate = 0
-    for xv in range(1 << n):
-        x = BitString(n, xv)
-        if not meets_floor(table.complexity(x), k, table.l_max):
-            continue
-        for yv in range(1 << n):
-            y = BitString(n, yv)
-            if not meets_floor(table.complexity(y), k, table.l_max):
-                continue
-            dep = dependency(table, x, y)
-            if dep is None:
-                indeterminate += 1
-            elif dep <= alpha:
-                pairs.append((xv, yv))
+    c_all = table.entries(EMPTY)
+    floor = np.where(c_all < 0, table.l_max + 1 >= k, c_all >= k)
+    ok = np.flatnonzero(floor)
+    c = c_all[ok].astype(np.int64)
+    # given[i, j] = C(ok[j] | ok[i]), so C(y | x) = given and C(x | y) = given.T
+    given = table.rows(BitString(n, x) for x in ok.tolist())[:, ok].astype(np.int64)
+    unknown = (c[:, None] < 0) | (c[None, :] < 0) | (given < 0) | (given.T < 0)
+    dep = np.maximum(c[:, None] - given.T, c[None, :] - given)
+    xs, ys = np.nonzero(~unknown & (dep <= alpha))
     return SourcePairClass(
-        n=n, k=k, alpha=alpha, pairs=tuple(pairs), indeterminate=indeterminate
+        n=n,
+        k=k,
+        alpha=alpha,
+        pairs=tuple(zip(ok[xs].tolist(), ok[ys].tolist())),
+        indeterminate=int(unknown.sum()),
     )
 
 

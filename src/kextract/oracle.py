@@ -1,25 +1,36 @@
 """Exact conditional complexity tables for the RM-1 machine.
 
 A ComplexityTable fixes a target length n, a condition set, and a
-program-length ceiling l_max, then records for every (target, condition)
+program-length ceiling l_max, then records for every (condition, target)
 pair the length of the shortest program that outputs the target from the
-condition. Minimality is established by enumerating all 2^(l_max+1) - 1
-programs in length-lexicographic order; distinct programs are distinct
-bit strings (no trailing-bit aliasing), so the counting bound
+condition. The counting bound
 
     |{x : C(x | y) < k}| <= 2^k - 1
 
-holds exactly for every condition y and every k. Targets no program
-reaches within l_max are recorded as NOT_FOUND, a sentinel that compares
-strictly greater than any int; table values never do arithmetic with
-infinities.
+holds exactly for every condition y and every k, because distinct
+programs are distinct bit strings. Targets no program reaches within
+l_max are recorded as NOT_FOUND, a sentinel that compares strictly
+greater than any int; table values never do arithmetic with infinities.
 
-The builder parses each candidate program once and derives its output
-length before touching any condition: output length does not depend on
-the condition content (COPY appends exactly L bits whenever it does not
-FAIL), so programs whose output length differs from n are skipped
-outright. tests/test_oracle.py replays small tables through run_machine
-directly to pin this shortcut to the plain semantics.
+The builder enumerates complete op sequences, not programs. The opcode
+encoding is a prefix code, so the encoding of an op sequence parses back
+to exactly that sequence, and every program is the encoding of the ops
+it completes followed by a dangling tail that adds no output. The
+shortest program for a (condition, target) pair is therefore a tail-free
+op sequence, and a depth-first search over sequences whose encoding fits
+in l_max bits finds exactly the minimal lengths a scan of all
+2^(l_max+1) - 1 programs would. Every op grows the output, so a branch
+stops once the output reaches n bits; it is cut earlier when an op would
+break the budget or l_max, and REPEAT never runs past the output so far.
+Only COPY reads the condition, and only its window check depends on the
+condition's length: a sequence without COPY writes the same target under
+every condition, and one with COPY is evaluated as a numpy array over
+each group of equal-length conditions whose length admits its windows.
+
+Entries live in one int32 matrix [condition x target], with -1 standing
+for NOT_FOUND; consumers read whole rows of it. tests/test_oracle.py
+compares the builder with tests/reference.py, which runs every program
+through run_machine.
 """
 
 from __future__ import annotations
@@ -27,17 +38,20 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .bits import EMPTY, BitString
-from .machine import DEFAULT_BUDGET, MachineBudget, execute_ops, parse_program
+from .machine import DEFAULT_BUDGET, MachineBudget
 
 MAX_L_MAX = 24
 # Target lengths past this would allocate more than a 64 MB row per
 # condition (2^n int32 entries).
 MAX_N = 24
+# Condition x target cells past this would allocate more than a 128 MB
+# int32 matrix.
+MAX_CELLS = 1 << 25
 
 
 class _NotFound:
@@ -76,18 +90,22 @@ Complexity = Union[int, _NotFound]
 class ComplexityTable:
     """Minimal program lengths for all n-bit targets under fixed conditions.
 
-    Entries are stored per condition as an int32 array indexed by target
-    value, with -1 standing for NOT_FOUND. Tables are sealed by the
-    builder; a sealed table is immutable and safe to share.
+    Entries are one int32 matrix [condition x target], rows in the order
+    of `conditions` and columns indexed by target value, with -1 standing
+    for NOT_FOUND. Tables are sealed by the builder; a sealed table is
+    immutable and safe to share.
     """
 
     n: int
     l_max: int
     budget: MachineBudget
     conditions: tuple[BitString, ...]
-    _entries: list[np.ndarray] = field(repr=False)
-    _cond_index: dict[BitString, int] = field(repr=False)
+    _matrix: np.ndarray = field(repr=False)
     sealed: bool = False
+    _cond_index: dict[BitString, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._cond_index = {y: i for i, y in enumerate(self.conditions)}
 
     def condition_index(self, y: BitString) -> int:
         try:
@@ -101,7 +119,7 @@ class ComplexityTable:
             raise RuntimeError("table is not sealed yet")
         if x.length != self.n:
             raise ValueError(f"target length {x.length} != table n {self.n}")
-        raw = int(self._entries[self.condition_index(y)][x.value])
+        raw = int(self._matrix[self.condition_index(y), x.value])
         return NOT_FOUND if raw < 0 else raw
 
     def complexity_of_value(self, x_value: int, y: BitString = EMPTY) -> Complexity:
@@ -109,7 +127,11 @@ class ComplexityTable:
 
     def entries(self, y: BitString = EMPTY) -> np.ndarray:
         """Read-only int32 view for one condition (-1 encodes NOT_FOUND)."""
-        return self._entries[self.condition_index(y)]
+        return self._matrix[self.condition_index(y)]
+
+    def rows(self, conds: Iterable[BitString]) -> np.ndarray:
+        """int32 matrix whose row i is entries(conds[i])."""
+        return self._matrix[[self.condition_index(y) for y in conds]]
 
     def count_below(self, k: int, y: BitString = EMPTY) -> int:
         """|{x : C_T(x|y) < k}| as an exact integer; NOT_FOUND never counts."""
@@ -120,9 +142,19 @@ class ComplexityTable:
         return int((self.entries(y) < 0).sum())
 
     def seal(self) -> None:
-        for arr in self._entries:
-            arr.setflags(write=False)
+        self._matrix.setflags(write=False)
         self.sealed = True
+
+
+def check_shape(n: int, num_conditions: int) -> None:
+    """Refuse a target length past MAX_N or a matrix past MAX_CELLS."""
+    if not 0 <= n <= MAX_N:
+        raise ValueError(f"target length n={n} is not in [0, {MAX_N}]")
+    if num_conditions << n > MAX_CELLS:
+        raise ValueError(
+            f"{num_conditions} conditions x 2^{n} targets exceed the "
+            f"{MAX_CELLS}-cell cap"
+        )
 
 
 def build_complexity_table(
@@ -132,16 +164,19 @@ def build_complexity_table(
     budget: MachineBudget = DEFAULT_BUDGET,
     max_l_max: int = MAX_L_MAX,
 ) -> ComplexityTable:
-    """Enumerate all programs up to l_max and record minimal lengths.
+    """Enumerate all op sequences up to l_max bits and record minimal lengths.
 
     l_max defaults to n + 6, enough for EMIT-only programs plus slack.
     Builds with l_max < 2n get a warning: a COPY of the whole condition
     costs at most 2*floor(log2 n) + 4 <= 2n bits, so conditional entries
     only become NOT_FOUND-free once l_max reaches that scale. The
-    max_l_max guard refuses enumerations past 2^(max_l_max+1) programs;
-    raise it deliberately if you can afford the run.
+    max_l_max guard refuses programs longer than max_l_max bits; raise
+    it deliberately if you can afford the run.
     """
-    _check_n(n)
+    conds = list(dict.fromkeys(conditions))
+    if not conds:
+        raise ValueError("need at least one condition")
+    check_shape(n, len(conds))
     if l_max is None:
         l_max = n + 6
     if l_max < 0:
@@ -156,84 +191,127 @@ def build_complexity_table(
             f"l_max={l_max} < 2n={2 * n}: expect NOT_FOUND entries",
             stacklevel=2,
         )
-    conds: list[BitString] = []
-    seen = set()
-    for y in conditions:
-        if y not in seen:
-            seen.add(y)
-            conds.append(y)
-    if not conds:
-        raise ValueError("need at least one condition")
-
-    size = 1 << n
-    entries = [np.full(size, -1, dtype=np.int32) for _ in conds]
-    rows = [(entries[i], y.value, y.length) for i, y in enumerate(conds)]
-    for length in range(l_max + 1):
-        for value in range(1 << length):
-            ops = parse_program(value, length)
-            if _output_length(ops, budget) != n:
-                continue
-            for row, cv, cl in rows:
-                result = execute_ops(ops, cv, cl, budget)
-                if result is None:
-                    continue
-                out_v = result[0]
-                if row[out_v] < 0:
-                    row[out_v] = length
-
     table = ComplexityTable(
         n=n,
         l_max=l_max,
         budget=budget,
         conditions=tuple(conds),
-        _entries=entries,
-        _cond_index={y: i for i, y in enumerate(conds)},
+        _matrix=_minimal_lengths(n, conds, l_max, budget),
     )
     table.seal()
     return table
 
 
-def _output_length(ops: list[tuple[int, int, int]], budget: MachineBudget) -> int:
-    """Output length of an op list, or -1 if it FAILs on every condition.
+def _minimal_lengths(
+    n: int, conds: Sequence[BitString], l_max: int, budget: MachineBudget
+) -> np.ndarray:
+    """Depth-first search over op sequences; see the module docstring.
 
-    The length trajectory is condition-independent: EMIT appends 1 bit,
-    COPY appends L or FAILs, REPEAT appends L*R or FAILs based only on
-    the lengths so far. Only COPY's window check depends on the actual
-    condition, and a failing COPY contributes no output anyway.
+    A node's output is an int while its sequence has no COPY, else a
+    list of (group, values) over the condition groups whose length
+    admits every COPY window so far, values holding one output per
+    condition of the group.
     """
-    out_n = 0
-    for executed, (kind, a, b) in enumerate(ops):
-        if executed >= budget.max_opcodes:
-            return -1
-        if kind <= 1:
-            out_n += 1
-        elif kind == 2:
-            out_n += a
-        else:
-            if out_n < a:
-                return -1
-            out_n += a * b
-        if out_n > budget.max_output_bits:
-            return -1
-    return out_n
+    cap = min(n, budget.max_output_bits)
+    unreached = l_max + 1
+    best = np.full((len(conds), 1 << n), unreached, dtype=np.int32)
+    shared = np.full(1 << n, unreached, dtype=np.int32)  # COPY-free sequences
+
+    by_length: dict[int, list[int]] = {}
+    for i, y in enumerate(conds):
+        by_length.setdefault(y.length, []).append(i)
+    lengths = sorted(by_length)
+    rows = [np.array(by_length[length]) for length in lengths]
+    max_len = lengths[-1]
+    windows: dict[tuple[int, int, int], np.ndarray] = {}
+
+    def window(g: int, a: int, q: int) -> np.ndarray:
+        """Condition bits [q-1, q-1+a) of every condition of group g."""
+        key = (g, a, q)
+        if key not in windows:
+            shift = lengths[g] - (q - 1) - a
+            mask = (1 << a) - 1
+            windows[key] = np.array(
+                [(conds[i].value >> shift) & mask for i in by_length[lengths[g]]],
+                dtype=np.int64,
+            )
+        return windows[key]
+
+    def each(out, op):
+        return op(out) if type(out) is int else [(g, op(v)) for g, v in out]
+
+    def visit(bits: int, out_n: int, count: int, out) -> None:
+        if out_n == n:
+            if type(out) is int:
+                shared[out] = min(shared[out], bits)
+            else:
+                for g, v in out:
+                    best[rows[g], v] = np.minimum(best[rows[g], v], bits)
+            return
+        left = l_max - bits
+        room = cap - out_n
+        if count == budget.max_opcodes or left < 2 or room < 1:
+            return
+        count += 1
+        # EMIT0, EMIT1: 2 bits.
+        visit(bits + 2, out_n + 1, count, each(out, lambda v: v << 1))
+        visit(bits + 2, out_n + 1, count, each(out, lambda v: (v << 1) | 1))
+        # COPY a bits from condition position q: 2 + g(a) + g(q) bits,
+        # 2*bitlen(a) + 2*bitlen(q) in all; FAILs past the condition.
+        per_group = [(g, out) for g in range(len(lengths))] if type(out) is int else out
+        for a in range(1, min(room, max_len) + 1):
+            cost_a = 2 * a.bit_length()
+            if cost_a + 2 > left:
+                break
+            for q in range(1, max_len - a + 2):
+                cost = cost_a + 2 * q.bit_length()
+                if cost > left:
+                    break
+                live = [
+                    (g, (v << a) | window(g, a, q))
+                    for g, v in per_group
+                    if lengths[g] >= a + q - 1
+                ]
+                if live:
+                    visit(bits + cost, out_n + a, count, live)
+        # REPEAT the last a bits r more times; FAILs when a > out_n.
+        for a in range(1, out_n + 1):
+            cost_a = 2 * a.bit_length()
+            if cost_a + 2 > left:
+                break
+            mask = (1 << a) - 1
+            for r in range(1, room // a + 1):
+                cost = cost_a + 2 * r.bit_length()
+                if cost > left:
+                    break
+                span = a * r
+                rep = ((1 << span) - 1) // mask
+                visit(
+                    bits + cost,
+                    out_n + span,
+                    count,
+                    each(out, lambda v: (v << span) | ((v & mask) * rep)),
+                )
+
+    visit(0, 0, 0, 0)
+    np.minimum(best, shared, out=best)
+    best[best == unreached] = -1
+    return best
 
 
 def table_to_json(table: ComplexityTable) -> dict:
-    """Portable JSON form; bits are hex-packed MSB-first."""
-    entries = []
-    for ci in range(len(table.conditions)):
-        arr = table._entries[ci]
-        for x_value in range(arr.size):
-            c = int(arr[x_value])
-            if c < 0:
-                continue
-            entries.append(
-                {
-                    "cond_idx": ci,
-                    "target_hex": BitString(table.n, x_value).pack_hex(),
-                    "c": c,
-                }
-            )
+    """Portable JSON form; bits are hex-packed MSB-first.
+
+    Entries run condition by condition, targets ascending within each.
+    """
+    cond_idx, targets = np.nonzero(table._matrix >= 0)
+    values = table._matrix[cond_idx, targets].tolist()
+    targets = targets.tolist()
+    hexes = {x: BitString(table.n, x).pack_hex() for x in set(targets)}
+    entries = [
+        {"cond_idx": ci, "target_hex": hexes[x], "c": c}
+        for ci, x, c in zip(cond_idx.tolist(), targets, values)
+    ]
     return {
         "version": 1,
         "n": table.n,
@@ -249,11 +327,6 @@ def table_to_json(table: ComplexityTable) -> dict:
     }
 
 
-def _check_n(n: int) -> None:
-    if not 0 <= n <= MAX_N:
-        raise ValueError(f"target length n={n} is not in [0, {MAX_N}]")
-
-
 def _json_count(value: object, name: str) -> int:
     if type(value) is not int or value < 0:
         raise ValueError(f"{name} {value!r} is not a nonnegative int")
@@ -264,21 +337,22 @@ def table_from_json(doc: dict) -> ComplexityTable:
     """Inverse of table_to_json.
 
     Raises ValueError on a header count (n, l_max, a condition's len,
-    budget out/ops) that is not a nonnegative int, on n > MAX_N, on an
-    entry whose cond_idx is not a condition index, whose c lies outside
-    [0, l_max], or whose (cond_idx, target) pair repeats an earlier
-    entry, and on hex payloads with nonzero padding bits.
+    budget out/ops) that is not a nonnegative int, on n > MAX_N or a
+    matrix past MAX_CELLS, on an entry whose cond_idx is not a condition
+    index, whose c lies outside [0, l_max], or whose (cond_idx, target)
+    pair repeats an earlier entry, and on hex payloads with nonzero
+    padding bits.
     """
     if doc.get("version") != 1:
         raise ValueError(f"unsupported table version {doc.get('version')!r}")
     n = _json_count(doc["n"], "n")
-    _check_n(n)
     l_max = _json_count(doc["l_max"], "l_max")
+    check_shape(n, len(doc["conditions"]))
     conds = [
         BitString.unpack_hex(_json_count(c["len"], "condition len"), c["hex"])
         for c in doc["conditions"]
     ]
-    entries = [np.full(1 << n, -1, dtype=np.int32) for _ in conds]
+    matrix = np.full((len(conds), 1 << n), -1, dtype=np.int32)
     for e in doc["entries"]:
         ci, c = e["cond_idx"], e["c"]
         if type(ci) is not int or not 0 <= ci < len(conds):
@@ -286,11 +360,11 @@ def table_from_json(doc: dict) -> ComplexityTable:
         if type(c) is not int or not 0 <= c <= l_max:
             raise ValueError(f"entry c {c!r} is not in [0, l_max={l_max}]")
         x = BitString.unpack_hex(n, e["target_hex"])
-        if entries[ci][x.value] >= 0:
+        if matrix[ci, x.value] >= 0:
             raise ValueError(
                 f"duplicate entry for cond_idx {ci}, target {e['target_hex']}"
             )
-        entries[ci][x.value] = c
+        matrix[ci, x.value] = c
     table = ComplexityTable(
         n=n,
         l_max=l_max,
@@ -299,8 +373,7 @@ def table_from_json(doc: dict) -> ComplexityTable:
             _json_count(doc["budget"]["ops"], "budget ops"),
         ),
         conditions=tuple(conds),
-        _entries=entries,
-        _cond_index={y: i for i, y in enumerate(conds)},
+        _matrix=matrix,
     )
     table.seal()
     return table
@@ -340,27 +413,17 @@ def symmetry_report(
     n = singles.n
     if pairs.n != 2 * n:
         raise ValueError("pair table must target strings of length 2n")
-    hist: dict[int, int] = {}
-    skipped = 0
-    max_dev = 0
-    for x_value in range(1 << n):
-        x = BitString(n, x_value)
-        c_x = singles.complexity(x)
-        for y_value in range(1 << n):
-            y = BitString(n, y_value)
-            c_yx = singles.complexity(y, x)
-            c_pair = pairs.complexity(BitString(2 * n, (x_value << n) | y_value))
-            if c_x is NOT_FOUND or c_yx is NOT_FOUND or c_pair is NOT_FOUND:
-                skipped += 1
-                continue
-            dev = abs(c_pair - (c_x + c_yx))
-            hist[dev] = hist.get(dev, 0) + 1
-            if dev > max_dev:
-                max_dev = dev
+    side = 1 << n
+    c_x = singles.entries(EMPTY).astype(np.int64)[:, None]
+    c_yx = singles.rows(BitString(n, x) for x in range(side)).astype(np.int64)
+    # Row x, column y of the pair row is the target x||y.
+    c_pair = pairs.entries(EMPTY).astype(np.int64).reshape(side, side)
+    known = (c_x >= 0) & (c_yx >= 0) & (c_pair >= 0)
+    devs, counts = np.unique(np.abs(c_pair - (c_x + c_yx))[known], return_counts=True)
     return SymmetryReport(
         n=n,
-        max_deviation=max_dev,
-        histogram=dict(sorted(hist.items())),
-        pairs_total=1 << (2 * n),
-        pairs_skipped=skipped,
+        max_deviation=int(devs[-1]) if devs.size else 0,
+        histogram=dict(zip(devs.tolist(), counts.tolist())),
+        pairs_total=side * side,
+        pairs_skipped=int((~known).sum()),
     )

@@ -9,10 +9,11 @@ and then freeze the values the references produce.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 
-from kextract.bits import BitString
+from kextract.bits import EMPTY, BitString
 from kextract.machine import DEFAULT_BUDGET, FAIL, MachineBudget, run_machine
 
 
@@ -24,7 +25,7 @@ def brute_complexity_map(
 ) -> dict[int, int]:
     """Minimal program length per n-bit target, by running every program.
 
-    No parsing shortcuts, no output-length prefiltering: every program of
+    No parsing shortcuts, no op-sequence search: every program of
     every length up to l_max is executed through run_machine.
     """
     found: dict[int, int] = {}
@@ -36,6 +37,63 @@ def brute_complexity_map(
             if out.value not in found:
                 found[out.value] = length
     return found
+
+
+def _lookup(table, x: int, y: Optional[int] = None) -> Optional[int]:
+    """C(x | y) from a ComplexityTable as an int, None for NOT_FOUND;
+    y=None is lambda."""
+    cond = EMPTY if y is None else BitString(table.n, y)
+    value = table.complexity(BitString(table.n, x), cond)
+    return value if isinstance(value, int) else None
+
+
+def brute_class(table, k: int, alpha: int) -> tuple[list[tuple[int, int]], int]:
+    """(members, indeterminate) of the (k, alpha) class, pair by pair.
+
+    Both floors must be certified (NOT_FOUND certifies C > l_max); a pair
+    with any of its four entries NOT_FOUND is indeterminate, otherwise
+    it joins when max(C(x) - C(x|y), C(y) - C(y|x)) <= alpha.
+    """
+    side = 1 << table.n
+
+    def floor_ok(c):
+        return table.l_max + 1 >= k if c is None else c >= k
+
+    members, indeterminate = [], 0
+    for x in range(side):
+        for y in range(side):
+            if not (floor_ok(_lookup(table, x)) and floor_ok(_lookup(table, y))):
+                continue
+            c_x, c_xy = _lookup(table, x), _lookup(table, x, y)
+            c_y, c_yx = _lookup(table, y), _lookup(table, y, x)
+            if None in (c_x, c_xy, c_y, c_yx):
+                indeterminate += 1
+            elif max(c_x - c_xy, c_y - c_yx) <= alpha:
+                members.append((x, y))
+    return members, indeterminate
+
+
+def brute_census(table, x: int, alpha: int) -> tuple[list[int], int]:
+    """(members, indeterminate) of x's alpha-dependent partners, y by y.
+
+    A missing C(y|x) joins only at alpha = 0; a missing C(y) counts as
+    l_max + 1, a lower bound, so the drop it gives certifies membership
+    when it reaches alpha and leaves y indeterminate when it does not.
+    """
+    members, indeterminate = [], 0
+    for y in range(1 << table.n):
+        c_y, c_yx = _lookup(table, y), _lookup(table, y, x)
+        if c_yx is None:
+            certified, known = alpha == 0, False
+        elif c_y is None:
+            certified, known = table.l_max + 1 - c_yx >= alpha, False
+        else:
+            certified, known = c_y - c_yx >= alpha, True
+        if certified:
+            members.append(y)
+        elif not known:
+            indeterminate += 1
+    return members, indeterminate
 
 
 def rect_census(colors: np.ndarray, rows, cols, num_colors: int) -> list[int]:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import kextract
+from kextract import cli
 from kextract.cli import GUARDED, build_parser, dispatch, main
 from kextract.reports import comparable_bytes, load_report
 from kextract.tables import read_table
@@ -149,6 +150,37 @@ def test_oracle_build_and_query(workdir, tmp_path):
     assert rep["params"] == {"table": workdir["o2all"], "target": "00", "cond": "01"}
     assert rep["data"] == {"complexity": 4}
     assert dispatch(["oracle", "build", "--n", "1"]) == 2  # --out required
+
+
+def test_out_is_checked_before_any_work(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the missing --out was refused")
+
+    monkeypatch.setattr(cli, "build_complexity_table", never)
+    monkeypatch.setattr(cli, "gen_inner_product", never)
+    assert dispatch(["oracle", "build", "--n", "8", "--conditions", "all"]) == 2
+    assert dispatch(["table", "gen", "--kind", "inner-product", "--n", "4"]) == 2
+
+
+@pytest.mark.parametrize("spec", ["all:-1", "all:25", "all:30", "all:20"])
+def test_condition_length_is_capped(monkeypatch, tmp_path, spec):
+    """all:<len> outside [0, MAX_N], or past the cell cap at n=8, is a
+    usage error raised before the 2^len conditions are listed."""
+    def never(*args, **kwargs):
+        raise AssertionError("listed the conditions before refusing them")
+
+    monkeypatch.setattr(cli, "all_strings", never)
+    argv = ["oracle", "build", "--n", "8", "--conditions", spec,
+            "--out", str(tmp_path / "o.json")]
+    assert dispatch(argv) == 2
+
+
+def test_pipeline_run_has_no_out(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["pipeline", "run", "--standard", "n4", "--out-dir",
+                  str(tmp_path / "p"), "--out", str(tmp_path / "s.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "p").exists()
 
 
 def test_oracle_query_missing_file(tmp_path):

@@ -1,6 +1,7 @@
 import warnings
 
 import pytest
+from reference import brute_census
 
 from kextract import calibration
 from kextract.bits import EMPTY, BitString
@@ -77,6 +78,18 @@ def test_census_not_found_paths():
 
 
 # --------------------------------------------------------------- sweeps
+
+
+def test_census_matches_brute_force(mixed_oracles):
+    for name, table in mixed_oracles.items():
+        for alpha in range(5):
+            sweep = dependent_census_sweep(table, alpha)
+            for xv, census in enumerate(sweep.censuses):
+                members, indeterminate = brute_census(table, xv, alpha)
+                assert census.members == tuple(members), (name, alpha, xv)
+                assert census.indeterminate == indeterminate, (name, alpha, xv)
+                single = count_dependent(table, BitString(table.n, xv), alpha)
+                assert single == census, (name, alpha, xv)
 
 
 def test_sweep_n4(oracle_n4_all):

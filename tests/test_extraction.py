@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from reference import brute_class
 
 from kextract.bits import EMPTY, BitString
 from kextract.extraction import (
@@ -67,6 +68,16 @@ def test_enumerate_class_full_and_empty(oracle_n4_all):
     assert enumerate_class(oracle_n4_all, 9, 0).size == 0
     with pytest.raises(ValueError):
         enumerate_class(oracle_n4_all, 8, -1)
+
+
+def test_class_matches_brute_force(mixed_oracles):
+    for name, table in mixed_oracles.items():
+        for k in range(table.l_max + 3):
+            for alpha in range(4):
+                cls = enumerate_class(table, k, alpha)
+                pairs, indeterminate = brute_class(table, k, alpha)
+                assert cls.pairs == tuple(pairs), (name, k, alpha)
+                assert cls.indeterminate == indeterminate, (name, k, alpha)
 
 
 def test_class_monotone_in_k_and_alpha(oracle_n4_all, oracle_n5_all):

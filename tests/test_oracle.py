@@ -3,15 +3,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import brute_complexity_map
 
+from kextract import calibration
 from kextract.bits import EMPTY, BitString, all_strings
 from kextract.cli import dispatch
-from kextract.machine import FAIL, MachineBudget, parse_program, run_machine
+from kextract.machine import MachineBudget
 from kextract.oracle import (
+    MAX_CELLS,
     MAX_N,
     NOT_FOUND,
-    _output_length,
     build_complexity_table,
     load_table,
     save_table,
@@ -32,7 +35,7 @@ def build_quiet(*args, **kwargs):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_builder_matches_direct_enumeration(n):
-    """The output-length prefilter must not change any entry."""
+    """Searching op sequences instead of programs changes no entry."""
     conditions = [EMPTY] + all_strings(n)
     l_max = 2 * n + 2
     table = build_quiet(n, conditions, l_max=l_max)
@@ -53,21 +56,41 @@ def test_builder_matches_direct_enumeration_tight_budget():
             assert table.complexity_of_value(xv, y) == expect.get(xv, NOT_FOUND)
 
 
-def test_output_length_shortcut_agrees_with_execution():
-    """_output_length is the builder's only shortcut; pin it to the
-    machine semantics program by program."""
-    budget = MachineBudget(max_output_bits=16, max_opcodes=8)
-    conds = [EMPTY, BitString.from01("1"), BitString.from01("0110")]
-    for length in range(11):
-        for value in range(1 << length):
-            ops = parse_program(value, length)
-            predicted = _output_length(ops, budget)
-            outs = [run_machine(BitString(length, value), y, budget) for y in conds]
-            if predicted < 0:
-                assert all(out is FAIL for out in outs)
-            else:
-                for out in outs:
-                    assert out is FAIL or out.length == predicted
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 3),
+    l_max=st.integers(0, 9),
+    max_out=st.integers(1, 8),
+    max_ops=st.integers(1, 6),
+    conds=st.lists(
+        st.integers(0, 5).flatmap(
+            lambda k: st.builds(BitString, st.just(k), st.integers(0, (1 << k) - 1))
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_pruned_builder_matches_running_every_program(n, l_max, max_out, max_ops, conds):
+    """Op-sequence search with every prune against plain execution of all
+    programs, under tiny budgets and conditions of mixed lengths."""
+    budget = MachineBudget(max_output_bits=max_out, max_opcodes=max_ops)
+    table = build_quiet(n, conds, l_max=l_max, budget=budget)
+    for y in table.conditions:
+        expect = brute_complexity_map(n, y, l_max, budget)
+        got = table.entries(y)
+        assert {x: int(got[x]) for x in np.flatnonzero(got >= 0)} == expect, y
+
+
+def test_long_conditions_stay_exact():
+    """COPY windows of 70- and 40-bit conditions, past int64; at n=6 a
+    COPY is cheaper than six EMITs, so every window shows."""
+    conds = [EMPTY, BitString(70, 0b101101 << 64 | 0b010010), BitString(40, 0xF0F0F0F0F0)]
+    table = build_quiet(6, conds, l_max=12)
+    for y in conds:
+        expect = brute_complexity_map(6, y, 12)
+        assert {x: table.complexity_of_value(x, y) for x in expect} == expect
+        assert table.not_found_count(y) == 64 - len(expect)
+    assert table.complexity(BitString(6, 0b101101), conds[1]) == 8  # COPY(6, 1)
 
 
 # ------------------------------------------------------- machine facts
@@ -197,6 +220,9 @@ def test_builder_guards():
         build_complexity_table(-1, [EMPTY])
     with pytest.raises(ValueError, match="target length"):
         build_complexity_table(MAX_N + 1, [EMPTY], l_max=4)  # refused before allocating
+    too_many = all_strings(MAX_CELLS.bit_length() - 1 - 12) + [EMPTY]
+    with pytest.raises(ValueError, match="cell cap"):
+        build_complexity_table(12, too_many, l_max=4)
 
 
 def test_duplicate_conditions_collapse():
@@ -257,6 +283,7 @@ def test_json_version_check(oracle_n2_all):
         ("n", 2.0),
         ("n", None),
         ("n", 40),  # a 2^40-entry row per condition
+        ("n", 24),  # five 2^24-entry rows pass the cell cap
         ("len", "2"),  # of the first 2-bit condition
         ("out", True),
         ("ops", -5),
@@ -309,6 +336,22 @@ def test_symmetry_census_n4(oracle_n4_all, oracle_n8_pairs):
     assert report.pairs_skipped == 0
     assert report.max_deviation == 6
     assert report.histogram == {0: 238, 2: 10, 4: 6, 6: 2}
+
+
+@pytest.mark.parametrize(
+    "n, constant, histogram",
+    [
+        (5, calibration.SYMMETRY_MAX_DEVIATION_N5, {0: 894, 2: 56, 4: 56, 6: 18}),
+        (6, calibration.SYMMETRY_MAX_DEVIATION_N6, {0: 3106, 2: 608, 4: 302, 6: 76, 8: 4}),
+    ],
+)
+def test_symmetry_constants(n, constant, histogram):
+    """Singles at l_max=2n and pairs at l_max=4n, as calibration records."""
+    singles = build_complexity_table(n, [EMPTY] + all_strings(n), l_max=2 * n)
+    pairs = build_complexity_table(2 * n, [EMPTY], l_max=4 * n)
+    report = symmetry_report(singles, pairs)
+    assert (report.max_deviation, report.pairs_skipped) == (constant, 0)
+    assert report.histogram == histogram
 
 
 def test_symmetry_requires_pair_table(oracle_n4_all, oracle_n2_all):
