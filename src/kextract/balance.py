@@ -1,36 +1,51 @@
 """Exhaustive rectangle balance verification for two-source tables.
 
 Every check here is exact over all rectangles B1 x B2 with both sides of
-a fixed size, and every check walks blocks of row sets B1 through one
-generator. A subset-indicator matrix times a one-hot color expansion
-gives each row set's strip: per-column color counts. All values are
-small integers or dyadic rationals, and float64 sums of those below
-2^53 are associative with no rounding, so BLAS products stay exact and
-results do not depend on BLAS thread count.
+a fixed size. Almost balance and eps* have three sweeps with identical
+answers, and rainbow one:
 
-Almost balance and eps* have two sweeps with identical answers:
-
-- The full sweep multiplies each strip by the column-set indicator
-  matrix too, giving the color census of every rectangle, and reduces
-  it (top-u_size colors, or the clipped overshoot).
+- The full sweep walks blocks of row sets B1 through one generator: a
+  subset-indicator matrix times a one-hot color expansion gives each
+  row set's strip (per-column color counts), and the column-set
+  indicator matrix times the strips gives the color census of every
+  rectangle. It reduces each census to its top u_size colors, or to the
+  clipped overshoot sum_z max(c_z - t, 0) with t = 4^k * 2^-(m-d).
 - The decomposed sweep fixes B1 and a color set U: the best B2 is then
   the 2^k columns with the most U-cells in the strip, so column sets are
   never enumerated. Almost balance tries the C(2^m, u_size) color sets;
   eps* tries the 2^M - 1 nonempty ones, because
   sum_z max(c_z - t, 0) = max(0, max_U sum_{z in U} c_z - |U| t).
   rainbow_check always decomposes this way, per column.
+- The bitset sweep serves eps* when t <= 1 and M <= 64. Every census
+  entry is then 0 or at least 1 >= t, so the overshoot is
+  cells - t * (number of distinct colors in the rectangle), and eps* =
+  (cells - t * min distinct) / cells needs no census. Each cell becomes
+  the uint64 bit of its color; an OR tree over subsets gives one color
+  mask per row set and column, then one per rectangle, whose popcount
+  is its number of distinct colors.
 
-The decomposed sweep runs when there are strictly fewer color sets than
-row sets, otherwise the full one. Both report the same almost-balance
-witness: the first maximum in the full sweep's row-block order, b2-major
-within a block. The decomposed sweep finds each row set's best value,
-then computes full censuses only for the maximal row sets of the first
+The bitset sweep runs whenever it applies. Otherwise the decomposed
+sweep runs when there are strictly fewer color sets than row sets, and
+the full one when not. Both report the same almost-balance witness: the
+first maximum in the full sweep's row-block order, b2-major within a
+block. The decomposed sweep finds each row set's best value, then
+computes full censuses only for the maximal row sets of the first
 full-sweep block that holds one.
+
+All values are exact. The full sweep's products run in float32: every
+strip entry and census entry is an integer of at most cells = 4^k <=
+2^24 (n <= 12), and every overshoot term and partial sum is a multiple
+of min(1, t) of magnitude at most cells, at most 2^24 steps since
+m - d <= 16, so float32 holds them all and the results do not depend on
+BLAS order or thread count. Its top-u_size reduction partitions the
+censuses as int16, or int32 past 32,767 cells. The decomposed and
+rainbow sweeps keep float64, whose 2^53 bound holds their sums.
 
 Work is estimated for the sweep that will run before anything is
 allocated: rectangle pairs times colors for the full sweep, row sets
-times the strip and color-set products for the decomposed one, and
-both orientations' strip products (row sets x 2^n x 2^n x M each) for
+times the strip and color-set products for the decomposed one, row sets
+times the ORs of the column-subset tree for the bitset one, and both
+orientations' strip products (row sets x 2^n x 2^n x M each) for
 rainbow. Runs past OPS_LIMIT are refused unless explicitly overridden.
 """
 
@@ -85,18 +100,20 @@ class BalanceReport:
     u_size: int
 
 
-def _subset_matrix(n_items: int, size: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+def _subset_matrix(
+    n_items: int, size: int, dtype: type = np.float64
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
     subsets = list(combinations(range(n_items), size))
-    mat = np.zeros((len(subsets), n_items), dtype=np.float64)
+    mat = np.zeros((len(subsets), n_items), dtype=dtype)
     for i, sub in enumerate(subsets):
         mat[i, list(sub)] = 1.0
     return subsets, mat
 
 
-def _one_hot_colors(colors: np.ndarray, num_colors: int) -> np.ndarray:
-    """(N, N*M) float64 with a 1 at column v*M + z iff colors[u, v] == z."""
+def _one_hot_colors(colors: np.ndarray, num_colors: int, dtype: type) -> np.ndarray:
+    """(N, N*M) with a 1 at column v*M + z iff colors[u, v] == z."""
     side = colors.shape[0]
-    flat = np.zeros((side, side * num_colors), dtype=np.float64)
+    flat = np.zeros((side, side * num_colors), dtype=dtype)
     cols = np.arange(side)[None, :] * num_colors + colors.astype(np.int64)
     rows = np.repeat(np.arange(side)[:, None], side, axis=1)
     flat[rows.ravel(), cols.ravel()] = 1.0
@@ -121,10 +138,10 @@ def _strip_blocks(
     """Yield (start, strip[B, side, M]) over row-set blocks in order.
 
     strip[b, v, z] counts the rows of row set start + b colored z in
-    column v.
+    column v, in rows_mat's dtype.
     """
     side = colors.shape[0]
-    one_hot = _one_hot_colors(colors, num_colors)
+    one_hot = _one_hot_colors(colors, num_colors, rows_mat.dtype)
     for start in range(0, rows_mat.shape[0], block):
         chunk = rows_mat[start : start + block]
         yield start, (chunk @ one_hot).reshape(chunk.shape[0], side, num_colors)
@@ -139,6 +156,8 @@ def _rect_census(cols_mat: np.ndarray, strip: np.ndarray) -> np.ndarray:
 
 def _top_sum(arr: np.ndarray, size: int, axis: int) -> np.ndarray:
     """Sum of the size largest entries along axis."""
+    if size == 1:  # a plain reduction; partitioning short rows costs more
+        return arr.max(axis=axis)
     cut = arr.shape[axis] - size
     if cut > 0:
         arr = np.split(np.partition(arr, cut, axis=axis), [cut], axis=axis)[1]
@@ -152,19 +171,32 @@ def _argmax(arr: np.ndarray) -> tuple[int, int]:
 
 
 def _plan(
-    num_sets: int, num_color_sets: int, side: int, num_colors: int, override: bool
-) -> bool:
-    """Guard the sweep that will run; True selects the decomposed one.
+    side: int,
+    rect: int,
+    num_colors: int,
+    num_color_sets: int,
+    override: bool,
+    distinct: bool = False,
+) -> str:
+    """Guard the sweep that will run and return its name.
 
-    The decomposed sweep costs the strip product plus the color-set
-    product per row set; the full sweep costs a census per rectangle.
+    distinct says the reduction is a distinct-color count over at most
+    64 colors: the bitset sweep then costs one OR per column subset of
+    size 1..rect, for each row set (plus the same tree once over rows).
+    Otherwise the decomposed sweep, which costs the strip product plus
+    the color-set product per row set, runs when there are fewer color
+    sets than row sets, and the full sweep costs a census per rectangle.
     """
-    decomposed = num_color_sets < num_sets
-    if decomposed:
-        _guard(num_sets * side * num_colors * (side + num_color_sets), override)
+    num_sets = math.comb(side, rect)
+    if distinct:
+        ors = sum(math.comb(side, j) for j in range(1, rect + 1))
+        sweep, ops = "bitset", (num_sets + side) * ors
+    elif num_color_sets < num_sets:
+        sweep, ops = "decomposed", num_sets * side * num_colors * (side + num_color_sets)
     else:
-        _guard(num_sets * num_sets * num_colors, override)
-    return decomposed
+        sweep, ops = "full", num_sets * num_sets * num_colors
+    _guard(ops, override)
+    return sweep
 
 
 def _best_per_row_set(
@@ -198,21 +230,30 @@ def _best_per_row_set(
     return best
 
 
-def _first_max(cols_mat: np.ndarray, strip: np.ndarray, u_size: int) -> tuple[int, int, int]:
-    """(b2, row offset, cells) of the first maximum in b2-major order."""
-    flat, value = _argmax(_top_sum(_rect_census(cols_mat, strip), u_size, 2))
+def _first_max(
+    cols_mat: np.ndarray, strip: np.ndarray, rect: int, u_size: int
+) -> tuple[int, int, int]:
+    """(b2, row offset, cells) of the first maximum in b2-major order.
+
+    Census entries are integers of at most rect^2, so the top-u_size
+    partition runs on int16 (int32 past 32,767 cells), which is much
+    faster than partitioning floats.
+    """
+    counts = np.int16 if rect * rect <= np.iinfo(np.int16).max else np.int32
+    census = _rect_census(cols_mat, strip).astype(counts)
+    flat, value = _argmax(_top_sum(census, u_size, 2))
     b2, off = divmod(flat, strip.shape[0])
     return b2, off, value
 
 
 def _worst_full(
-    colors: np.ndarray, num_colors: int, mat: np.ndarray, u_size: int
+    colors: np.ndarray, num_colors: int, mat: np.ndarray, rect: int, u_size: int
 ) -> tuple[int, int, int]:
     """(cells, b1, b2): the first maximum in row-block order."""
     worst_cells, b1, b2 = -1, -1, -1
     block = _block_size(mat.shape[0] * num_colors)
     for start, strip in _strip_blocks(colors, num_colors, mat, block):
-        b2_first, off, value = _first_max(mat, strip, u_size)
+        b2_first, off, value = _first_max(mat, strip, rect, u_size)
         if value > worst_cells:
             worst_cells, b1, b2 = value, start + off, b2_first
     return worst_cells, b1, b2
@@ -234,7 +275,7 @@ def _worst_decomposed(
     start = first // block * block
     rows = start + np.flatnonzero(best[start : start + block] == best[first])
     _, strip = next(_strip_blocks(colors, num_colors, mat[rows], block))
-    b2, off, value = _first_max(mat, strip, u_size)
+    b2, off, value = _first_max(mat, strip, rect, u_size)
     return value, int(rows[off]), b2
 
 
@@ -265,24 +306,23 @@ def balance_check_almost(
         raise ValueError("u_size must be in [1, 2^m]")
     if eps < 0 or d < 0:
         raise ValueError("eps and d must be nonnegative")
-    num_sets = math.comb(side, rect)
-    decomposed = _plan(
-        num_sets, math.comb(num_colors, u_size), side, num_colors, override
-    )
-    return _check_almost(table, k, d, eps, u_size, decomposed)
+    sweep = _plan(side, rect, num_colors, math.comb(num_colors, u_size), override)
+    return _check_almost(table, k, d, eps, u_size, sweep)
 
 
 def _check_almost(
-    table: TwoSourceTable, k: int, d: int, eps: float, u_size: int, decomposed: bool
+    table: TwoSourceTable, k: int, d: int, eps: float, u_size: int, sweep: str
 ) -> BalanceReport:
-    """balance_check_almost on the chosen sweep, unguarded."""
+    """balance_check_almost on the named sweep ("full" or "decomposed"),
+    unguarded."""
     rect = 1 << k
     num_colors = table.num_colors
-    subsets, mat = _subset_matrix(1 << table.n, rect)
-    if decomposed:
+    if sweep == "decomposed":
+        subsets, mat = _subset_matrix(1 << table.n, rect)
         worst_cells, b1, b2 = _worst_decomposed(table.colors, num_colors, mat, rect, u_size)
     else:
-        worst_cells, b1, b2 = _worst_full(table.colors, num_colors, mat, u_size)
+        subsets, mat = _subset_matrix(1 << table.n, rect, np.float32)
+        worst_cells, b1, b2 = _worst_full(table.colors, num_colors, mat, rect, u_size)
 
     census_row = _rectangle_census(table, subsets[b1], subsets[b2])
     order = np.lexsort((np.arange(num_colors), -census_row))
@@ -311,6 +351,47 @@ def _rectangle_census(
     return np.bincount(grid.ravel().astype(np.int64), minlength=table.num_colors)
 
 
+def _subset_ors(masks: np.ndarray, size: int) -> np.ndarray:
+    """OR of masks[i] over every size-subset of the leading axis, in
+    colex order: [C(len(masks), size), *masks.shape[1:]].
+
+    The tree is built level by level. In colex order the (j-1)-subsets
+    whose largest item is below v are the first C(v, j-1), so the
+    j-subsets ending at v are that prefix ORed with masks[v]: one OR per
+    subset of size at most size.
+    """
+    items = masks.shape[0]
+    level = np.zeros((1,) + masks.shape[1:], dtype=masks.dtype)
+    for j in range(1, size + 1):
+        nxt = np.empty((math.comb(items, j),) + masks.shape[1:], dtype=masks.dtype)
+        pos = 0
+        for v in range(j - 1, items):
+            count = math.comb(v, j - 1)
+            np.bitwise_or(level[:count], masks[v], out=nxt[pos : pos + count])
+            pos += count
+        level = nxt
+    return level
+
+
+def _min_distinct(colors: np.ndarray, rect: int) -> int:
+    """Fewest distinct colors in any rect x rect rectangle (colors < 64).
+
+    Each cell becomes the uint64 bit of its color. The OR tree over rows
+    gives one color mask per row set and column; per block of row sets,
+    the tree over columns gives each rectangle's mask, and popcount its
+    number of colors.
+    """
+    bits = np.left_shift(np.uint64(1), colors.astype(np.uint64))
+    row_sets = _subset_ors(bits, rect)
+    fewest = rect * rect
+    # blocks of about 2^20 rectangle masks (8 MB) per level
+    block = _block_size(math.comb(colors.shape[0], rect), 1 << 20)
+    for start in range(0, row_sets.shape[0], block):
+        cols = np.ascontiguousarray(row_sets[start : start + block].T)
+        fewest = min(fewest, int(np.bitwise_count(_subset_ors(cols, rect)).min()))
+    return fewest
+
+
 def measure_eps_star(
     table: TwoSourceTable,
     k: int,
@@ -334,24 +415,29 @@ def measure_eps_star(
         raise ValueError("d must be nonnegative")
     if d > table.m:
         return 0.0
-    num_sets = math.comb(side, rect)
-    decomposed = _plan(num_sets, (1 << num_colors) - 1, side, num_colors, override)
-    return _eps_star(table, k, d, decomposed)
+    # t = 2^(2k+d-m) <= 1, and every color fits one uint64 mask
+    distinct = 2 * k + d <= table.m <= 6
+    sweep = _plan(side, rect, num_colors, (1 << num_colors) - 1, override, distinct)
+    return _eps_star(table, k, d, sweep)
 
 
-def _eps_star(table: TwoSourceTable, k: int, d: int, decomposed: bool) -> float:
-    """measure_eps_star on the chosen sweep, unguarded.
+def _eps_star(table: TwoSourceTable, k: int, d: int, sweep: str) -> float:
+    """measure_eps_star on the named sweep, unguarded.
 
-    The decomposed sweep uses sum_z max(c_z - t, 0) =
-    max(0, max over nonempty U of sum_{z in U} c_z - |U| t).
+    With t = cells * 2^-(m-d), the decomposed sweep uses
+    sum_z max(c_z - t, 0) = max(0, max over nonempty U of
+    sum_{z in U} c_z - |U| t), and the bitset sweep, valid for t <= 1
+    and at most 64 colors, uses cells - t * (distinct colors).
     """
     rect = 1 << k
     num_colors = table.num_colors
-    _, mat = _subset_matrix(1 << table.n, rect)
     cells = rect * rect
     threshold = cells * 2.0 ** (-(table.m - d))
 
-    if decomposed:
+    if sweep == "bitset":
+        worst = cells - threshold * _min_distinct(table.colors, rect)
+    elif sweep == "decomposed":
+        _, mat = _subset_matrix(1 << table.n, rect)
         sets = np.arange(1, 1 << num_colors)
         members = (sets[None, :] >> np.arange(num_colors)[:, None]) & 1
         offsets = members.sum(axis=0) * threshold
@@ -360,6 +446,7 @@ def _eps_star(table: TwoSourceTable, k: int, d: int, decomposed: bool) -> float:
         )
         worst = max(0.0, float(best.max()))
     else:
+        _, mat = _subset_matrix(1 << table.n, rect, np.float32)
         worst = 0.0
         block = _block_size(mat.shape[0] * num_colors)
         for _, strip in _strip_blocks(table.colors, num_colors, mat, block):

@@ -76,13 +76,19 @@ TABLE_KINDS = {
 
 
 def _group(top, group: str, help: str):
-    """Add a subcommand group; return a function that adds its subcommands."""
-    sub = top.add_parser(group, help=help).add_subparsers(dest="command", required=True)
+    """Add a subcommand group; return a function that adds its subcommands.
+
+    Every parser turns off prefix matching, so an option spelled short or
+    a removed option's old name is a usage error instead of silently
+    binding to a longer option (`--max` to `--max-l-max`).
+    """
+    sub = top.add_parser(group, help=help, allow_abbrev=False).add_subparsers(
+        dest="command", required=True
+    )
 
     def command(name, func, help=None, out_help="write a JSON report here"):
-        """out_help=None leaves the subcommand without --out; a stray --out
-        is then a usage error, not an abbreviation of a longer option."""
-        p = sub.add_parser(name, help=help, allow_abbrev=out_help is not None)
+        """out_help=None leaves the subcommand without --out."""
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         if out_help is not None:
             p.add_argument("--out", help=out_help)
         if (group, name) in GUARDED or group == "pipeline":
@@ -101,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kextract",
         description="Exact Kolmogorov-extraction laboratory",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     top = parser.add_subparsers(dest="group", required=True)

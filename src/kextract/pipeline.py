@@ -6,7 +6,8 @@ entries use the "{out}" placeholder for the output directory; no other
 placeholder is expanded. Inputs are checked up front against earlier
 outputs: a dangling reference aborts with exit 2 before any step runs,
 so a broken pipeline leaves no partial summary. A step whose argv the
-CLI rejects (an old config's --threads, say) also aborts with exit 2.
+CLI rejects (an old config's --threads, say) also aborts with exit 2,
+and so does a step that returns without writing a declared output.
 With override set, --override-feasibility is appended to the steps whose
 subcommand is in cli.GUARDED, the ones that reach the op guard.
 """
@@ -298,6 +299,11 @@ def run_pipeline(
         if code == 2:
             print(f"error: step {step['name']!r} failed with usage/feasibility error",
                   file=sys.stderr)
+            return 2
+        missing = [path for path in step["outputs"] if not os.path.exists(path)]
+        if missing:
+            print(f"error: step {step['name']!r} did not write its declared "
+                  f"outputs {', '.join(missing)}", file=sys.stderr)
             return 2
         results.append({"name": step["name"], "exit_code": code})
 

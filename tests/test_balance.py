@@ -12,7 +12,13 @@ from reference import (
 )
 
 from kextract import balance
-from kextract.calibration import IP4_EPS_STAR, IP4_WORST_CELLS
+from kextract.calibration import (
+    IP4_EPS_STAR,
+    IP4_WORST_CELLS,
+    SEPARATION_EPS_STAR,
+    SEPARATION_M,
+    SEPARATION_SEED,
+)
 from kextract.balance import (
     FeasibilityError,
     RainbowSide,
@@ -153,6 +159,37 @@ def test_eps_star_edges():
     assert measure_eps_star(gen_constant(2, 1, 0), 2, 0) == 0.5
 
 
+def test_color_63_bitset_eps_star():
+    # all 64 colors, with color 63 (bit 63 of the mask) filling the 4 x 4
+    # corner: a mask that loses bit 63 counts 0 colors there, not 1
+    colors = np.arange(64).reshape(8, 8)
+    colors[:4, :4] = 63
+    table = TwoSourceTable(3, 6, colors)
+    checked = 0
+    for k in range(4):
+        for d in range(6 - 2 * k + 1):
+            got = balance._eps_star(table, k, d, sweep="bitset")
+            assert got == balance._eps_star(table, k, d, sweep="full")
+            assert got == measure_eps_star(table, k, d)
+            assert got == pytest.approx(brute_eps_star(table, k, d), abs=1e-12)
+            checked += 1
+    assert checked == 16
+    assert measure_eps_star(table, 2, 0) == 1 - 0.25 / 16
+
+
+def test_counts_past_int16():
+    # one 256 x 256 rectangle: 65,536 cells of one color, which an int16
+    # top-u reduction would wrap to 0
+    table = gen_constant(8, 2, 3)
+    rep = balance_check_almost(table, 8, 0, 0.0, 1)
+    assert rep.worst_cells == 65_536
+    assert rep.worst_colors == (3,)
+    assert rep.worst_fraction == 1.0
+    # t = 65,536 / 4 > 1 keeps eps* on the float32 census
+    assert measure_eps_star(table, 8, 0) == 0.75
+    assert measure_eps_star(table, 8, 1) == 0.5
+
+
 # ---------------------------------------------------------- guard rail
 
 
@@ -185,6 +222,17 @@ def test_guard_prices_the_decomposed_sweep(monkeypatch):
     assert measure_eps_star(table, 3, 0) == IP4_EPS_STAR
 
 
+def test_guard_prices_the_bitset_sweep(monkeypatch):
+    # the seed-740 m=6 table at k=3: the full census would cost
+    # 12,870^2 * 64 ~ 1.06e10 ops, past OPS_LIMIT; t = 1 puts eps* on the
+    # bitset sweep, priced at (12,870 + 16) * 39,202 ~ 5.05e8 ORs
+    table = gen_random(4, SEPARATION_M, SEPARATION_SEED)
+    assert measure_eps_star(table, 3, 0) == SEPARATION_EPS_STAR
+    monkeypatch.setattr(balance, "OPS_LIMIT", 10**8)
+    with pytest.raises(FeasibilityError):
+        measure_eps_star(table, 3, 0)
+
+
 def test_guard_refuses_n5_decomposed_sweeps():
     # C(32, 8) * 32 * 2 * (32 + 2) is about 2.3e10 ops; the guard must
     # refuse before the 10.5M-row subset matrix is built
@@ -205,8 +253,10 @@ def test_rainbow_guard_prices_the_strip_products(monkeypatch):
 
 
 def test_decomposed_only_when_color_sets_are_fewer():
-    assert balance._plan(1820, 1819, 16, 16, override=False)
-    assert not balance._plan(1820, 1820, 16, 16, override=False)
+    # C(16, 4) = 1,820 row sets
+    assert balance._plan(16, 4, 16, 1819, override=False) == "decomposed"
+    assert balance._plan(16, 4, 16, 1820, override=False) == "full"
+    assert balance._plan(16, 4, 16, 1819, False, distinct=True) == "bitset"
 
 
 # ------------------------------------------- decomposed vs full sweep
@@ -229,13 +279,14 @@ def test_decomposed_only_when_color_sets_are_fewer():
 )
 def test_decomposed_sweeps_equal_full_sweeps(table, k):
     for u_size in range(1, table.num_colors + 1):
-        decomposed = balance._check_almost(table, k, 0, 0.0, u_size, decomposed=True)
-        full = balance._check_almost(table, k, 0, 0.0, u_size, decomposed=False)
+        decomposed = balance._check_almost(table, k, 0, 0.0, u_size, sweep="decomposed")
+        full = balance._check_almost(table, k, 0, 0.0, u_size, sweep="full")
         assert decomposed == full
     for d in range(table.m + 2):
-        assert balance._eps_star(table, k, d, decomposed=True) == balance._eps_star(
-            table, k, d, decomposed=False
-        )
+        full = balance._eps_star(table, k, d, sweep="full")
+        assert balance._eps_star(table, k, d, sweep="decomposed") == full
+        if 2 * k + d <= table.m:
+            assert balance._eps_star(table, k, d, sweep="bitset") == full
 
 
 # -------------------------------------------------------------- rainbow
@@ -406,17 +457,46 @@ def test_sweeps_match_brute_force_on_random_tables(table, data):
     u_size = data.draw(st.integers(1, table.num_colors), label="u_size")
     d = data.draw(st.integers(0, table.m + 1), label="d")
     rep = balance_check_almost(table, k, d, 0.0, u_size)
-    assert rep == balance._check_almost(table, k, d, 0.0, u_size, decomposed=False)
+    assert rep == balance._check_almost(table, k, d, 0.0, u_size, sweep="full")
     assert rep.worst_cells == brute_balance_worst(table, k, u_size)
     counts = rect_census(
         table.colors, rep.worst_rectangle.rows, rep.worst_rectangle.cols, table.num_colors
     )
     assert sum(counts[z] for z in rep.worst_colors) == rep.worst_cells
     got = measure_eps_star(table, k, d)
-    assert got == balance._eps_star(table, k, d, decomposed=False)
+    assert got == balance._eps_star(table, k, d, sweep="full")
     assert got == pytest.approx(brute_eps_star(table, k, d), abs=1e-12)
 
     rect_side, divisor = data.draw(st.sampled_from(_rainbow_pairs(table)), label="rainbow")
     rb = rainbow_check(table, rect_side, divisor)
     for oriented, one_side in ((table, rb.per_column), (table.transposed(), rb.per_row)):
         assert one_side.worst_cells == brute_rainbow_worst_tuples(oriented, rect_side, divisor)
+
+
+@st.composite
+def many_color_tables(draw):
+    """n <= 3 with 16 to 64 colors, cells drawn from a small palette so
+    that rectangles repeat colors."""
+    n = draw(st.integers(0, 3))
+    m = draw(st.sampled_from([4, 5, 6]))
+    side = 1 << n
+    palette = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=6))
+    cells = draw(
+        st.lists(st.sampled_from(palette), min_size=side * side, max_size=side * side)
+    )
+    return TwoSourceTable(n, m, np.array(cells).reshape(side, side))
+
+
+@settings(max_examples=60, deadline=None)
+@given(many_color_tables(), st.data())
+def test_eps_star_sweeps_match_brute_force_with_many_colors(table, data):
+    k = data.draw(st.integers(0, min(2, table.n)), label="k")
+    d = data.draw(st.integers(0, table.m - 2 * k), label="d")
+    want = brute_eps_star(table, k, d)
+    got = measure_eps_star(table, k, d)
+    assert got == pytest.approx(want, abs=1e-12)
+    assert got == balance._eps_star(table, k, d, sweep="bitset")
+    assert got == balance._eps_star(table, k, d, sweep="full")
+    # 2^16 - 1 color sets: the decomposed sweep is quick only at n <= 2
+    if table.m == 4 and table.n <= 2:
+        assert got == balance._eps_star(table, k, d, sweep="decomposed")

@@ -183,6 +183,21 @@ def test_pipeline_run_has_no_out(tmp_path):
     assert not (tmp_path / "p").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, prefix, full, dest",
+    [
+        (["oracle", "build", "--n", "2"], "--max", "--max-l-max", "max_l_max"),
+        (["table", "verify", "--table", "t.kext", "--mode", "almost", "--k", "1"],
+         "--u", "--u-size", "u_size"),
+    ],
+)
+def test_option_prefixes_are_usage_errors(argv, prefix, full, dest):
+    assert getattr(build_parser().parse_args([*argv, full, "30"]), dest) == 30
+    with pytest.raises(SystemExit) as exc:
+        dispatch([*argv, prefix, "30"])
+    assert exc.value.code == 2
+
+
 def test_oracle_query_missing_file(tmp_path):
     assert dispatch(["oracle", "query", "--table", str(tmp_path / "nope.json"),
                      "--target", "0"]) == 2

@@ -165,6 +165,21 @@ def test_usage_error_aborts_without_summary(tmp_path):
     assert not os.path.exists(os.path.join(out, SUMMARY_NAME))
 
 
+def test_missing_declared_output_aborts(tmp_path, capsys):
+    config = json.loads(json.dumps(TINY))
+    config["steps"][0]["outputs"].append("{out}/never.json")
+    config_path = str(tmp_path / "ghost.json")
+    with open(config_path, "w") as fh:
+        json.dump(config, fh)
+    out = str(tmp_path / "work")
+    assert run_pipeline(config_path, None, out) == 2
+    err = capsys.readouterr().err
+    assert "'gen'" in err and os.path.join(out, "never.json") in err
+    assert os.path.exists(os.path.join(out, "t.kext"))  # the step itself ran
+    assert not os.path.exists(os.path.join(out, "v.json"))  # later steps did not
+    assert not os.path.exists(os.path.join(out, SUMMARY_NAME))
+
+
 def test_old_threads_flag_is_a_usage_error(tmp_path):
     config = json.loads(json.dumps(TINY))
     config["steps"][1]["argv"] += ["--threads", "{threads}"]
