@@ -299,19 +299,8 @@ def _minimal_lengths(
     return best
 
 
-def table_to_json(table: ComplexityTable) -> dict:
-    """Portable JSON form; bits are hex-packed MSB-first.
-
-    Entries run condition by condition, targets ascending within each.
-    """
-    cond_idx, targets = np.nonzero(table._matrix >= 0)
-    values = table._matrix[cond_idx, targets].tolist()
-    targets = targets.tolist()
-    hexes = {x: BitString(table.n, x).pack_hex() for x in set(targets)}
-    entries = [
-        {"cond_idx": ci, "target_hex": hexes[x], "c": c}
-        for ci, x, c in zip(cond_idx.tolist(), targets, values)
-    ]
+def _json_header(table: ComplexityTable) -> dict:
+    """table_to_json's document with an empty entry list."""
     return {
         "version": 1,
         "n": table.n,
@@ -323,8 +312,86 @@ def table_to_json(table: ComplexityTable) -> dict:
         "conditions": [
             {"len": y.length, "hex": y.pack_hex()} for y in table.conditions
         ],
-        "entries": entries,
+        "entries": [],
     }
+
+
+def _entry_columns(
+    table: ComplexityTable,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
+    """cond_idx, target and c of every found entry, condition by
+    condition with targets ascending, and each target's hex."""
+    cond_idx, targets = np.nonzero(table._matrix >= 0)
+    hexes = {x: BitString(table.n, x).pack_hex() for x in np.unique(targets).tolist()}
+    return cond_idx, targets, table._matrix[cond_idx, targets], hexes
+
+
+def table_to_json(table: ComplexityTable) -> dict:
+    """Portable JSON form; bits are hex-packed MSB-first.
+
+    Entries run condition by condition, targets ascending within each;
+    NOT_FOUND entries are omitted.
+    """
+    cond_idx, targets, values, hexes = _entry_columns(table)
+    doc = _json_header(table)
+    doc["entries"] = [
+        {"cond_idx": ci, "target_hex": hexes[x], "c": c}
+        for ci, x, c in zip(cond_idx.tolist(), targets.tolist(), values.tolist())
+    ]
+    return doc
+
+
+# One entry of the top-level "entries" list as json.dumps lays it out
+# with indent=2 and sort_keys=True.
+_ENTRY = (
+    '\n    {\n      "c": %d,\n      "cond_idx": %d,\n      "target_hex": "%s"\n    }'
+)
+_ENTRY_BLOCK = 4096
+
+
+def save_table(table: ComplexityTable, path: str) -> None:
+    """Write json.dumps(table_to_json(table), indent=2, sort_keys=True)
+    plus a newline, byte for byte, without building an entry dict.
+
+    The header is dumped with an empty entry list and the entries are
+    streamed into that gap from the matrix, _ENTRY_BLOCK at a time.
+    """
+    head, tail = json.dumps(_json_header(table), indent=2, sort_keys=True).split(
+        '"entries": []'
+    )
+    cond_idx, targets, values, hexes = _entry_columns(table)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head + '"entries": [')
+        for start in range(0, len(values), _ENTRY_BLOCK):
+            block = slice(start, start + _ENTRY_BLOCK)
+            rows = zip(
+                values[block].tolist(),
+                cond_idx[block].tolist(),
+                map(hexes.__getitem__, targets[block].tolist()),
+            )
+            fh.write(("," if start else "") + ",".join(_ENTRY % row for row in rows))
+        fh.write(("\n  ]" if len(values) else "]") + tail + "\n")
+
+
+def _field(obj: object, key: str, where: str) -> object:
+    """obj[key]; obj must be a JSON object holding key."""
+    if type(obj) is not dict:
+        raise ValueError(f"{where} is not a JSON object")
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r} field")
+    return obj[key]
+
+
+def _json_list(value: object, name: str) -> list:
+    if type(value) is not list:
+        raise ValueError(f"{name} is not a JSON list")
+    return value
+
+
+def _json_str(value: object, name: str) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{name} {value!r} is not a string")
+    return value
 
 
 def _json_count(value: object, name: str) -> int:
@@ -333,59 +400,110 @@ def _json_count(value: object, name: str) -> int:
     return value
 
 
+def _column(entries: list, key: str) -> list:
+    """Every entry's value for key, in entry order."""
+    try:
+        return [e[key] for e in entries]
+    except (KeyError, TypeError):
+        for i, e in enumerate(entries):
+            _field(e, key, f"entry {i}")
+        raise
+
+
+def _int_column(
+    entries: list, key: str, lo: int, hi: int, message: str
+) -> np.ndarray:
+    """Every entry's value for key as an int32 array; ValueError(message
+    % v) for the first v that is not an int (bools excluded) in [lo, hi].
+    All-valid columns take one pass of C-level builtins."""
+
+    def ok(vs: list) -> bool:
+        return not vs or (
+            set(map(type, vs)) <= {int} and lo <= min(vs) and max(vs) <= hi
+        )
+
+    values = _column(entries, key)
+    if not ok(values):
+        raise ValueError(message % (next(v for v in values if not ok([v])),))
+    return np.array(values, dtype=np.int32)
+
+
+def _target_column(entries: list, n: int) -> np.ndarray:
+    """Every entry's target_hex unpacked to its n-bit value, int32; each
+    distinct string goes through BitString.unpack_hex once."""
+    hexes = _column(entries, "target_hex")
+    if not set(map(type, hexes)) <= {str}:
+        _json_str(next(h for h in hexes if type(h) is not str), "entry target_hex")
+    value_of = {h: BitString.unpack_hex(n, h).value for h in dict.fromkeys(hexes)}
+    return np.fromiter(map(value_of.__getitem__, hexes), np.int32, len(hexes))
+
+
 def table_from_json(doc: dict) -> ComplexityTable:
     """Inverse of table_to_json.
 
-    Raises ValueError on a header count (n, l_max, a condition's len,
-    budget out/ops) that is not a nonnegative int, on n > MAX_N or a
-    matrix past MAX_CELLS, on an entry whose cond_idx is not a condition
-    index, whose c lies outside [0, l_max], or whose (cond_idx, target)
-    pair repeats an earlier entry, and on hex payloads with nonzero
-    padding bits.
+    Raises ValueError on a document or budget, condition or entry that
+    is not a JSON object or lacks a field; on conditions or entries that
+    are not a list; on a header count (n, l_max, a condition's len,
+    budget out/ops) that is not a nonnegative int; on n > MAX_N or a
+    matrix past MAX_CELLS; on a condition hex or entry target_hex that is
+    not a string, of the wrong length or with nonzero padding bits; and
+    on an entry whose cond_idx is not a condition index, whose c is not
+    an int in [0, l_max], or whose (cond_idx, target) pair repeats an
+    earlier entry.
+
+    Entries are checked a field at a time over the whole list, hex
+    strings are unpacked once each, and the first fault of each kind in
+    entry order is reported; a document with one fault gets that
+    fault's message.
     """
+    if type(doc) is not dict:
+        raise ValueError("oracle table is not a JSON object")
     if doc.get("version") != 1:
         raise ValueError(f"unsupported table version {doc.get('version')!r}")
-    n = _json_count(doc["n"], "n")
-    l_max = _json_count(doc["l_max"], "l_max")
-    check_shape(n, len(doc["conditions"]))
+    n = _json_count(_field(doc, "n", "oracle table"), "n")
+    l_max = _json_count(_field(doc, "l_max", "oracle table"), "l_max")
+    cond_docs = _json_list(_field(doc, "conditions", "oracle table"), "conditions")
+    check_shape(n, len(cond_docs))
     conds = [
-        BitString.unpack_hex(_json_count(c["len"], "condition len"), c["hex"])
-        for c in doc["conditions"]
+        BitString.unpack_hex(
+            _json_count(_field(c, "len", f"condition {i}"), "condition len"),
+            _json_str(_field(c, "hex", f"condition {i}"), "condition hex"),
+        )
+        for i, c in enumerate(cond_docs)
     ]
+    budget_doc = _field(doc, "budget", "oracle table")
+    budget = MachineBudget(
+        _json_count(_field(budget_doc, "out", "budget"), "budget out"),
+        _json_count(_field(budget_doc, "ops", "budget"), "budget ops"),
+    )
+
+    entries = _json_list(_field(doc, "entries", "oracle table"), "entries")
+    # Cell indices stay below MAX_CELLS, so int32 holds them.
+    cells = _int_column(
+        entries, "cond_idx", 0, len(conds) - 1,
+        f"entry cond_idx %r is not in [0, {len(conds)})",
+    )
+    c = _int_column(entries, "c", 0, l_max, f"entry c %r is not in [0, l_max={l_max}]")
+    cells <<= n
+    cells |= _target_column(entries, n)
     matrix = np.full((len(conds), 1 << n), -1, dtype=np.int32)
-    for e in doc["entries"]:
-        ci, c = e["cond_idx"], e["c"]
-        if type(ci) is not int or not 0 <= ci < len(conds):
-            raise ValueError(f"entry cond_idx {ci!r} is not in [0, {len(conds)})")
-        if type(c) is not int or not 0 <= c <= l_max:
-            raise ValueError(f"entry c {c!r} is not in [0, l_max={l_max}]")
-        x = BitString.unpack_hex(n, e["target_hex"])
-        if matrix[ci, x.value] >= 0:
-            raise ValueError(
-                f"duplicate entry for cond_idx {ci}, target {e['target_hex']}"
-            )
-        matrix[ci, x.value] = c
+    matrix.reshape(-1)[cells] = c
+    if np.count_nonzero(matrix >= 0) != len(entries):
+        repeat = np.ones(len(cells), dtype=bool)
+        repeat[np.unique(cells, return_index=True)[1]] = False
+        e = entries[int(np.flatnonzero(repeat)[0])]
+        raise ValueError(
+            f"duplicate entry for cond_idx {e['cond_idx']}, target {e['target_hex']}"
+        )
     table = ComplexityTable(
-        n=n,
-        l_max=l_max,
-        budget=MachineBudget(
-            _json_count(doc["budget"]["out"], "budget out"),
-            _json_count(doc["budget"]["ops"], "budget ops"),
-        ),
-        conditions=tuple(conds),
-        _matrix=matrix,
+        n=n, l_max=l_max, budget=budget, conditions=tuple(conds), _matrix=matrix
     )
     table.seal()
     return table
 
 
-def save_table(table: ComplexityTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table_to_json(table), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_table(path: str) -> ComplexityTable:
+    """table_from_json of the JSON document at path."""
     with open(path, "r", encoding="utf-8") as fh:
         return table_from_json(json.load(fh))
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from kextract.bits import EMPTY, BitString
 from kextract.machine import DEFAULT_BUDGET, FAIL, MachineBudget, run_machine
+from kextract.oracle import ComplexityTable, check_shape
 
 
 def brute_complexity_map(
@@ -37,6 +38,55 @@ def brute_complexity_map(
             if out.value not in found:
                 found[out.value] = length
     return found
+
+
+def brute_table_from_json(doc: dict) -> ComplexityTable:
+    """Oracle JSON loader that checks and stores one entry at a time.
+
+    Same document checks and messages as oracle.table_from_json on a
+    well-formed header; each entry's cond_idx, then c, then target_hex
+    is checked before a duplicate (cond_idx, target) cell is.
+    """
+
+    def count(value, name):
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{name} {value!r} is not a nonnegative int")
+        return value
+
+    if doc.get("version") != 1:
+        raise ValueError(f"unsupported table version {doc.get('version')!r}")
+    n = count(doc["n"], "n")
+    l_max = count(doc["l_max"], "l_max")
+    check_shape(n, len(doc["conditions"]))
+    conds = [
+        BitString.unpack_hex(count(c["len"], "condition len"), c["hex"])
+        for c in doc["conditions"]
+    ]
+    matrix = np.full((len(conds), 1 << n), -1, dtype=np.int32)
+    for e in doc["entries"]:
+        ci, c = e["cond_idx"], e["c"]
+        if type(ci) is not int or not 0 <= ci < len(conds):
+            raise ValueError(f"entry cond_idx {ci!r} is not in [0, {len(conds)})")
+        if type(c) is not int or not 0 <= c <= l_max:
+            raise ValueError(f"entry c {c!r} is not in [0, l_max={l_max}]")
+        x = BitString.unpack_hex(n, e["target_hex"])
+        if matrix[ci, x.value] >= 0:
+            raise ValueError(
+                f"duplicate entry for cond_idx {ci}, target {e['target_hex']}"
+            )
+        matrix[ci, x.value] = c
+    table = ComplexityTable(
+        n=n,
+        l_max=l_max,
+        budget=MachineBudget(
+            count(doc["budget"]["out"], "budget out"),
+            count(doc["budget"]["ops"], "budget ops"),
+        ),
+        conditions=tuple(conds),
+        _matrix=matrix,
+    )
+    table.seal()
+    return table
 
 
 def _lookup(table, x: int, y: Optional[int] = None) -> Optional[int]:

@@ -1,11 +1,12 @@
+import hashlib
 import json
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import brute_complexity_map
+from reference import brute_complexity_map, brute_table_from_json
 
 from kextract import calibration
 from kextract.bits import EMPTY, BitString, all_strings
@@ -15,6 +16,7 @@ from kextract.oracle import (
     MAX_CELLS,
     MAX_N,
     NOT_FOUND,
+    ComplexityTable,
     build_complexity_table,
     load_table,
     save_table,
@@ -269,6 +271,17 @@ def test_json_version_check(oracle_n2_all):
         table_from_json(doc)
 
 
+# The field each malformed-structure case's message names.
+NAMED_FAULTS = {
+    "document": "oracle table is not a JSON object",
+    "entry": "entry 0 is not a JSON object",
+    "entries": "entries is not a JSON list",
+    "missing": "entry 0 has no 'c' field",
+    "target_type": "entry target_hex .* is not a string",
+    "hex": "condition hex .* is not a string",
+}
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -287,6 +300,16 @@ def test_json_version_check(oracle_n2_all):
         ("len", "2"),  # of the first 2-bit condition
         ("out", True),
         ("ops", -5),
+        ("document", "list"),
+        ("entry", "list"),
+        ("entries", "dict"),
+        ("missing", "c"),
+        ("target_type", 5),
+        pytest.param("target_type", [1], id="target_type-list"),
+        ("target_type", None),
+        ("hex", 5),
+        pytest.param("hex", [1], id="hex-list"),
+        ("hex", None),
     ],
 )
 def test_corrupt_json_is_a_usage_error(tmp_path, oracle_n2_all, field, value):
@@ -295,26 +318,148 @@ def test_corrupt_json_is_a_usage_error(tmp_path, oracle_n2_all, field, value):
         doc["entries"].append(dict(doc["entries"][0]))
     elif field in ("n", "l_max"):
         doc[field] = value
-    elif field == "len":
+    elif field in ("len", "hex"):
         doc["conditions"][1][field] = value
     elif field in ("out", "ops"):
         doc["budget"][field] = value
+    elif field == "document":
+        doc = [doc]
+    elif field == "entry":
+        doc["entries"][0] = list(doc["entries"][0].values())
+    elif field == "entries":
+        doc["entries"] = {}
+    elif field == "missing":
+        del doc["entries"][0][value]
+    elif field == "target_type":
+        doc["entries"][0]["target_hex"] = value
     else:
         doc["entries"][0][field] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=NAMED_FAULTS.get(field)):
         table_from_json(doc)
     code = dispatch(["oracle", "query", "--table", str(path), "--target", "00"])
     assert code == 2
 
 
+def canonical_bytes(table):
+    return (json.dumps(table_to_json(table), indent=2, sort_keys=True) + "\n").encode()
+
+
 def test_save_is_canonical(tmp_path, oracle_n2_all):
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_table(oracle_n2_all, str(p1))
-    save_table(oracle_n2_all, str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
-    json.loads(p1.read_text())  # well-formed
+    path = tmp_path / "a.json"
+    save_table(oracle_n2_all, str(path))
+    assert path.read_bytes() == canonical_bytes(oracle_n2_all)
+
+
+@st.composite
+def small_tables(draw):
+    """Sealed tables with arbitrary entries: n=0 included, some with no
+    entry at all, conditions up to 80 bits."""
+    n = draw(st.integers(0, 4))
+    l_max = draw(st.integers(0, 40))
+    conds = draw(
+        st.lists(
+            st.integers(0, 80).flatmap(
+                lambda k: st.builds(BitString, st.just(k), st.integers(0, (1 << k) - 1))
+            ),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    cells = len(conds) << n
+    values = st.just(-1) if draw(st.integers(0, 3)) == 0 else st.integers(-1, l_max)
+    matrix = np.array(draw(st.lists(values, min_size=cells, max_size=cells)), np.int32)
+    table = ComplexityTable(
+        n=n,
+        l_max=l_max,
+        budget=MachineBudget(draw(st.integers(1, 5000)), draw(st.integers(1, 5000))),
+        conditions=tuple(conds),
+        _matrix=matrix.reshape(len(conds), 1 << n),
+    )
+    table.seal()
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=small_tables())
+def test_save_writes_the_canonical_dump(tmp_path_factory, table):
+    """The streamed writer against json.dumps of table_to_json, and back."""
+    path = tmp_path_factory.mktemp("save") / "t.json"
+    save_table(table, str(path))
+    assert path.read_bytes() == canonical_bytes(table)
+    loaded = load_table(str(path))
+    assert (loaded.n, loaded.l_max, loaded.budget) == (table.n, table.l_max, table.budget)
+    assert loaded.conditions == table.conditions
+    assert (loaded._matrix == table._matrix).all()
+
+
+def load_outcome(loader, doc):
+    """What a loader makes of doc: the table's contents or its message."""
+    try:
+        t = loader(doc)
+    except ValueError as exc:
+        return "error", str(exc)
+    return t.n, t.l_max, t.budget, t.conditions, t._matrix.tolist()
+
+
+NOT_INTS = st.sampled_from([True, False, 1.0, "1", None, [0], {}])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    table=small_tables(),
+    fault=st.sampled_from(
+        [None, "cond_idx", "cond_idx_type", "c", "c_type", "hex", "padding", "duplicate"]
+    ),
+    data=st.data(),
+)
+def test_loader_matches_entry_by_entry_reference(table, fault, data):
+    """Whole-column checks against reference.brute_table_from_json: equal
+    tables on valid documents, the same message on one fault."""
+    doc = table_to_json(table)
+    entries = doc["entries"]
+    if fault is not None:
+        if not entries:
+            zero = BitString(table.n, 0).pack_hex()
+            entries.append({"cond_idx": 0, "target_hex": zero, "c": 0})
+        i = data.draw(st.integers(0, len(entries) - 1))
+        e = entries[i]
+        if fault in ("cond_idx", "c"):
+            top = len(table.conditions) if fault == "cond_idx" else table.l_max + 1
+            e[fault] = data.draw(st.sampled_from([-1, top, -(1 << 40), top + (1 << 40)]))
+        elif fault in ("cond_idx_type", "c_type"):
+            e[fault[:-5]] = data.draw(NOT_INTS)
+        elif fault == "hex":
+            e["target_hex"] = data.draw(st.sampled_from(["zz", "0g", "0", "000000"]))
+        elif fault == "padding":
+            assume(table.n % 8)
+            e["target_hex"] = f"{int(e['target_hex'], 16) | 1:02x}"
+        else:
+            twin = dict(e, c=data.draw(st.integers(0, table.l_max)))
+            twin["target_hex"] = data.draw(st.sampled_from([str.lower, str.upper]))(
+                twin["target_hex"]
+            )
+            entries.insert(data.draw(st.integers(i + 1, len(entries))), twin)
+    got = load_outcome(table_from_json, doc)
+    assert got == load_outcome(brute_table_from_json, doc)
+    assert (got[0] == "error") == (fault is not None)
+
+
+def test_large_oracle_file_is_pinned(tmp_path):
+    """n=8 over lambda and every 8-bit condition: 65,792 entries, written
+    in 17 blocks. Size and digest were recorded with json.dump."""
+    table = build_complexity_table(8, [EMPTY] + all_strings(8), l_max=16)
+    path = tmp_path / "o8.json"
+    save_table(table, str(path))
+    blob = path.read_bytes()
+    assert len(blob) == 4_984_246
+    assert (
+        hashlib.sha256(blob).hexdigest()
+        == "9ad0967af12defb516c42b2607a8edf0fbe15ad134757bc181c26bed31db919d"
+    )
+    assert (load_table(str(path))._matrix == table._matrix).all()
 
 
 # ------------------------------------------------------------- symmetry
