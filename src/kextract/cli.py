@@ -22,6 +22,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import __version__, calibration
 from .balance import (
     FeasibilityError,
@@ -524,11 +526,8 @@ def cmd_exp_hitting(args) -> int:
     if args.target_set is not None:
         targets = [int(z) for z in args.target_set.split(",") if z != ""]
     else:
-        row = table.colors[args.set_popular_row]
-        counts = [0] * table.num_colors
-        for z in row:
-            counts[int(z)] += 1
-        targets = [max(range(table.num_colors), key=lambda z: (counts[z], -z))]
+        # The row's most popular color, ties to the smallest.
+        targets = [int(np.argmax(np.bincount(table.colors[args.set_popular_row])))]
     cls = enumerate_class(cond_oracle, args.k, args.alpha)
     report = hitting_demo(table, cls, targets, output_oracle)
     print(

@@ -4,6 +4,10 @@ Two measurements: the per-string census of alpha-dependent partners
 (how many y give away at least alpha bits about themselves when x is
 known), and hitting-set consistency (a threshold argument on output
 complexity versus a direct scan for hits).
+
+Both follow the package's one NOT_FOUND rule: a NOT_FOUND entry
+certifies C >= l_max + 1, which ComplexityTable.lower_bounds writes in
+as the entry, and report fields carry from_bound of such a floor.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bits import EMPTY, BitString, all_strings
-from .extraction import SourcePairClass
+from .bits import BitString, all_strings
+from .extraction import SourcePairClass, class_outputs, extraction_check
 from .oracle import NOT_FOUND, Complexity, ComplexityTable
 from .tables import TwoSourceTable
 
@@ -64,13 +68,12 @@ def _dependent(
     column y."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    c_y = table.entries(EMPTY)[None, :].astype(np.int64)
+    c_y = table.lower_bounds()[None, :]
     c_yx = table.rows(xs).astype(np.int64)
     found = c_yx >= 0
-    # A missing C(y) still certifies a drop of at least l_max + 1 - C(y|x).
-    drop = np.where(c_y < 0, table.l_max + 1, c_y) - c_yx
-    member = np.where(found, drop >= alpha, alpha == 0)
-    return member, ~member & (~found | (c_y < 0))
+    # With C(y|x) found, c_y - C(y|x) is a certified floor on the drop.
+    member = np.where(found, c_y - c_yx >= alpha, alpha == 0)
+    return member, ~member & (~found | (c_y > table.l_max))
 
 
 def _census(
@@ -172,30 +175,23 @@ def hitting_demo(
     target_set: Sequence[int],
     output_oracle: ComplexityTable,
 ) -> HittingReport:
-    """Compare the complexity-threshold argument with a direct scan."""
-    if output_oracle.n != table.m:
-        raise ValueError("output oracle must target m-bit strings")
+    """Compare the complexity-threshold argument with a direct scan.
+
+    The class's least output complexity comes from extraction_check; an
+    empty target set has max_set_complexity 0.
+    """
+    min_out = extraction_check(table, cls, output_oracle).min_output_complexity
     targets = sorted(set(int(z) for z in target_set))
     if any(not 0 <= z < table.num_colors for z in targets):
         raise ValueError("target set value out of color range")
-
-    max_set: Complexity = 0
-    for z in targets:
-        c = output_oracle.complexity(BitString(table.m, z))
-        if c > max_set:
-            max_set = c
-    min_out: Complexity = NOT_FOUND
-    for xv, yv in cls.pairs:
-        c = output_oracle.complexity(BitString(table.m, table.color(xv, yv)))
-        if c < min_out:
-            min_out = c
+    bounds = output_oracle.lower_bounds()[targets]
+    max_set = output_oracle.from_bound(bounds.max(initial=0))
 
     # NOT_FOUND soundness: an unfound set member leaves the threshold
     # inapplicable, while unfound outputs sit above every found value.
     applies = bool(targets) and max_set is not NOT_FOUND and min_out > max_set
-    hits = tuple(
-        (xv, yv) for xv, yv in cls.pairs if table.color(xv, yv) in set(targets)
-    )
+    pairs, outs = class_outputs(table, cls)
+    hits = tuple(map(tuple, pairs[np.isin(outs, targets)].tolist()))
     return HittingReport(
         class_size=cls.size,
         set_size=len(targets),

@@ -1,12 +1,18 @@
 """Extraction guarantees checked against exact complexity tables.
 
-Everything here consumes sealed ComplexityTables, so every claim is a
-finite, certified statement about the RM-1 machine: dependency scores,
+Everything here consumes ComplexityTables, so every claim is a finite,
+certified statement about the RM-1 machine: dependency scores,
 source-pair classes, output deficiencies, and the counting-based
 demonstrations (popular colors, popular output prefixes, and the
 popularity iteration that recovers a shared range set from bounded
-advice). NOT_FOUND entries are never silently mixed into arithmetic;
-each consumer states how it excludes or bounds them.
+advice).
+
+One rule covers NOT_FOUND: it certifies C >= l_max + 1. Floors,
+histogram keys and hardest-preimage witnesses are numpy over
+ComplexityTable.lower_bounds rows, where NOT_FOUND is that floor, and
+reports carry from_bound of it; a dependency or a range membership
+C <= k_adv needs an exact value, so there NOT_FOUND is unknown. Popular
+values tie to the smallest, witnesses to the first in pair or value order.
 """
 
 from __future__ import annotations
@@ -44,13 +50,6 @@ def dependency(
     return max(c_x - c_xy, c_y - c_yx)
 
 
-def meets_floor(value: Complexity, k: int, l_max: int) -> bool:
-    """Is C >= k certified? NOT_FOUND certifies C > l_max."""
-    if value is NOT_FOUND:
-        return l_max + 1 >= k
-    return value >= k
-
-
 @dataclass(frozen=True)
 class SourcePairClass:
     """All pairs with complexity floor k and dependency at most alpha."""
@@ -71,19 +70,16 @@ def enumerate_class(
 ) -> SourcePairClass:
     """Certified members of the (k, alpha) class under a full table.
 
-    A pair joins only when both floors C(x), C(y) >= k are certified
-    (NOT_FOUND certifies any floor up to l_max + 1) and its dependency
-    is a known number <= alpha. Pairs whose dependency is indeterminate
-    are excluded and counted, keeping the class sound rather than
-    complete.
+    A pair joins only when both floors C(x), C(y) >= k are certified by
+    lower_bounds and its dependency is a known number <= alpha. Pairs
+    whose dependency is indeterminate are excluded and counted, keeping
+    the class sound rather than complete.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     n = table.n
-    c_all = table.entries(EMPTY)
-    floor = np.where(c_all < 0, table.l_max + 1 >= k, c_all >= k)
-    ok = np.flatnonzero(floor)
-    c = c_all[ok].astype(np.int64)
+    ok = np.flatnonzero(table.lower_bounds() >= k)
+    c = table.entries(EMPTY)[ok].astype(np.int64)
     # given[i, j] = C(ok[j] | ok[i]), so C(y | x) = given and C(x | y) = given.T
     given = table.rows(BitString(n, x) for x in ok.tolist())[:, ok].astype(np.int64)
     unknown = (c[:, None] < 0) | (c[None, :] < 0) | (given < 0) | (given.T < 0)
@@ -128,45 +124,44 @@ class DeficiencyReport:
         return self.min_output_complexity >= self.m - d
 
 
+def class_outputs(
+    table: TwoSourceTable, cls: SourcePairClass
+) -> tuple[np.ndarray, np.ndarray]:
+    """The class pairs as a [size, 2] array, in class order, and the
+    table's output on each."""
+    if table.n != cls.n:
+        raise ValueError("table and class disagree on n")
+    pairs = np.array(cls.pairs, dtype=np.intp).reshape(-1, 2)
+    return pairs, table.colors[pairs[:, 0], pairs[:, 1]]
+
+
 def extraction_check(
     table: TwoSourceTable,
     cls: SourcePairClass,
     output_oracle: ComplexityTable,
 ) -> DeficiencyReport:
-    """Exact deficiency census of table outputs over a class."""
-    if table.n != cls.n:
-        raise ValueError("table and class disagree on n")
+    """Exact deficiency census of table outputs over a class.
+
+    Histogram keys are m minus each output's lower bound; the witness is
+    the first class pair whose output has the least bound.
+    """
+    pairs, outs = class_outputs(table, cls)
     if output_oracle.n != table.m:
         raise ValueError("output oracle must target m-bit strings")
-    hist: dict[int, int] = {}
-    not_found = 0
-    min_c: Complexity = NOT_FOUND
-    witness = None
     m = table.m
-    entries = output_oracle.entries(EMPTY)
-    for xv, yv in cls.pairs:
-        z = table.color(xv, yv)
-        raw = int(entries[z])
-        if raw < 0:
-            not_found += 1
-            key = m - (output_oracle.l_max + 1)
-        else:
-            key = m - raw
-            if raw < min_c:
-                min_c = raw
-                witness = (xv, yv, z)
-        hist[key] = hist.get(key, 0) + 1
-    max_def = None
-    if min_c is not NOT_FOUND:
-        max_def = m - min_c
+    bounds = output_oracle.lower_bounds()[outs]
+    keys, counts = np.unique(m - bounds, return_counts=True)
+    i = int(np.argmin(bounds)) if bounds.size else None
+    min_c = NOT_FOUND if i is None else output_oracle.from_bound(bounds[i])
+    found = min_c is not NOT_FOUND
     return DeficiencyReport(
         m=m,
         class_size=cls.size,
-        histogram=dict(sorted(hist.items())),
-        not_found=not_found,
+        histogram=dict(zip(keys.tolist(), counts.tolist())),
+        not_found=int((bounds > output_oracle.l_max).sum()),
         min_output_complexity=min_c,
-        max_deficiency=max_def,
-        worst_witness=witness,
+        max_deficiency=m - min_c if found else None,
+        worst_witness=(*pairs[i].tolist(), int(outs[i])) if found else None,
         l_max=output_oracle.l_max,
     )
 
@@ -198,28 +193,22 @@ def popular_color_demo(
     """
     if oracle.n != table.n:
         raise ValueError("oracle must target the table inputs")
-    counts = [0] * table.num_colors
-    for xv in range(1 << table.n):
-        counts[table.color(xv)] += 1
-    color = max(range(table.num_colors), key=lambda z: (counts[z], -z))
-    preimages = [xv for xv in range(1 << table.n) if table.color(xv) == color]
-    best_x = preimages[0]
-    best_c: Complexity = oracle.complexity(BitString(table.n, best_x))
-    for xv in preimages[1:]:
-        c = oracle.complexity(BitString(table.n, xv))
-        if c > best_c:
-            best_x, best_c = xv, c
+    # argmax takes the first maximum: the smallest color, the first x.
+    color = int(np.argmax(np.bincount(table.colors)))
+    preimages = np.flatnonzero(table.colors == color)
+    bounds = oracle.lower_bounds()[preimages]
+    best = int(np.argmax(bounds))
     floor = table.n - table.m
     return PopularColorReport(
         n=table.n,
         m=table.m,
         color=color,
-        preimages=len(preimages),
-        witness_x=best_x,
-        witness_complexity=best_c,
+        preimages=preimages.size,
+        witness_x=int(preimages[best]),
+        witness_complexity=oracle.from_bound(bounds[best]),
         floor=floor,
-        preimage_bound_met=len(preimages) << table.m >= 1 << table.n,
-        floor_certified=meets_floor(best_c, floor, oracle.l_max),
+        preimage_bound_met=preimages.size << table.m >= 1 << table.n,
+        floor_certified=bool(bounds[best] >= floor),
     )
 
 
@@ -260,28 +249,17 @@ def popular_prefix_demo(
     if pair_oracle.n != 2 * table.n:
         raise ValueError("pair oracle must target 2n-bit strings")
     n = table.n
-    side = 1 << n
-    counts = [0] * (1 << alpha)
-    shift = table.m - alpha
-    for xv in range(side):
-        for yv in range(side):
-            counts[table.color(xv, yv) >> shift] += 1
-    prefix = max(range(1 << alpha), key=lambda p: (counts[p], -p))
-    best = None
-    best_c: Complexity = -1  # any found value beats this
-    for xv in range(side):
-        for yv in range(side):
-            if table.color(xv, yv) >> shift != prefix:
-                continue
-            c = pair_oracle.complexity(BitString(2 * n, (xv << n) | yv))
-            if best is None or c > best_c:
-                best, best_c = (xv, yv), c
-    assert best is not None
+    # Cell x * 2^n + y is the value of the 2n-bit target x||y.
+    prefixes = table.colors.reshape(-1) >> (table.m - alpha)
+    prefix = int(np.argmax(np.bincount(prefixes)))
+    cells = np.flatnonzero(prefixes == prefix)
+    bounds = pair_oracle.lower_bounds()[cells]
+    best = int(np.argmax(bounds))
+    witness = divmod(int(cells[best]), 1 << n)
     floor = 2 * n - alpha
     deficiency = None
     if output_oracle is not None:
-        z = table.color(*best)
-        c_out = output_oracle.complexity(BitString(table.m, z))
+        c_out = output_oracle.complexity(BitString(table.m, table.color(*witness)))
         if c_out is not NOT_FOUND:
             deficiency = table.m - c_out
     return PrefixReport(
@@ -289,12 +267,12 @@ def popular_prefix_demo(
         m=table.m,
         alpha=alpha,
         prefix=prefix,
-        pair_count=counts[prefix],
-        witness=best,
-        witness_complexity=best_c,
+        pair_count=cells.size,
+        witness=witness,
+        witness_complexity=pair_oracle.from_bound(bounds[best]),
         floor=floor,
-        pair_bound_met=counts[prefix] << alpha >= side * side,
-        floor_certified=meets_floor(best_c, floor, pair_oracle.l_max),
+        pair_bound_met=cells.size << alpha >= 1 << 2 * n,
+        floor_certified=bool(bounds[best] >= floor),
         output_deficiency=deficiency,
     )
 
@@ -357,41 +335,32 @@ def popular_range_procedure(
     temperature = (1 << m) + 1
     max_steps = (1 << (k_adv + 1)) - 1
 
-    ranges = {
-        xv: frozenset(compute_range(table, BitString(n, xv), k_adv))
-        for xv in range(1 << n)
-    }
-    marked = list(range(1 << n))
+    # in_range[x, z]: C(z | x) <= k_adv is certified, so NOT_FOUND stays out.
+    entries = table.rows(BitString(n, xv) for xv in range(1 << n))
+    in_range = (entries >= 0) & (entries <= k_adv)
+    marked = np.ones(1 << n, dtype=bool)
+    is_chosen = np.zeros(1 << m, dtype=bool)
     chosen: list[int] = []
     case = "exhausted"
     for _ in range(max_steps):
-        counts = [0] * (1 << m)
-        for xv in marked:
-            for zv in ranges[xv]:
-                if zv not in chosen:
-                    counts[zv] += 1
-        candidates = [
-            zv
-            for zv in range(1 << m)
-            if zv not in chosen and counts[zv] * temperature >= len(marked)
-        ]
-        if not candidates:
+        counts = np.where(is_chosen, -1, in_range[marked].sum(axis=0))
+        popular = counts * temperature >= np.count_nonzero(marked)
+        if not popular.any():
             case = "stalled"
             break
-        pick = max(candidates, key=lambda zv: (counts[zv], -zv))
+        # The most popular candidate, ties to the smallest value.
+        pick = int(np.argmax(np.where(popular, counts, -1)))
         chosen.append(pick)
-        marked = [xv for xv in marked if pick in ranges[xv]]
+        is_chosen[pick] = True
+        marked &= in_range[:, pick]
 
-    chosen_set = frozenset(chosen)
-    witnesses = tuple(
-        xv for xv in range(1 << n) if ranges[xv] == chosen_set
-    )
+    witnesses = tuple(np.flatnonzero((in_range == is_chosen).all(axis=1)).tolist())
     count = len(witnesses)
     bound_met = count * temperature**max_steps >= 1 << n
     # Re-derive each witness range straight from the oracle rather than
-    # trusting the cache the iteration used.
+    # trusting the matrix the iteration used.
     ranges_match = all(
-        compute_range(table, BitString(n, xv), k_adv) == set(chosen_set)
+        compute_range(table, BitString(n, xv), k_adv) == set(chosen)
         for xv in witnesses
     )
     return RangeProcedureReport(

@@ -28,9 +28,12 @@ every condition, and one with COPY is evaluated as a numpy array over
 each group of equal-length conditions whose length admits its windows.
 
 Entries live in one int32 matrix [condition x target], with -1 standing
-for NOT_FOUND; consumers read whole rows of it. tests/test_oracle.py
-compares the builder with tests/reference.py, which runs every program
-through run_machine.
+for NOT_FOUND. Consumers read whole rows of it through one rule: a
+NOT_FOUND entry certifies C >= l_max + 1, so ComplexityTable.lower_bounds
+gives every entry as a certified floor (the value found, or l_max + 1)
+and from_bound turns a floor back into the Complexity that reports
+carry. tests/test_oracle.py compares the builder with tests/reference.py,
+which runs every program through run_machine.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ MAX_N = 24
 # Condition x target cells past this would allocate more than a 128 MB
 # int32 matrix.
 MAX_CELLS = 1 << 25
+# Entries are int32, so a loaded l_max must fit one.
+MAX_ENTRY = (1 << 31) - 1
 
 
 class _NotFound:
@@ -92,8 +97,8 @@ class ComplexityTable:
 
     Entries are one int32 matrix [condition x target], rows in the order
     of `conditions` and columns indexed by target value, with -1 standing
-    for NOT_FOUND. Tables are sealed by the builder; a sealed table is
-    immutable and safe to share.
+    for NOT_FOUND. The matrix is made read-only on construction, so a
+    table is immutable and safe to share.
     """
 
     n: int
@@ -101,10 +106,10 @@ class ComplexityTable:
     budget: MachineBudget
     conditions: tuple[BitString, ...]
     _matrix: np.ndarray = field(repr=False)
-    sealed: bool = False
     _cond_index: dict[BitString, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self._matrix.setflags(write=False)
         self._cond_index = {y: i for i, y in enumerate(self.conditions)}
 
     def condition_index(self, y: BitString) -> int:
@@ -115,8 +120,6 @@ class ComplexityTable:
 
     def complexity(self, x: BitString, y: BitString = EMPTY) -> Complexity:
         """C_T(x | y), or NOT_FOUND if no program of length <= l_max works."""
-        if not self.sealed:
-            raise RuntimeError("table is not sealed yet")
         if x.length != self.n:
             raise ValueError(f"target length {x.length} != table n {self.n}")
         raw = int(self._matrix[self.condition_index(y), x.value])
@@ -133,6 +136,17 @@ class ComplexityTable:
         """int32 matrix whose row i is entries(conds[i])."""
         return self._matrix[[self.condition_index(y) for y in conds]]
 
+    def lower_bounds(self, y: BitString = EMPTY) -> np.ndarray:
+        """int64 row of certified floors on C_T(x | y), indexed by x: the
+        value found, or l_max + 1 where the entry is NOT_FOUND."""
+        row = self.entries(y).astype(np.int64)
+        row[row < 0] = self.l_max + 1
+        return row
+
+    def from_bound(self, bound: int) -> Complexity:
+        """Inverse of lower_bounds: NOT_FOUND past l_max, else the value."""
+        return NOT_FOUND if bound > self.l_max else int(bound)
+
     def count_below(self, k: int, y: BitString = EMPTY) -> int:
         """|{x : C_T(x|y) < k}| as an exact integer; NOT_FOUND never counts."""
         arr = self.entries(y)
@@ -140,10 +154,6 @@ class ComplexityTable:
 
     def not_found_count(self, y: BitString = EMPTY) -> int:
         return int((self.entries(y) < 0).sum())
-
-    def seal(self) -> None:
-        self._matrix.setflags(write=False)
-        self.sealed = True
 
 
 def check_shape(n: int, num_conditions: int) -> None:
@@ -191,15 +201,13 @@ def build_complexity_table(
             f"l_max={l_max} < 2n={2 * n}: expect NOT_FOUND entries",
             stacklevel=2,
         )
-    table = ComplexityTable(
+    return ComplexityTable(
         n=n,
         l_max=l_max,
         budget=budget,
         conditions=tuple(conds),
         _matrix=_minimal_lengths(n, conds, l_max, budget),
     )
-    table.seal()
-    return table
 
 
 def _minimal_lengths(
@@ -444,9 +452,10 @@ def table_from_json(doc: dict) -> ComplexityTable:
     Raises ValueError on a document or budget, condition or entry that
     is not a JSON object or lacks a field; on conditions or entries that
     are not a list; on a header count (n, l_max, a condition's len,
-    budget out/ops) that is not a nonnegative int; on n > MAX_N or a
-    matrix past MAX_CELLS; on a condition hex or entry target_hex that is
-    not a string, of the wrong length or with nonzero padding bits; and
+    budget out/ops) that is not a nonnegative int; on l_max past
+    MAX_ENTRY, n > MAX_N or a matrix past MAX_CELLS; on a condition that
+    repeats an earlier one; on a condition hex or entry target_hex that
+    is not a string, of the wrong length or with nonzero padding bits; and
     on an entry whose cond_idx is not a condition index, whose c is not
     an int in [0, l_max], or whose (cond_idx, target) pair repeats an
     earlier entry.
@@ -462,6 +471,8 @@ def table_from_json(doc: dict) -> ComplexityTable:
         raise ValueError(f"unsupported table version {doc.get('version')!r}")
     n = _json_count(_field(doc, "n", "oracle table"), "n")
     l_max = _json_count(_field(doc, "l_max", "oracle table"), "l_max")
+    if l_max > MAX_ENTRY:
+        raise ValueError(f"l_max {l_max} does not fit an int32 entry")
     cond_docs = _json_list(_field(doc, "conditions", "oracle table"), "conditions")
     check_shape(n, len(cond_docs))
     conds = [
@@ -471,6 +482,10 @@ def table_from_json(doc: dict) -> ComplexityTable:
         )
         for i, c in enumerate(cond_docs)
     ]
+    first: dict[BitString, int] = {}
+    for i, y in enumerate(conds):
+        if first.setdefault(y, i) != i:
+            raise ValueError(f"condition {i} repeats condition {first[y]}")
     budget_doc = _field(doc, "budget", "oracle table")
     budget = MachineBudget(
         _json_count(_field(budget_doc, "out", "budget"), "budget out"),
@@ -495,11 +510,9 @@ def table_from_json(doc: dict) -> ComplexityTable:
         raise ValueError(
             f"duplicate entry for cond_idx {e['cond_idx']}, target {e['target_hex']}"
         )
-    table = ComplexityTable(
+    return ComplexityTable(
         n=n, l_max=l_max, budget=budget, conditions=tuple(conds), _matrix=matrix
     )
-    table.seal()
-    return table
 
 
 def load_table(path: str) -> ComplexityTable:

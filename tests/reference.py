@@ -14,8 +14,15 @@ from typing import Optional
 import numpy as np
 
 from kextract.bits import EMPTY, BitString
+from kextract.experiments import HittingReport
+from kextract.extraction import (
+    DeficiencyReport,
+    PopularColorReport,
+    PrefixReport,
+    RangeProcedureReport,
+)
 from kextract.machine import DEFAULT_BUDGET, FAIL, MachineBudget, run_machine
-from kextract.oracle import ComplexityTable, check_shape
+from kextract.oracle import NOT_FOUND, ComplexityTable, check_shape
 
 
 def brute_complexity_map(
@@ -57,11 +64,17 @@ def brute_table_from_json(doc: dict) -> ComplexityTable:
         raise ValueError(f"unsupported table version {doc.get('version')!r}")
     n = count(doc["n"], "n")
     l_max = count(doc["l_max"], "l_max")
+    if l_max >= 1 << 31:
+        raise ValueError(f"l_max {l_max} does not fit an int32 entry")
     check_shape(n, len(doc["conditions"]))
     conds = [
         BitString.unpack_hex(count(c["len"], "condition len"), c["hex"])
         for c in doc["conditions"]
     ]
+    for i in range(len(conds)):
+        for j in range(i):
+            if conds[j] == conds[i]:
+                raise ValueError(f"condition {i} repeats condition {j}")
     matrix = np.full((len(conds), 1 << n), -1, dtype=np.int32)
     for e in doc["entries"]:
         ci, c = e["cond_idx"], e["c"]
@@ -75,7 +88,7 @@ def brute_table_from_json(doc: dict) -> ComplexityTable:
                 f"duplicate entry for cond_idx {ci}, target {e['target_hex']}"
             )
         matrix[ci, x.value] = c
-    table = ComplexityTable(
+    return ComplexityTable(
         n=n,
         l_max=l_max,
         budget=MachineBudget(
@@ -85,8 +98,6 @@ def brute_table_from_json(doc: dict) -> ComplexityTable:
         conditions=tuple(conds),
         _matrix=matrix,
     )
-    table.seal()
-    return table
 
 
 def _lookup(table, x: int, y: Optional[int] = None) -> Optional[int]:
@@ -144,6 +155,207 @@ def brute_census(table, x: int, alpha: int) -> tuple[list[int], int]:
         elif not known:
             indeterminate += 1
     return members, indeterminate
+
+
+def _meets_floor(value, k: int, l_max: int) -> bool:
+    """Is C >= k certified? NOT_FOUND certifies C > l_max."""
+    if value is NOT_FOUND:
+        return l_max + 1 >= k
+    return value >= k
+
+
+def brute_extraction_check(table, cls, output_oracle) -> DeficiencyReport:
+    """extraction_check pair by pair: NOT_FOUND outputs keyed at
+    m - (l_max + 1), the witness the first pair with the least found C."""
+    if table.n != cls.n:
+        raise ValueError("table and class disagree on n")
+    if output_oracle.n != table.m:
+        raise ValueError("output oracle must target m-bit strings")
+    hist: dict[int, int] = {}
+    not_found = 0
+    min_c = NOT_FOUND
+    witness = None
+    m = table.m
+    for xv, yv in cls.pairs:
+        z = table.color(xv, yv)
+        c = output_oracle.complexity(BitString(m, z))
+        if c is NOT_FOUND:
+            not_found += 1
+            key = m - (output_oracle.l_max + 1)
+        else:
+            key = m - c
+            if c < min_c:
+                min_c = c
+                witness = (xv, yv, z)
+        hist[key] = hist.get(key, 0) + 1
+    return DeficiencyReport(
+        m=m,
+        class_size=cls.size,
+        histogram=dict(sorted(hist.items())),
+        not_found=not_found,
+        min_output_complexity=min_c,
+        max_deficiency=None if min_c is NOT_FOUND else m - min_c,
+        worst_witness=witness,
+        l_max=output_oracle.l_max,
+    )
+
+
+def brute_popular_color(table, oracle) -> PopularColorReport:
+    """popular_color_demo by counting colors and scanning preimages: the
+    most frequent color (ties to the smallest), its first hardest x."""
+    if oracle.n != table.n:
+        raise ValueError("oracle must target the table inputs")
+    counts = [0] * table.num_colors
+    for xv in range(1 << table.n):
+        counts[table.color(xv)] += 1
+    color = max(range(table.num_colors), key=lambda z: (counts[z], -z))
+    preimages = [xv for xv in range(1 << table.n) if table.color(xv) == color]
+    best_x = preimages[0]
+    best_c = oracle.complexity(BitString(table.n, best_x))
+    for xv in preimages[1:]:
+        c = oracle.complexity(BitString(table.n, xv))
+        if c > best_c:
+            best_x, best_c = xv, c
+    floor = table.n - table.m
+    return PopularColorReport(
+        n=table.n,
+        m=table.m,
+        color=color,
+        preimages=len(preimages),
+        witness_x=best_x,
+        witness_complexity=best_c,
+        floor=floor,
+        preimage_bound_met=len(preimages) << table.m >= 1 << table.n,
+        floor_certified=_meets_floor(best_c, floor, oracle.l_max),
+    )
+
+
+def brute_popular_prefix(table, alpha, pair_oracle, output_oracle=None) -> PrefixReport:
+    """popular_prefix_demo cell by cell: the most frequent alpha-bit
+    prefix (ties to the smallest), its first hardest x||y in row order."""
+    if not 0 <= alpha <= table.m:
+        raise ValueError("alpha must be in [0, m]")
+    if pair_oracle.n != 2 * table.n:
+        raise ValueError("pair oracle must target 2n-bit strings")
+    n = table.n
+    side = 1 << n
+    counts = [0] * (1 << alpha)
+    shift = table.m - alpha
+    for xv in range(side):
+        for yv in range(side):
+            counts[table.color(xv, yv) >> shift] += 1
+    prefix = max(range(1 << alpha), key=lambda p: (counts[p], -p))
+    best = None
+    best_c = -1  # any found value beats this
+    for xv in range(side):
+        for yv in range(side):
+            if table.color(xv, yv) >> shift != prefix:
+                continue
+            c = pair_oracle.complexity(BitString(2 * n, (xv << n) | yv))
+            if best is None or c > best_c:
+                best, best_c = (xv, yv), c
+    floor = 2 * n - alpha
+    deficiency = None
+    if output_oracle is not None:
+        c_out = output_oracle.complexity(BitString(table.m, table.color(*best)))
+        if c_out is not NOT_FOUND:
+            deficiency = table.m - c_out
+    return PrefixReport(
+        n=n,
+        m=table.m,
+        alpha=alpha,
+        prefix=prefix,
+        pair_count=counts[prefix],
+        witness=best,
+        witness_complexity=best_c,
+        floor=floor,
+        pair_bound_met=counts[prefix] << alpha >= side * side,
+        floor_certified=_meets_floor(best_c, floor, pair_oracle.l_max),
+        output_deficiency=deficiency,
+    )
+
+
+def brute_range_procedure(table, k_adv: int) -> RangeProcedureReport:
+    """popular_range_procedure over Python sets of ranges, one marked
+    input and one candidate at a time; ranges_match re-reads the oracle."""
+    n = max(y.length for y in table.conditions)
+    m = table.n
+    temperature = (1 << m) + 1
+    max_steps = (1 << (k_adv + 1)) - 1
+
+    def range_of(xv):
+        return {
+            zv
+            for zv in range(1 << m)
+            if table.complexity(BitString(m, zv), BitString(n, xv)) <= k_adv
+        }
+
+    ranges = {xv: frozenset(range_of(xv)) for xv in range(1 << n)}
+    marked = list(range(1 << n))
+    chosen: list[int] = []
+    case = "exhausted"
+    for _ in range(max_steps):
+        counts = [0] * (1 << m)
+        for xv in marked:
+            for zv in ranges[xv]:
+                if zv not in chosen:
+                    counts[zv] += 1
+        candidates = [
+            zv
+            for zv in range(1 << m)
+            if zv not in chosen and counts[zv] * temperature >= len(marked)
+        ]
+        if not candidates:
+            case = "stalled"
+            break
+        pick = max(candidates, key=lambda zv: (counts[zv], -zv))
+        chosen.append(pick)
+        marked = [xv for xv in marked if pick in ranges[xv]]
+    witnesses = tuple(xv for xv in range(1 << n) if ranges[xv] == set(chosen))
+    return RangeProcedureReport(
+        n=n,
+        m=m,
+        k_adv=k_adv,
+        temperature=temperature,
+        max_steps=max_steps,
+        chosen=tuple(chosen),
+        case=case,
+        witness_count=len(witnesses),
+        witnesses=witnesses,
+        count_bound_met=len(witnesses) * temperature**max_steps >= 1 << n,
+        ranges_match=all(range_of(xv) == set(chosen) for xv in witnesses),
+    )
+
+
+def brute_hitting(table, cls, target_set, output_oracle) -> HittingReport:
+    """hitting_demo with its own scans: the set's greatest complexity
+    (0 when empty), the class's least output complexity, and the hits."""
+    if output_oracle.n != table.m:
+        raise ValueError("output oracle must target m-bit strings")
+    targets = sorted(set(int(z) for z in target_set))
+    if any(not 0 <= z < table.num_colors for z in targets):
+        raise ValueError("target set value out of color range")
+    max_set = 0
+    for z in targets:
+        c = output_oracle.complexity(BitString(table.m, z))
+        if c > max_set:
+            max_set = c
+    min_out = NOT_FOUND
+    for xv, yv in cls.pairs:
+        c = output_oracle.complexity(BitString(table.m, table.color(xv, yv)))
+        if c < min_out:
+            min_out = c
+    applies = bool(targets) and max_set is not NOT_FOUND and min_out > max_set
+    hits = tuple((xv, yv) for xv, yv in cls.pairs if table.color(xv, yv) in targets)
+    return HittingReport(
+        class_size=cls.size,
+        set_size=len(targets),
+        max_set_complexity=max_set,
+        min_output_complexity=min_out,
+        threshold_applies=applies,
+        hits=hits,
+        consistent=(not applies) or not hits,
+    )
 
 
 def rect_census(colors: np.ndarray, rows, cols, num_colors: int) -> list[int]:

@@ -371,6 +371,10 @@ def test_exp_hitting(workdir, tmp_path):
     rep = load_report(out)
     assert rep["params"]["set"] == [0]
     assert dispatch(base + ["--set-popular-row", "0"]) == 0
+    # Row 1 of the n=2 inner product is 0, 1, 0, 1: the tie goes to 0.
+    ip = base[:2] + ["--table", workdir["ip2"]] + base[4:]
+    assert dispatch(ip + ["--set-popular-row", "1", "--out", out]) == 0
+    assert load_report(out)["params"]["set"] == [0]
     assert dispatch(base + ["--set", "0", "--set-popular-row", "0"]) == 2
     assert dispatch(base) == 2  # one of the two selectors is required
 

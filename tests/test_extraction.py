@@ -12,7 +12,6 @@ from kextract.extraction import (
     enumerate_class,
     equivalence_report,
     extraction_check,
-    meets_floor,
     popular_color_demo,
     popular_prefix_demo,
     popular_range_procedure,
@@ -50,11 +49,20 @@ def test_dependency_indeterminate_on_not_found():
     assert dependency(t, x, x) is None  # C(x|x)=6 but C(x) is unknown
 
 
-def test_meets_floor():
-    assert meets_floor(5, 5, 10)
-    assert not meets_floor(4, 5, 10)
-    assert meets_floor(NOT_FOUND, 11, 10)  # NOT_FOUND certifies C >= 11
-    assert not meets_floor(NOT_FOUND, 12, 10)
+def test_lower_bounds_and_from_bound(mixed_oracles):
+    for name, table in mixed_oracles.items():
+        assert table.from_bound(table.l_max) == table.l_max
+        assert table.from_bound(table.l_max + 1) is NOT_FOUND  # C >= l_max + 1
+        for y in table.conditions:
+            bounds = table.lower_bounds(y)
+            assert bounds.dtype == np.int64 and bounds.flags.writeable
+            for xv, bound in enumerate(bounds.tolist()):
+                c = table.complexity(BitString(table.n, xv), y)
+                assert bound == (table.l_max + 1 if c is NOT_FOUND else c), name
+                assert table.from_bound(bound) == c, name
+            # a fresh row each call: writing one leaves the table alone
+            bounds[:] = -5
+            assert (table.lower_bounds(y) >= 0).all()
 
 
 # ----------------------------------------------------------- class census

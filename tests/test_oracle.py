@@ -279,6 +279,8 @@ NAMED_FAULTS = {
     "missing": "entry 0 has no 'c' field",
     "target_type": "entry target_hex .* is not a string",
     "hex": "condition hex .* is not a string",
+    "repeat": "condition 1 repeats condition 0",
+    "wide": "l_max 1099511627776 does not fit an int32 entry",
 }
 
 
@@ -293,6 +295,9 @@ NAMED_FAULTS = {
         ("target_hex", "3f"),  # "00" with its six padding bits set
         ("l_max", "6"),
         ("l_max", -1),
+        ("l_max", 1 << 31),  # c is int32
+        pytest.param("wide", 1 << 35, id="l_max-wide"),  # and c past int32
+        pytest.param("repeat", "lambda", id="repeat-lambda"),
         ("n", 2.0),
         ("n", None),
         ("n", 40),  # a 2^40-entry row per condition
@@ -318,6 +323,12 @@ def test_corrupt_json_is_a_usage_error(tmp_path, oracle_n2_all, field, value):
         doc["entries"].append(dict(doc["entries"][0]))
     elif field in ("n", "l_max"):
         doc[field] = value
+    elif field == "wide":
+        doc["l_max"] = 1 << 40
+        doc["entries"][0]["c"] = value
+    elif field == "repeat":
+        # Condition 1 becomes lambda, which condition 0 already is.
+        doc["conditions"][1] = {"len": 0, "hex": ""}
     elif field in ("len", "hex"):
         doc["conditions"][1][field] = value
     elif field in ("out", "ops"):
@@ -342,6 +353,17 @@ def test_corrupt_json_is_a_usage_error(tmp_path, oracle_n2_all, field, value):
     assert code == 2
 
 
+def test_l_max_up_to_int32_loads(oracle_n2_all):
+    doc = table_to_json(oracle_n2_all)
+    doc["l_max"] = (1 << 31) - 1
+    doc["entries"][0]["c"] = (1 << 31) - 1  # C('00')
+    del doc["entries"][1]  # C('01') becomes NOT_FOUND
+    table = table_from_json(doc)
+    assert table.complexity(BitString.from01("00")) == (1 << 31) - 1
+    # The NOT_FOUND floor, l_max + 1, is past int32 and still exact.
+    assert table.lower_bounds()[:2].tolist() == [(1 << 31) - 1, 1 << 31]
+
+
 def canonical_bytes(table):
     return (json.dumps(table_to_json(table), indent=2, sort_keys=True) + "\n").encode()
 
@@ -354,8 +376,8 @@ def test_save_is_canonical(tmp_path, oracle_n2_all):
 
 @st.composite
 def small_tables(draw):
-    """Sealed tables with arbitrary entries: n=0 included, some with no
-    entry at all, conditions up to 80 bits."""
+    """Tables with arbitrary entries: n=0 included, some with no entry at
+    all, conditions up to 80 bits."""
     n = draw(st.integers(0, 4))
     l_max = draw(st.integers(0, 40))
     conds = draw(
@@ -371,15 +393,13 @@ def small_tables(draw):
     cells = len(conds) << n
     values = st.just(-1) if draw(st.integers(0, 3)) == 0 else st.integers(-1, l_max)
     matrix = np.array(draw(st.lists(values, min_size=cells, max_size=cells)), np.int32)
-    table = ComplexityTable(
+    return ComplexityTable(
         n=n,
         l_max=l_max,
         budget=MachineBudget(draw(st.integers(1, 5000)), draw(st.integers(1, 5000))),
         conditions=tuple(conds),
         _matrix=matrix.reshape(len(conds), 1 << n),
     )
-    table.seal()
-    return table
 
 
 @settings(max_examples=200, deadline=None)
@@ -411,7 +431,10 @@ NOT_INTS = st.sampled_from([True, False, 1.0, "1", None, [0], {}])
 @given(
     table=small_tables(),
     fault=st.sampled_from(
-        [None, "cond_idx", "cond_idx_type", "c", "c_type", "hex", "padding", "duplicate"]
+        [
+            None, "cond_idx", "cond_idx_type", "c", "c_type", "hex", "padding",
+            "duplicate", "condition",
+        ]
     ),
     data=st.data(),
 )
@@ -426,7 +449,12 @@ def test_loader_matches_entry_by_entry_reference(table, fault, data):
             entries.append({"cond_idx": 0, "target_hex": zero, "c": 0})
         i = data.draw(st.integers(0, len(entries) - 1))
         e = entries[i]
-        if fault in ("cond_idx", "c"):
+        if fault == "condition":
+            conds = doc["conditions"]
+            assume(len(conds) > 1)
+            j = data.draw(st.integers(1, len(conds) - 1))
+            conds[j] = dict(conds[data.draw(st.integers(0, j - 1))])
+        elif fault in ("cond_idx", "c"):
             top = len(table.conditions) if fault == "cond_idx" else table.l_max + 1
             e[fault] = data.draw(st.sampled_from([-1, top, -(1 << 40), top + (1 << 40)]))
         elif fault in ("cond_idx_type", "c_type"):
