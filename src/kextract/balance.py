@@ -1,36 +1,36 @@
 """Exhaustive rectangle balance verification for two-source tables.
 
 Every check here is exact over all rectangles B1 x B2 with both sides of
-a fixed size. Almost balance and eps* have three sweeps with identical
-answers, and rainbow one:
+a fixed size: almost balance, eps* and rainbow balance each maximize a
+per-rectangle score. Two loops walk blocks of row sets B1, where a
+subset-indicator matrix times a one-hot color expansion gives each row
+set's strip (per-column color counts):
 
-- The full sweep walks blocks of row sets B1 through one generator: a
-  subset-indicator matrix times a one-hot color expansion gives each
-  row set's strip (per-column color counts), and the column-set
-  indicator matrix times the strips gives the color census of every
-  rectangle. It reduces each census to its top u_size colors, or to the
-  clipped overshoot sum_z max(c_z - t, 0) with t = 4^k * 2^-(m-d).
-- The decomposed sweep fixes B1 and a color set U: the best B2 is then
-  the 2^k columns with the most U-cells in the strip, so column sets are
-  never enumerated. Almost balance tries the C(2^m, u_size) color sets;
-  eps* tries the 2^M - 1 nonempty ones, because
+- _per_rectangle (the full sweep) multiplies the column-set indicator
+  matrix by the strips to get every rectangle's color census, reduces
+  it to the top u_size colors or to the clipped overshoot
+  sum_z max(c_z - t, 0) with t = 4^k * 2^-(m-d), and keeps the first
+  maximum in row-block order, b2-major within a block.
+- _per_row_set scores each row set from its strip alone. The decomposed
+  sweep fixes B1 and a color set U: the best B2 is then the 2^k columns
+  with the most U-cells in the strip, so column sets are never
+  enumerated. Almost balance tries the C(2^m, u_size) color sets; eps*
+  tries the 2^M - 1 nonempty ones, because
   sum_z max(c_z - t, 0) = max(0, max_U sum_{z in U} c_z - |U| t).
-  rainbow_check always decomposes this way, per column.
-- The bitset sweep serves eps* when t <= 1 and M <= 64. Every census
-  entry is then 0 or at least 1 >= t, so the overshoot is
-  cells - t * (number of distinct colors in the rectangle), and eps* =
-  (cells - t * min distinct) / cells needs no census. Each cell becomes
-  the uint64 bit of its color; an OR tree over subsets gives one color
-  mask per row set and column, then one per rectangle, whose popcount
-  is its number of distinct colors.
+  Rainbow is always scored this way, per column.
+
+The bitset sweep serves eps* when t <= 1 and M <= 64. Every census
+entry is then 0 or at least 1 >= t, so the overshoot is
+cells - t * (number of distinct colors in the rectangle). Each cell
+becomes the uint64 bit of its color; an OR tree over subsets gives one
+color mask per row set and column, then one per rectangle, whose
+popcount is its number of distinct colors.
 
 The bitset sweep runs whenever it applies. Otherwise the decomposed
 sweep runs when there are strictly fewer color sets than row sets, and
-the full one when not. Both report the same almost-balance witness: the
-first maximum in the full sweep's row-block order, b2-major within a
-block. The decomposed sweep finds each row set's best value, then
-computes full censuses only for the maximal row sets of the first
-full-sweep block that holds one.
+the full one when not. Both report the full sweep's almost-balance
+witness: the decomposed sweep runs _per_rectangle on the maximal row
+sets of the first full-sweep block that holds one.
 
 All values are exact. The full sweep's products run in float32: every
 strip entry and census entry is an integer of at most cells = 4^k <=
@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -105,8 +105,8 @@ def _subset_matrix(
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     subsets = list(combinations(range(n_items), size))
     mat = np.zeros((len(subsets), n_items), dtype=dtype)
-    for i, sub in enumerate(subsets):
-        mat[i, list(sub)] = 1.0
+    members = np.array(subsets, dtype=np.intp).reshape(len(subsets), size)
+    np.put_along_axis(mat, members, 1.0, axis=1)
     return subsets, mat
 
 
@@ -147,11 +147,53 @@ def _strip_blocks(
         yield start, (chunk @ one_hot).reshape(chunk.shape[0], side, num_colors)
 
 
-def _rect_census(cols_mat: np.ndarray, strip: np.ndarray) -> np.ndarray:
-    """census[numB2, B, M] of every rectangle from a block of strips."""
-    count, side, num_colors = strip.shape
-    flat = strip.transpose(1, 0, 2).reshape(side, -1)
-    return (cols_mat @ flat).reshape(cols_mat.shape[0], count, num_colors)
+def _per_row_set(
+    colors: np.ndarray,
+    num_colors: int,
+    rows_mat: np.ndarray,
+    block: int,
+    score: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """score(strip) for every row set of rows_mat, in order.
+
+    score maps a block's strips [B, side, M] to one value per row set.
+    """
+    return np.concatenate(
+        [score(strip) for _, strip in _strip_blocks(colors, num_colors, rows_mat, block)]
+    )
+
+
+def _per_rectangle(
+    colors: np.ndarray,
+    num_colors: int,
+    rows_mat: np.ndarray,
+    cols_mat: np.ndarray,
+    reduce: Callable[[np.ndarray], np.ndarray],
+) -> tuple[int | float, int, int]:
+    """(value, b1, b2) of the first maximum of reduce(census) over the
+    rectangles rows_mat[b1] x cols_mat[b2], in row-block order and
+    b2-major within a block.
+
+    reduce maps a block's censuses [numB2, B, M], per-color cell counts
+    in the matrices' dtype, to one value per rectangle, [numB2, B]. It
+    holds the only reference to the census, so it may overwrite it or
+    drop it early; with the values freed before the next block, peak
+    memory stays at one block's worth.
+    """
+    side = colors.shape[0]
+    num_cols = cols_mat.shape[0]
+    best: tuple[int | float, int, int] = (-math.inf, -1, -1)
+    block = _block_size(num_cols * num_colors)
+    for start, strip in _strip_blocks(colors, num_colors, rows_mat, block):
+        count = strip.shape[0]
+        flat = strip.transpose(1, 0, 2).reshape(side, -1)
+        values = reduce((cols_mat @ flat).reshape(num_cols, count, num_colors))
+        b2, off = divmod(int(np.argmax(values)), count)
+        value = values[b2, off].item()
+        del values
+        if value > best[0]:
+            best = (value, start + off, b2)
+    return best
 
 
 def _top_sum(arr: np.ndarray, size: int, axis: int) -> np.ndarray:
@@ -162,12 +204,6 @@ def _top_sum(arr: np.ndarray, size: int, axis: int) -> np.ndarray:
     if cut > 0:
         arr = np.split(np.partition(arr, cut, axis=axis), [cut], axis=axis)[1]
     return arr.sum(axis=axis)
-
-
-def _argmax(arr: np.ndarray) -> tuple[int, int]:
-    """(flat index, integer value) of the first maximum."""
-    flat = int(np.argmax(arr))
-    return flat, int(np.rint(arr.ravel()[flat]))
 
 
 def _plan(
@@ -199,84 +235,32 @@ def _plan(
     return sweep
 
 
-def _best_per_row_set(
-    colors: np.ndarray,
-    num_colors: int,
-    rows_mat: np.ndarray,
-    rect: int,
-    color_sets: np.ndarray,
-    offsets: float | np.ndarray,
-) -> np.ndarray:
-    """best[b1] = max over color sets U of (U-cells of the best
-    rectangle on row set b1) - offsets[U].
+def _decomposed(
+    side: int, rect: int, color_sets: np.ndarray, offsets: float | np.ndarray
+) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
+    """(block, score) of the decomposed sweep for _per_row_set. A row
+    set's score is the most U-cells of any rectangle on it, less
+    offsets[U], over the color sets U given as the columns of the
+    [M, #U] indicator matrix color_sets.
 
-    color_sets is the [M, #U] indicator matrix. With the rows and U
-    fixed, the best column set is simply the rect columns with the most
-    U-cells in the strip, so no column set is ever enumerated.
+    With the rows and U fixed, the best column set is simply the rect
+    columns with the most U-cells in the strip, so no column set is ever
+    enumerated.
     """
-    side = colors.shape[0]
-    best = np.empty(rows_mat.shape[0])
-    # Per-row work is small here, so blocks of about 2^17 values cost no
-    # time; on the sweep-colors benchmark, which mixes these with full
-    # sweeps in one process, they measured ~10 MB less peak RSS than
-    # 2^23-value blocks.
-    block = _block_size(side * max(num_colors, color_sets.shape[1]), 1 << 17)
-    for start, strip in _strip_blocks(colors, num_colors, rows_mat, block):
+    num_colors, num_sets = color_sets.shape
+
+    def score(strip: np.ndarray) -> np.ndarray:
         count = strip.shape[0]
         per_col = (strip.reshape(-1, num_colors) @ color_sets).reshape(count, side, -1)
         per_set = _top_sum(per_col, rect, 1)
         per_set -= offsets
-        best[start : start + count] = per_set.max(axis=1)
-    return best
+        return per_set.max(axis=1)
 
-
-def _first_max(
-    cols_mat: np.ndarray, strip: np.ndarray, rect: int, u_size: int
-) -> tuple[int, int, int]:
-    """(b2, row offset, cells) of the first maximum in b2-major order.
-
-    Census entries are integers of at most rect^2, so the top-u_size
-    partition runs on int16 (int32 past 32,767 cells), which is much
-    faster than partitioning floats.
-    """
-    counts = np.int16 if rect * rect <= np.iinfo(np.int16).max else np.int32
-    census = _rect_census(cols_mat, strip).astype(counts)
-    flat, value = _argmax(_top_sum(census, u_size, 2))
-    b2, off = divmod(flat, strip.shape[0])
-    return b2, off, value
-
-
-def _worst_full(
-    colors: np.ndarray, num_colors: int, mat: np.ndarray, rect: int, u_size: int
-) -> tuple[int, int, int]:
-    """(cells, b1, b2): the first maximum in row-block order."""
-    worst_cells, b1, b2 = -1, -1, -1
-    block = _block_size(mat.shape[0] * num_colors)
-    for start, strip in _strip_blocks(colors, num_colors, mat, block):
-        b2_first, off, value = _first_max(mat, strip, rect, u_size)
-        if value > worst_cells:
-            worst_cells, b1, b2 = value, start + off, b2_first
-    return worst_cells, b1, b2
-
-
-def _worst_decomposed(
-    colors: np.ndarray, num_colors: int, mat: np.ndarray, rect: int, u_size: int
-) -> tuple[int, int, int]:
-    """_worst_full's answer, witness included, from per-row-set maxima.
-
-    The full sweep's witness lies in the first of its row blocks that
-    holds a maximal row set, so only that block's maximal row sets get
-    full censuses against every column set.
-    """
-    _, sets_mat = _subset_matrix(num_colors, u_size)
-    best = _best_per_row_set(colors, num_colors, mat, rect, sets_mat.T, 0.0)
-    block = _block_size(mat.shape[0] * num_colors)
-    first = int(np.argmax(best))
-    start = first // block * block
-    rows = start + np.flatnonzero(best[start : start + block] == best[first])
-    _, strip = next(_strip_blocks(colors, num_colors, mat[rows], block))
-    b2, off, value = _first_max(mat, strip, rect, u_size)
-    return value, int(rows[off]), b2
+    # Per-row work is small here, so blocks of about 2^17 values cost no
+    # time; on the sweep-colors benchmark, which mixes these with full
+    # sweeps in one process, they measured ~10 MB less peak RSS than
+    # 2^23-value blocks.
+    return _block_size(side * max(num_colors, num_sets), 1 << 17), score
 
 
 def balance_check_almost(
@@ -315,16 +299,37 @@ def _check_almost(
 ) -> BalanceReport:
     """balance_check_almost on the named sweep ("full" or "decomposed"),
     unguarded."""
+    side = 1 << table.n
     rect = 1 << k
     num_colors = table.num_colors
-    if sweep == "decomposed":
-        subsets, mat = _subset_matrix(1 << table.n, rect)
-        worst_cells, b1, b2 = _worst_decomposed(table.colors, num_colors, mat, rect, u_size)
-    else:
-        subsets, mat = _subset_matrix(1 << table.n, rect, np.float32)
-        worst_cells, b1, b2 = _worst_full(table.colors, num_colors, mat, rect, u_size)
+    # partitioning integer censuses is much faster than floats
+    counts = np.int16 if rect * rect <= np.iinfo(np.int16).max else np.int32
 
-    census_row = _rectangle_census(table, subsets[b1], subsets[b2])
+    def top_cells(census: np.ndarray) -> np.ndarray:
+        census = census.astype(counts)  # drops the float census
+        return _top_sum(census, u_size, 2)
+
+    if sweep == "decomposed":
+        subsets, mat = _subset_matrix(side, rect)
+        _, sets_mat = _subset_matrix(num_colors, u_size)
+        block, score = _decomposed(side, rect, sets_mat.T, 0.0)
+        best = _per_row_set(table.colors, num_colors, mat, block, score)
+        # The full sweep's witness lies in the first of its row blocks
+        # that holds a maximal row set, so only that block's maximal row
+        # sets get full censuses against every column set.
+        full_block = _block_size(len(subsets) * num_colors)
+        start = int(np.argmax(best)) // full_block * full_block
+        rows = start + np.flatnonzero(best[start : start + full_block] == best.max())
+        worst_cells, off, b2 = _per_rectangle(
+            table.colors, num_colors, mat[rows], mat, top_cells
+        )
+        b1 = int(rows[off])
+    else:
+        subsets, mat = _subset_matrix(side, rect, np.float32)
+        worst_cells, b1, b2 = _per_rectangle(table.colors, num_colors, mat, mat, top_cells)
+
+    grid = table.colors[np.ix_(subsets[b1], subsets[b2])]
+    census_row = np.bincount(grid.ravel().astype(np.int64), minlength=num_colors)
     order = np.lexsort((np.arange(num_colors), -census_row))
     worst_colors = tuple(sorted(int(z) for z in order[:u_size]))
     fraction = worst_cells / (rect * rect)
@@ -342,13 +347,6 @@ def _check_almost(
         eps=eps,
         u_size=u_size,
     )
-
-
-def _rectangle_census(
-    table: TwoSourceTable, rows: tuple[int, ...], cols: tuple[int, ...]
-) -> np.ndarray:
-    grid = table.colors[np.ix_(list(rows), list(cols))]
-    return np.bincount(grid.ravel().astype(np.int64), minlength=table.num_colors)
 
 
 def _subset_ors(masks: np.ndarray, size: int) -> np.ndarray:
@@ -437,23 +435,22 @@ def _eps_star(table: TwoSourceTable, k: int, d: int, sweep: str) -> float:
     if sweep == "bitset":
         worst = cells - threshold * _min_distinct(table.colors, rect)
     elif sweep == "decomposed":
-        _, mat = _subset_matrix(1 << table.n, rect)
+        side = 1 << table.n
+        _, mat = _subset_matrix(side, rect)
         sets = np.arange(1, 1 << num_colors)
-        members = (sets[None, :] >> np.arange(num_colors)[:, None]) & 1
-        offsets = members.sum(axis=0) * threshold
-        best = _best_per_row_set(
-            table.colors, num_colors, mat, rect, members.astype(np.float64), offsets
-        )
+        members = ((sets[None, :] >> np.arange(num_colors)[:, None]) & 1).astype(np.float64)
+        block, score = _decomposed(side, rect, members, members.sum(axis=0) * threshold)
+        best = _per_row_set(table.colors, num_colors, mat, block, score)
         worst = max(0.0, float(best.max()))
     else:
         _, mat = _subset_matrix(1 << table.n, rect, np.float32)
-        worst = 0.0
-        block = _block_size(mat.shape[0] * num_colors)
-        for _, strip in _strip_blocks(table.colors, num_colors, mat, block):
-            excess = _rect_census(mat, strip)
-            excess -= threshold
-            np.maximum(excess, 0.0, out=excess)
-            worst = max(worst, float(excess.sum(axis=2).max()))
+
+        def overshoot(census: np.ndarray) -> np.ndarray:
+            census -= threshold
+            np.maximum(census, 0.0, out=census)
+            return census.sum(axis=2)
+
+        worst = _per_rectangle(table.colors, num_colors, mat, mat, overshoot)[0]
     return worst / cells
 
 
@@ -511,30 +508,25 @@ def rainbow_check(
     subsets, mat = _subset_matrix(side, rect_side)
     block = _block_size(side * num_colors)
 
-    def one_side(colors: np.ndarray) -> RainbowSide:
-        best_cells, best_b1 = -1, -1
-        for start, strip in _strip_blocks(colors, num_colors, mat, block):
-            per_col = _top_sum(strip, set_size, 2)
-            off, value = _argmax(_top_sum(per_col, rect_side, 1))
-            if value > best_cells:
-                best_cells, best_b1 = value, start + off
+    def cells(strip: np.ndarray) -> np.ndarray:
+        # each column's top set_size colors, then the best rect_side columns
+        return _top_sum(_top_sum(strip, set_size, 2), rect_side, 1)
 
-        rows = subsets[best_b1]
-        strip = np.stack(
-            [np.bincount(colors[list(rows), v], minlength=num_colors) for v in range(side)]
-        )
-        w_row = _top_sum(strip, set_size, 1)
-        col_order = np.lexsort((np.arange(side), -w_row))
+    def one_side(colors: np.ndarray) -> RainbowSide:
+        per_set = _per_row_set(colors, num_colors, mat, block, cells)
+        b1 = int(np.argmax(per_set))
+        _, (strip,) = next(_strip_blocks(colors, num_colors, mat[b1 : b1 + 1], 1))
+        col_order = np.lexsort((np.arange(side), -_top_sum(strip, set_size, 1)))
         chosen = tuple(sorted(int(v) for v in col_order[:rect_side]))
         sets = []
         for v in chosen:
             z_order = np.lexsort((np.arange(num_colors), -strip[v]))
             sets.append(tuple(sorted(int(z) for z in z_order[:set_size])))
-        passed = best_cells * divisor <= 2 * rect_side * rect_side
+        worst = int(per_set[b1])
         return RainbowSide(
-            passed=passed,
-            worst_cells=best_cells,
-            rectangle=Rectangle(rows, chosen),
+            passed=worst * divisor <= 2 * rect_side * rect_side,
+            worst_cells=worst,
+            rectangle=Rectangle(subsets[b1], chosen),
             color_sets=tuple(sets),
         )
 

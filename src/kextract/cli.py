@@ -6,7 +6,8 @@ pipeline run. Every subcommand echoes a one-screen summary, and all but
 pipeline run (whose summary goes into --out-dir) can write a report
 envelope with --out; the report's command and params come from the
 parsed arguments. Exit codes: 0 on pass/complete, 1 when a report
-assertion fails, 2 on usage or feasibility errors.
+assertion fails, 2 on usage or feasibility errors, 3 when a command
+crashes (its traceback goes to stderr).
 
 Randomized subcommands require an explicit --seed; nothing here reads
 environmental entropy. Every sweep runs sequentially in a fixed order.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 import numpy as np
 
@@ -526,8 +528,11 @@ def cmd_exp_hitting(args) -> int:
     if args.target_set is not None:
         targets = [int(z) for z in args.target_set.split(",") if z != ""]
     else:
+        row = args.set_popular_row
+        if not 0 <= row < table.side:
+            raise ValueError(f"--set-popular-row {row} is outside [0, {table.side})")
         # The row's most popular color, ties to the smallest.
-        targets = [int(np.argmax(np.bincount(table.colors[args.set_popular_row])))]
+        targets = [int(np.argmax(np.bincount(table.colors[row])))]
     cls = enumerate_class(cond_oracle, args.k, args.alpha)
     report = hitting_demo(table, cls, targets, output_oracle)
     print(
@@ -557,9 +562,12 @@ def dispatch(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FeasibilityError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (FeasibilityError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a bug, never a check verdict
+        traceback.print_exc()
+        return 3
 
 
 def main() -> None:

@@ -116,7 +116,7 @@ class ComplexityTable:
         try:
             return self._cond_index[y]
         except KeyError:
-            raise KeyError(f"condition {y!r} not covered by this table") from None
+            raise ValueError(f"condition {y!r} not covered by this table") from None
 
     def complexity(self, x: BitString, y: BitString = EMPTY) -> Complexity:
         """C_T(x | y), or NOT_FOUND if no program of length <= l_max works."""

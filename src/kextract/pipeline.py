@@ -5,9 +5,10 @@ a name, a CLI argv list, and declared inputs/outputs. Path-valued
 entries use the "{out}" placeholder for the output directory; no other
 placeholder is expanded. Inputs are checked up front against earlier
 outputs: a dangling reference aborts with exit 2 before any step runs,
-so a broken pipeline leaves no partial summary. A step whose argv the
-CLI rejects (an old config's --threads, say) also aborts with exit 2,
-and so does a step that returns without writing a declared output.
+so a broken pipeline leaves no partial summary. A step that exits with
+neither 0 nor 1 aborts the run with its code: 2 when the CLI rejects
+its argv (an old config's --threads, say), 3 when it crashes. A step
+that returns without writing a declared output aborts with exit 2.
 With override set, --override-feasibility is appended to the steps whose
 subcommand is in cli.GUARDED, the ones that reach the op guard.
 """
@@ -296,10 +297,10 @@ def run_pipeline(
             code = dispatch(argv)
         except SystemExit:  # argparse rejected the step's argv
             code = 2
-        if code == 2:
-            print(f"error: step {step['name']!r} failed with usage/feasibility error",
+        if code not in (0, 1):  # 2 is a usage/feasibility error, 3 a crash
+            print(f"error: step {step['name']!r} aborted the run with exit code {code}",
                   file=sys.stderr)
-            return 2
+            return code
         missing = [path for path in step["outputs"] if not os.path.exists(path)]
         if missing:
             print(f"error: step {step['name']!r} did not write its declared "

@@ -4,7 +4,7 @@ A two-source table colors the full 2^n x 2^n grid with colors in
 [0, 2^m); a single-source table colors the 2^n line. Rows are indexed by
 the first argument, columns by the second. Tables are dense uint16
 arrays, so n is practically capped by memory (the generators refuse
-grids past 2^26 cells).
+grids past MAX_CELLS = 2^24 cells, n > 12).
 """
 
 from __future__ import annotations
@@ -50,14 +50,7 @@ class TwoSourceTable:
     colors: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_header(self.n, self.m)
-        arr = np.array(self.colors, dtype=np.uint16, copy=True)
-        if arr.shape != (1 << self.n, 1 << self.n):
-            raise ValueError(f"colors must be {1 << self.n} square")
-        if arr.size and int(arr.max()) >= (1 << self.m):
-            raise ValueError("color out of range")
-        arr.setflags(write=False)
-        object.__setattr__(self, "colors", arr)
+        _freeze_colors(self, (1 << self.n, 1 << self.n))
 
     @property
     def side(self) -> int:
@@ -83,14 +76,7 @@ class SingleSourceTable:
     colors: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_header(self.n, self.m)
-        arr = np.array(self.colors, dtype=np.uint16, copy=True)
-        if arr.shape != (1 << self.n,):
-            raise ValueError(f"colors must have length {1 << self.n}")
-        if arr.size and int(arr.max()) >= (1 << self.m):
-            raise ValueError("color out of range")
-        arr.setflags(write=False)
-        object.__setattr__(self, "colors", arr)
+        _freeze_colors(self, (1 << self.n,))
 
     @property
     def num_colors(self) -> int:
@@ -100,11 +86,25 @@ class SingleSourceTable:
         return int(self.colors[x])
 
 
-def _check_header(n: int, m: int) -> None:
-    if not 0 <= n <= 16:
+def _freeze_colors(table, shape: tuple[int, ...]) -> None:
+    """Check a table's header and colors, then store them as a read-only
+    uint16 copy."""
+    if not 0 <= table.n <= 16:
         raise ValueError("n must be in [0, 16]")
-    if not 0 <= m <= 16:
+    if not 0 <= table.m <= 16:
         raise ValueError("m must be in [0, 16]")
+    arr = np.array(table.colors, dtype=np.uint16, copy=True)
+    if arr.shape != shape:
+        raise ValueError(f"colors must have shape {shape}, not {arr.shape}")
+    if arr.size and int(arr.max()) >= (1 << table.m):
+        raise ValueError("color out of range")
+    arr.setflags(write=False)
+    object.__setattr__(table, "colors", arr)
+
+
+def _check_random(n: int, m: int) -> None:
+    if not 1 <= m <= 16 or not 0 <= n <= 16:
+        raise ValueError("need 0 <= n <= 16 and 1 <= m <= 16")
 
 
 def _check_cells(n: int) -> None:
@@ -171,8 +171,7 @@ def gen_gf2_mult(n: int, m: int) -> TwoSourceTable:
 def gen_random(n: int, m: int, seed: int) -> TwoSourceTable:
     """Seeded table: cell (x, y) takes the low m bits of splitmix64
     output number x * 2^n + y + 1 for the given seed (row-major order)."""
-    if not 1 <= m <= 16 or not 0 <= n <= 16:
-        raise ValueError("need 0 <= n <= 16 and 1 <= m <= 16")
+    _check_random(n, m)
     _check_cells(n)
     outs = prng.stream(seed, 1 << (2 * n))
     colors = (outs & np.uint64((1 << m) - 1)).astype(np.uint16)
@@ -181,8 +180,7 @@ def gen_random(n: int, m: int, seed: int) -> TwoSourceTable:
 
 def gen_random_single(n: int, m: int, seed: int) -> SingleSourceTable:
     """Seeded line table from the same generator as gen_random."""
-    if not 1 <= m <= 16 or not 0 <= n <= 16:
-        raise ValueError("need 0 <= n <= 16 and 1 <= m <= 16")
+    _check_random(n, m)
     outs = prng.stream(seed, 1 << n)
     return SingleSourceTable(n, m, (outs & np.uint64((1 << m) - 1)).astype(np.uint16))
 

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -190,6 +191,16 @@ def test_counts_past_int16():
     assert measure_eps_star(table, 8, 1) == 0.5
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_subset_matrix_follows_combinations(dtype):
+    for items, size in [(1, 1), (4, 0), (4, 2), (5, 5), (8, 3), (16, 4)]:
+        subsets, mat = balance._subset_matrix(items, size, dtype)
+        assert subsets == list(combinations(range(items), size))
+        assert mat.dtype == dtype and mat.shape == (len(subsets), items)
+        for sub, row in zip(subsets, mat):
+            assert row.tolist() == [float(i in sub) for i in range(items)]
+
+
 # ---------------------------------------------------------- guard rail
 
 
@@ -287,6 +298,17 @@ def test_decomposed_sweeps_equal_full_sweeps(table, k):
         assert balance._eps_star(table, k, d, sweep="decomposed") == full
         if 2 * k + d <= table.m:
             assert balance._eps_star(table, k, d, sweep="bitset") == full
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_decomposed_witness_with_small_blocks(monkeypatch, block):
+    """Blocks of a few row sets put the full sweep's first maximum at any
+    place in its block, so a witness block one row set off moves it."""
+    monkeypatch.setattr(balance, "_block_size", lambda row_cost, values=0: block)
+    for table in (gen_inner_product(3), gen_random(3, 2, 5), gen_gf2_mult(3, 3)):
+        for u_size in range(1, table.num_colors + 1):
+            full = balance._check_almost(table, 2, 0, 0.0, u_size, sweep="full")
+            assert balance._check_almost(table, 2, 0, 0.0, u_size, sweep="decomposed") == full
 
 
 # -------------------------------------------------------------- rainbow

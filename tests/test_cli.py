@@ -379,6 +379,33 @@ def test_exp_hitting(workdir, tmp_path):
     assert dispatch(base) == 2  # one of the two selectors is required
 
 
+@pytest.mark.parametrize("row", ["9", "-1"])
+def test_set_popular_row_is_range_checked(workdir, row):
+    # the n=2 table has rows 0..3; 9 used to raise IndexError and -1 to
+    # pick the last row
+    argv = ["exp", "hitting", "--table", workdir["rnd2"],
+            "--cond-oracle", workdir["o2all"], "--output-oracle", workdir["om1"],
+            "--k", "3", "--alpha", "0", "--set-popular-row", row]
+    assert dispatch(argv) == 2
+
+
+def test_crash_exits_3_with_traceback(workdir, monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "measure_eps_star", crash)
+    argv = ["table", "eps-star", "--table", workdir["rnd2"], "--k", "1", "--d", "0"]
+    assert dispatch(argv) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "KeyError: 'bug'" in err
+
+
+def test_uncovered_condition_is_a_usage_error(workdir, capsys):
+    argv = ["oracle", "query", "--table", workdir["om1"], "--target", "0", "--cond", "1"]
+    assert dispatch(argv) == 2
+    assert "not covered" in capsys.readouterr().err
+
+
 def test_reports_reproducible_from_params(workdir, tmp_path):
     argv = ["table", "eps-star", "--table", workdir["rnd2"], "--k", "1", "--d", "0"]
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -53,7 +53,7 @@ def test_census_monotone_in_alpha(oracle_n5_all):
 def test_census_alpha_validation(oracle_n2_all, oracle_m2_out):
     with pytest.raises(ValueError):
         count_dependent(oracle_n2_all, BitString(2, 0), -1)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="not covered"):
         count_dependent(oracle_m2_out, BitString(2, 0), 0)  # lambda-only table
 
 

@@ -204,7 +204,7 @@ def test_low_l_max_warns_and_marks_not_found():
 
 
 def test_condition_validation(oracle_n2_all):
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="not covered"):
         oracle_n2_all.complexity(BitString.from01("00"), BitString.from01("000"))
     with pytest.raises(ValueError):
         oracle_n2_all.complexity(BitString.from01("0"))

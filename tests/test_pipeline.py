@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from kextract import balance
+from kextract import balance, cli
 from kextract.cli import dispatch
 from kextract.pipeline import (
     STANDARD_N4,
@@ -177,6 +177,21 @@ def test_missing_declared_output_aborts(tmp_path, capsys):
     assert "'gen'" in err and os.path.join(out, "never.json") in err
     assert os.path.exists(os.path.join(out, "t.kext"))  # the step itself ran
     assert not os.path.exists(os.path.join(out, "v.json"))  # later steps did not
+    assert not os.path.exists(os.path.join(out, SUMMARY_NAME))
+
+
+def test_crashing_step_aborts_with_exit_3(tmp_path, monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "measure_eps_star", crash)
+    config_path = str(tmp_path / "tiny.json")
+    with open(config_path, "w") as fh:
+        json.dump(TINY, fh)
+    out = str(tmp_path / "work")
+    assert dispatch(["pipeline", "run", "--config", config_path, "--out-dir", out]) == 3
+    assert "'eps'" in capsys.readouterr().err
+    assert os.path.exists(os.path.join(out, "v.json"))  # the step before ran
     assert not os.path.exists(os.path.join(out, SUMMARY_NAME))
 
 
