@@ -3,14 +3,17 @@
 Every check here is exact over all rectangles B1 x B2 with both sides of
 a fixed size: almost balance, eps* and rainbow balance each maximize a
 per-rectangle score. Two loops walk blocks of row sets B1, where a
-subset-indicator matrix times a one-hot color expansion gives each row
-set's strip (per-column color counts):
+one-hot color expansion times a block of subset-indicator rows gives
+each row set's strip (per-column color counts). Every array keeps the
+color axis first and the row set last: a block's strips are
+strip[M, side, B], so a top-u over colors or columns combines whole
+slices instead of reducing millions of short rows.
 
 - _per_rectangle (the full sweep) multiplies the column-set indicator
-  matrix by the strips to get every rectangle's color census, reduces
-  it to the top u_size colors or to the clipped overshoot
-  sum_z max(c_z - t, 0) with t = 4^k * 2^-(m-d), and keeps the first
-  maximum in row-block order, b2-major within a block.
+  matrix by the strips to get every rectangle's color census
+  [M, #B2, B], reduces it to the top u_size colors or to the clipped
+  overshoot sum_z max(c_z - t, 0) with t = 4^k * 2^-(m-d), and keeps
+  the first maximum in row-block order, b2-major within a block.
 - _per_row_set scores each row set from its strip alone. The decomposed
   sweep fixes B1 and a color set U: the best B2 is then the 2^k columns
   with the most U-cells in the strip, so column sets are never
@@ -18,6 +21,11 @@ set's strip (per-column color counts):
   tries the 2^M - 1 nonempty ones, because
   sum_z max(c_z - t, 0) = max(0, max_U sum_{z in U} c_z - |U| t).
   Rainbow is always scored this way, per column.
+
+Every top-u (colors per rectangle, columns per color set, colors per
+column, then columns for rainbow) is _top_sum over the leading axis: an
+insertion network of elementwise np.maximum/np.minimum passes over
+slices.
 
 The bitset sweep serves eps* when t <= 1 and M <= 64. Every census
 entry is then 0 or at least 1 >= t, so the overshoot is
@@ -32,14 +40,17 @@ the full one when not. Both report the full sweep's almost-balance
 witness: the decomposed sweep runs _per_rectangle on the maximal row
 sets of the first full-sweep block that holds one.
 
-All values are exact. The full sweep's products run in float32: every
-strip entry and census entry is an integer of at most cells = 4^k <=
-2^24 (n <= 12), and every overshoot term and partial sum is a multiple
-of min(1, t) of magnitude at most cells, at most 2^24 steps since
-m - d <= 16, so float32 holds them all and the results do not depend on
-BLAS order or thread count. Its top-u_size reduction partitions the
-censuses as int16, or int32 past 32,767 cells. The decomposed and
-rainbow sweeps keep float64, whose 2^53 bound holds their sums.
+All values are exact. Every matrix product runs in float32. Strip and
+color-set entries count rows of one row set, at most 2^n <= 4096; census
+entries count cells, at most 4^k <= 2^24 (n <= 12). Every overshoot
+term and partial sum is a multiple of min(1, t) of magnitude at most
+cells, at most 2^24 steps since m - d <= 16. So float32 holds them all,
+and the results do not depend on BLAS order or thread count. Top-u
+sums run on integer counts in the smallest dtype that holds the cell
+bound, 4^k for almost balance and K^2 for rainbow: int8 up to 127,
+int16 up to 32,767, int32 past that. Each partial sum of a top-u is at
+most that bound, so none wraps. The decomposed eps* subtracts |U| t
+from the integer sums in float64.
 
 Work is estimated for the sweep that will run before anything is
 allocated: rectangle pairs times colors for the full sweep, row sets
@@ -100,24 +111,25 @@ class BalanceReport:
     u_size: int
 
 
-def _subset_matrix(
-    n_items: int, size: int, dtype: type = np.float64
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
+def _subset_matrix(n_items: int, size: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The size-subsets of range(n_items) in lexicographic order, and their
+    float32 indicator rows."""
     subsets = list(combinations(range(n_items), size))
-    mat = np.zeros((len(subsets), n_items), dtype=dtype)
+    mat = np.zeros((len(subsets), n_items), dtype=np.float32)
     members = np.array(subsets, dtype=np.intp).reshape(len(subsets), size)
     np.put_along_axis(mat, members, 1.0, axis=1)
     return subsets, mat
 
 
 def _one_hot_colors(colors: np.ndarray, num_colors: int, dtype: type) -> np.ndarray:
-    """(N, N*M) with a 1 at column v*M + z iff colors[u, v] == z."""
-    side = colors.shape[0]
-    flat = np.zeros((side, side * num_colors), dtype=dtype)
-    cols = np.arange(side)[None, :] * num_colors + colors.astype(np.int64)
-    rows = np.repeat(np.arange(side)[:, None], side, axis=1)
-    flat[rows.ravel(), cols.ravel()] = 1.0
-    return flat
+    """(M*N, N) with a 1 at row z*N + v, column u iff colors[u, v] == z."""
+    z = np.arange(num_colors).reshape(-1, 1, 1)
+    return (colors.T[None] == z).reshape(-1, colors.shape[0]).astype(dtype)
+
+
+def _count_dtype(bound: int) -> type:
+    """The smallest of int8, int16 and int32 that holds counts up to bound."""
+    return next(t for t in (np.int8, np.int16, np.int32) if bound <= np.iinfo(t).max)
 
 
 def _block_size(row_cost: int, values: int = 1 << 23) -> int:
@@ -135,16 +147,16 @@ def _block_size(row_cost: int, values: int = 1 << 23) -> int:
 def _strip_blocks(
     colors: np.ndarray, num_colors: int, rows_mat: np.ndarray, block: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, strip[B, side, M]) over row-set blocks in order.
+    """Yield (start, strip[M, side, B]) over row-set blocks in order.
 
-    strip[b, v, z] counts the rows of row set start + b colored z in
+    strip[z, v, b] counts the rows of row set start + b colored z in
     column v, in rows_mat's dtype.
     """
     side = colors.shape[0]
     one_hot = _one_hot_colors(colors, num_colors, rows_mat.dtype)
     for start in range(0, rows_mat.shape[0], block):
         chunk = rows_mat[start : start + block]
-        yield start, (chunk @ one_hot).reshape(chunk.shape[0], side, num_colors)
+        yield start, (one_hot @ chunk.T).reshape(num_colors, side, chunk.shape[0])
 
 
 def _per_row_set(
@@ -156,7 +168,7 @@ def _per_row_set(
 ) -> np.ndarray:
     """score(strip) for every row set of rows_mat, in order.
 
-    score maps a block's strips [B, side, M] to one value per row set.
+    score maps a block's strips [M, side, B] to one value per row set.
     """
     return np.concatenate(
         [score(strip) for _, strip in _strip_blocks(colors, num_colors, rows_mat, block)]
@@ -174,20 +186,18 @@ def _per_rectangle(
     rectangles rows_mat[b1] x cols_mat[b2], in row-block order and
     b2-major within a block.
 
-    reduce maps a block's censuses [numB2, B, M], per-color cell counts
+    reduce maps a block's censuses [M, numB2, B], per-color cell counts
     in the matrices' dtype, to one value per rectangle, [numB2, B]. It
     holds the only reference to the census, so it may overwrite it or
     drop it early; with the values freed before the next block, peak
     memory stays at one block's worth.
     """
-    side = colors.shape[0]
     num_cols = cols_mat.shape[0]
     best: tuple[int | float, int, int] = (-math.inf, -1, -1)
     block = _block_size(num_cols * num_colors)
     for start, strip in _strip_blocks(colors, num_colors, rows_mat, block):
-        count = strip.shape[0]
-        flat = strip.transpose(1, 0, 2).reshape(side, -1)
-        values = reduce((cols_mat @ flat).reshape(num_cols, count, num_colors))
+        count = strip.shape[2]
+        values = reduce(np.matmul(cols_mat, strip))
         b2, off = divmod(int(np.argmax(values)), count)
         value = values[b2, off].item()
         del values
@@ -196,14 +206,34 @@ def _per_rectangle(
     return best
 
 
-def _top_sum(arr: np.ndarray, size: int, axis: int) -> np.ndarray:
-    """Sum of the size largest entries along axis."""
-    if size == 1:  # a plain reduction; partitioning short rows costs more
-        return arr.max(axis=axis)
-    cut = arr.shape[axis] - size
-    if cut > 0:
-        arr = np.split(np.partition(arr, cut, axis=axis), [cut], axis=axis)[1]
-    return arr.sum(axis=axis)
+def _top_sum(arr: np.ndarray, size: int) -> np.ndarray:
+    """Sum of the size largest entries along the leading axis, in arr's
+    dtype.
+
+    An insertion network over the slices arr[0], arr[1], ...: top[i]
+    holds the elementwise (i+1)-th largest value seen so far. Each slice
+    walks down the levels; at each, np.maximum keeps the larger value
+    there and np.minimum carries the smaller one on, and the last level
+    only keeps its maximum: 2 * size - 1 elementwise passes per slice.
+    """
+    top: list[np.ndarray] = []
+    spare = np.empty_like(arr[0])
+    low = np.empty_like(arr[0])
+    for x in arr:
+        cur = x
+        for i, level in enumerate(top):
+            if i == size - 1:
+                np.maximum(level, cur, out=level)
+                break
+            np.maximum(level, cur, out=spare)
+            np.minimum(level, cur, out=low)
+            top[i], spare, cur = spare, level, low
+        else:
+            top.append(np.array(cur))  # a copy, also of a 0-d slice
+    total = top[0]
+    for level in top[1:]:
+        total += level
+    return total
 
 
 def _plan(
@@ -248,13 +278,13 @@ def _decomposed(
     enumerated.
     """
     num_colors, num_sets = color_sets.shape
+    counts = _count_dtype(rect * rect)
+    offsets = np.reshape(offsets, (-1, 1))
 
     def score(strip: np.ndarray) -> np.ndarray:
-        count = strip.shape[0]
-        per_col = (strip.reshape(-1, num_colors) @ color_sets).reshape(count, side, -1)
-        per_set = _top_sum(per_col, rect, 1)
-        per_set -= offsets
-        return per_set.max(axis=1)
+        per_col = (color_sets.T @ strip.reshape(num_colors, -1)).astype(counts)
+        per_col = per_col.reshape(num_sets, side, -1).transpose(1, 0, 2)
+        return (_top_sum(per_col, rect) - offsets).max(axis=0)
 
     # Per-row work is small here, so blocks of about 2^17 values cost no
     # time; on the sweep-colors benchmark, which mixes these with full
@@ -302,15 +332,14 @@ def _check_almost(
     side = 1 << table.n
     rect = 1 << k
     num_colors = table.num_colors
-    # partitioning integer censuses is much faster than floats
-    counts = np.int16 if rect * rect <= np.iinfo(np.int16).max else np.int32
+    counts = _count_dtype(rect * rect)
 
     def top_cells(census: np.ndarray) -> np.ndarray:
         census = census.astype(counts)  # drops the float census
-        return _top_sum(census, u_size, 2)
+        return _top_sum(census, u_size)
 
+    subsets, mat = _subset_matrix(side, rect)
     if sweep == "decomposed":
-        subsets, mat = _subset_matrix(side, rect)
         _, sets_mat = _subset_matrix(num_colors, u_size)
         block, score = _decomposed(side, rect, sets_mat.T, 0.0)
         best = _per_row_set(table.colors, num_colors, mat, block, score)
@@ -325,7 +354,6 @@ def _check_almost(
         )
         b1 = int(rows[off])
     else:
-        subsets, mat = _subset_matrix(side, rect, np.float32)
         worst_cells, b1, b2 = _per_rectangle(table.colors, num_colors, mat, mat, top_cells)
 
     grid = table.colors[np.ix_(subsets[b1], subsets[b2])]
@@ -438,17 +466,18 @@ def _eps_star(table: TwoSourceTable, k: int, d: int, sweep: str) -> float:
         side = 1 << table.n
         _, mat = _subset_matrix(side, rect)
         sets = np.arange(1, 1 << num_colors)
-        members = ((sets[None, :] >> np.arange(num_colors)[:, None]) & 1).astype(np.float64)
-        block, score = _decomposed(side, rect, members, members.sum(axis=0) * threshold)
+        members = ((sets[None, :] >> np.arange(num_colors)[:, None]) & 1).astype(np.float32)
+        offsets = members.sum(axis=0, dtype=np.float64) * threshold
+        block, score = _decomposed(side, rect, members, offsets)
         best = _per_row_set(table.colors, num_colors, mat, block, score)
         worst = max(0.0, float(best.max()))
     else:
-        _, mat = _subset_matrix(1 << table.n, rect, np.float32)
+        _, mat = _subset_matrix(1 << table.n, rect)
 
         def overshoot(census: np.ndarray) -> np.ndarray:
             census -= threshold
             np.maximum(census, 0.0, out=census)
-            return census.sum(axis=2)
+            return census.sum(axis=0)
 
         worst = _per_rectangle(table.colors, num_colors, mat, mat, overshoot)[0]
     return worst / cells
@@ -507,20 +536,22 @@ def rainbow_check(
     _guard(2 * num_sets * side * side * num_colors, override)
     subsets, mat = _subset_matrix(side, rect_side)
     block = _block_size(side * num_colors)
+    counts = _count_dtype(rect_side * rect_side)
 
     def cells(strip: np.ndarray) -> np.ndarray:
         # each column's top set_size colors, then the best rect_side columns
-        return _top_sum(_top_sum(strip, set_size, 2), rect_side, 1)
+        return _top_sum(_top_sum(strip.astype(counts), set_size), rect_side)
 
     def one_side(colors: np.ndarray) -> RainbowSide:
         per_set = _per_row_set(colors, num_colors, mat, block, cells)
         b1 = int(np.argmax(per_set))
-        _, (strip,) = next(_strip_blocks(colors, num_colors, mat[b1 : b1 + 1], 1))
-        col_order = np.lexsort((np.arange(side), -_top_sum(strip, set_size, 1)))
+        _, strip = next(_strip_blocks(colors, num_colors, mat[b1 : b1 + 1], 1))
+        strip = strip[:, :, 0]
+        col_order = np.lexsort((np.arange(side), -_top_sum(strip, set_size)))
         chosen = tuple(sorted(int(v) for v in col_order[:rect_side]))
         sets = []
         for v in chosen:
-            z_order = np.lexsort((np.arange(num_colors), -strip[v]))
+            z_order = np.lexsort((np.arange(num_colors), -strip[:, v]))
             sets.append(tuple(sorted(int(z) for z in z_order[:set_size])))
         worst = int(per_set[b1])
         return RainbowSide(

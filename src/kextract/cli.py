@@ -21,6 +21,7 @@ never changes results and is not recorded in reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 
@@ -557,9 +558,15 @@ def cmd_pipeline_run(args) -> int:
     )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser. Parsing leaves it unchanged, so dispatch
+    builds it once per process, not once per call."""
+    return build_parser()
+
+
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (FeasibilityError, FileNotFoundError, ValueError) as exc:

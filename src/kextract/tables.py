@@ -231,6 +231,8 @@ def read_table(path: str):
     version, n, m, flag = struct.unpack_from("<BHHB", blob, 4)
     if version != VERSION:
         raise ValueError(f"unsupported KEXT version {version}")
+    if len(blob) % 2:  # a u16 payload after the 10-byte header
+        raise ValueError("truncated KEXT payload")
     body = np.frombuffer(blob[10:], dtype="<u2")
     if flag == FLAG_TWO_SOURCE:
         if body.size != 1 << (2 * n):

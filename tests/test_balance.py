@@ -191,12 +191,31 @@ def test_counts_past_int16():
     assert measure_eps_star(table, 8, 1) == 0.5
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_subset_matrix_follows_combinations(dtype):
+def test_counts_past_int8():
+    # one 16 x 16 rectangle: 256 cells of one color, past int8's 127
+    table = gen_constant(4, 2, 1)
+    rep = balance_check_almost(table, 4, 0, 0.0, 1)
+    assert rep.worst_cells == 256
+    assert rep.worst_colors == (1,)
+    assert balance._check_almost(table, 4, 0, 0.0, 1, sweep="decomposed") == rep
+    # eps* reads the decomposed sweep's top-u sums directly: (256 - 64) / 256
+    for sweep in ("full", "decomposed"):
+        assert balance._eps_star(table, 4, 0, sweep) == 0.75
+    # one row set of all 128 rows: every column counts 128 cells of the
+    # table's color, and the best 128 columns hold 16,384
+    rb = rainbow_check(gen_constant(7, 1, 1), 128, 1)
+    for one_side in (rb.per_column, rb.per_row):
+        assert one_side.worst_cells == 128 * 128
+        assert one_side.rectangle == Rectangle(tuple(range(128)), tuple(range(128)))
+        assert one_side.color_sets == ((0, 1),) * 128
+    assert rb.passed
+
+
+def test_subset_matrix_follows_combinations():
     for items, size in [(1, 1), (4, 0), (4, 2), (5, 5), (8, 3), (16, 4)]:
-        subsets, mat = balance._subset_matrix(items, size, dtype)
+        subsets, mat = balance._subset_matrix(items, size)
         assert subsets == list(combinations(range(items), size))
-        assert mat.dtype == dtype and mat.shape == (len(subsets), items)
+        assert mat.dtype == np.float32 and mat.shape == (len(subsets), items)
         for sub, row in zip(subsets, mat):
             assert row.tolist() == [float(i in sub) for i in range(items)]
 
@@ -493,6 +512,29 @@ def test_sweeps_match_brute_force_on_random_tables(table, data):
     rb = rainbow_check(table, rect_side, divisor)
     for oriented, one_side in ((table, rb.per_column), (table.transposed(), rb.per_row)):
         assert one_side.worst_cells == brute_rainbow_worst_tuples(oriented, rect_side, divisor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_top_sum_matches_sort(data):
+    dtype = data.draw(st.sampled_from([np.int8, np.int16, np.float64]), label="dtype")
+    length = data.draw(st.integers(1, 70), label="length")
+    size = data.draw(st.integers(1, length + 3), label="size")
+    trailing = data.draw(st.sampled_from([(), (1,), (3,), (2, 5)]), label="trailing")
+    # entries small enough that no sum of them wraps an integer dtype;
+    # float entries are quarters, so every sum is exact in any order
+    bound = {np.int8: 127, np.int16: 32_767, np.float64: 4_000}[dtype] // length
+    palette = data.draw(
+        st.lists(st.integers(-bound, bound), min_size=1, max_size=6), label="palette"
+    )
+    count = length * math.prod(trailing)
+    values = data.draw(st.lists(st.sampled_from(palette), min_size=count, max_size=count))
+    arr = np.array(values, dtype=dtype).reshape(length, *trailing)
+    if dtype is np.float64:
+        arr /= 4
+    got = balance._top_sum(arr, size)
+    assert got.dtype == arr.dtype
+    assert np.array_equal(got, np.sort(arr, axis=0)[-size:].sum(axis=0))
 
 
 @st.composite

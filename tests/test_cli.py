@@ -109,6 +109,31 @@ def test_argparse_usage_errors():
         dispatch([])
 
 
+def test_dispatch_builds_one_parser(monkeypatch, workdir):
+    built = []
+
+    def counting():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    argv = ["table", "eps-star", "--table", workdir["rnd2"], "--k", "1", "--d", "0"]
+    assert dispatch(argv) == 0
+    assert dispatch(argv) == 0
+    assert len(built) == 1 and cli._parser() is built[0]
+
+
+def test_parse_error_leaves_the_parser_usable(workdir):
+    parser = cli._parser()
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["table", "eps-star", "--table", workdir["rnd2"], "--k", "x"])
+    assert exc.value.code == 2
+    argv = ["table", "eps-star", "--table", workdir["rnd2"], "--k", "1", "--d", "0"]
+    assert dispatch(argv) == 0
+    assert cli._parser() is parser
+
+
 def test_override_flag_only_where_a_sweep_is_guarded(workdir, tmp_path):
     unguarded = [
         ["oracle", "query", "--table", workdir["o2all"], "--target", "00"],

@@ -219,12 +219,21 @@ def test_kext_rejects_garbage(tmp_path):
         write_table(object(), str(tmp_path / "x.kext"))
 
 
-@pytest.mark.parametrize("blob", [b"KEXT", b"KEXT\x01\x02"], ids=["4-byte", "6-byte"])
-def test_kext_truncated_header_is_a_usage_error(tmp_path, blob):
+@pytest.mark.parametrize(
+    "blob, part",
+    [
+        (b"KEXT", "header"),
+        (b"KEXT\x01\x02", "header"),
+        # an n=1 grid needs 4 u16 colors; 7 bytes is not a whole number
+        (b"KEXT\x01\x01\x00\x01\x00\x00" + bytes(7), "payload"),
+    ],
+    ids=["4-byte", "6-byte", "odd-payload"],
+)
+def test_kext_truncated_header_is_a_usage_error(tmp_path, blob, part):
     path = str(tmp_path / "short.kext")
     with open(path, "wb") as fh:
         fh.write(blob)
-    with pytest.raises(ValueError, match="truncated KEXT header"):
+    with pytest.raises(ValueError, match=f"truncated KEXT {part}"):
         read_table(path)
     code = dispatch(["table", "verify", "--table", path, "--mode", "almost", "--k", "1"])
     assert code == 2
