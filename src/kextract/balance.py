@@ -2,69 +2,60 @@
 
 Every check here is exact over all rectangles B1 x B2 with both sides of
 a fixed size: almost balance, eps* and rainbow balance each maximize a
-per-rectangle score. Two loops walk blocks of row sets B1, where a
-one-hot color expansion times a block of subset-indicator rows gives
-each row set's strip (per-column color counts). Every array keeps the
-color axis first and the row set last: a block's strips are
-strip[M, side, B], so a top-u over colors or columns combines whole
-slices instead of reducing millions of short rows.
+per-rectangle score. _per_row_set walks blocks of row sets B1; a one-hot
+color expansion times a block of subset-indicator rows gives each row
+set's strip (per-column color counts), strip[M, side, B]. Every array
+keeps the color axis first and the row set last, so each top-u
+(_top_sum, an insertion network of np.maximum/np.minimum passes)
+combines whole slices instead of reducing millions of short rows.
 
-- _per_rectangle (the full sweep) multiplies the column-set indicator
-  matrix by the strips to get every rectangle's color census
-  [M, #B2, B], reduces it to the top u_size colors or to the clipped
-  overshoot sum_z max(c_z - t, 0) with t = 4^k * 2^-(m-d), and keeps
-  the first maximum in row-block order, b2-major within a block.
-- _per_row_set scores each row set from its strip alone. The decomposed
-  sweep fixes B1 and a color set U: the best B2 is then the 2^k columns
-  with the most U-cells in the strip, so column sets are never
-  enumerated. Almost balance tries the C(2^m, u_size) color sets; eps*
-  tries the 2^M - 1 nonempty ones, because
+- The full sweep builds every census [M, #B2, B] with one integer
+  subset tree over columns (_subset_tree with np.add), a chunk at a
+  time, reduces it to the top u_size colors or to the cells past a cap,
+  and keeps each row set's best column set. No census is ever float32.
+- The decomposed sweep fixes B1 and a color set U: the best B2 is then
+  the 2^k columns with the most U-cells in the strip, so column sets are
+  never enumerated. Almost balance tries the C(2^m, u_size) color sets;
+  eps* the 2^M - 1 nonempty ones, because
   sum_z max(c_z - t, 0) = max(0, max_U sum_{z in U} c_z - |U| t).
   Rainbow is always scored this way, per column.
+- The bitset sweep serves eps* when t <= 1 and M <= 64: the overshoot is
+  then cells - t * (distinct colors in the rectangle). The same tree
+  with np.bitwise_or over uint64 color bits gives one mask per row set
+  and column, then per rectangle; its popcount counts the colors.
 
-Every top-u (colors per rectangle, columns per color set, colors per
-column, then columns for rainbow) is _top_sum over the leading axis: an
-insertion network of elementwise np.maximum/np.minimum passes over
-slices.
-
-The bitset sweep serves eps* when t <= 1 and M <= 64. Every census
-entry is then 0 or at least 1 >= t, so the overshoot is
-cells - t * (number of distinct colors in the rectangle). Each cell
-becomes the uint64 bit of its color; an OR tree over subsets gives one
-color mask per row set and column, then one per rectangle, whose
-popcount is its number of distinct colors.
-
-The bitset sweep runs whenever it applies. Otherwise the decomposed
+The bitset sweep runs whenever it applies; otherwise the decomposed
 sweep runs when there are strictly fewer color sets than row sets, and
-the full one when not. Both report the full sweep's almost-balance
-witness: the decomposed sweep runs _per_rectangle on the maximal row
-sets of the first full-sweep block that holds one.
+the full one when not. Both almost-balance sweeps share one witness
+step. The witness is defined by logical blocks of
+_block_size(#column sets x M) row sets: it is the first maximum in block
+order, b2-major within a block. The step forms, with the same tree, the
+censuses of the maximal row sets of the first logical block that holds
+one. The full sweep's physical blocks are sized from the tree's working
+set instead, and never move the witness.
 
-All values are exact. Every matrix product runs in float32. Strip and
-color-set entries count rows of one row set, at most 2^n <= 4096; census
-entries count cells, at most 4^k <= 2^24 (n <= 12). Every overshoot
-term and partial sum is a multiple of min(1, t) of magnitude at most
-cells, at most 2^24 steps since m - d <= 16. So float32 holds them all,
-and the results do not depend on BLAS order or thread count. Top-u
-sums run on integer counts in the smallest dtype that holds the cell
-bound, 4^k for almost balance and K^2 for rainbow: int8 up to 127,
-int16 up to 32,767, int32 past that. Each partial sum of a top-u is at
-most that bound, so none wraps. The decomposed eps* subtracts |U| t
-from the integer sums in float64.
+All values are exact. Strip entries count rows of one row set, at most
+2^n <= 4096, so their float32 products are exact. Censuses are summed in
+the smallest of int8, int16 and int32 that holds the cell bound, 4^k for
+almost balance and eps* and K^2 for rainbow, and no top-u or partial sum
+exceeds it. The decomposed sweep's float32 color-set products count at
+most 4^k <= 2^24 cells (n <= 12); its eps* subtracts |U| t in float64.
 
 Work is estimated for the sweep that will run before anything is
-allocated: rectangle pairs times colors for the full sweep, row sets
-times the strip and color-set products for the decomposed one, row sets
-times the ORs of the column-subset tree for the bitset one, and both
-orientations' strip products (row sets x 2^n x 2^n x M each) for
-rainbow. Runs past OPS_LIMIT are refused unless explicitly overridden.
+allocated: rectangle pairs times colors for the full sweep (the tree
+still forms #row sets^2 x M census entries), row sets times the strip
+and color-set products for the decomposed one, row sets times the ORs of
+every column subset of size 1..2^k for the bitset one (more than the
+tree forms), and both orientations' strip products (row sets x 2^n x 2^n
+x M each) for rainbow. Runs past OPS_LIMIT are refused unless explicitly
+overridden.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -111,14 +102,54 @@ class BalanceReport:
     u_size: int
 
 
-def _subset_matrix(n_items: int, size: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The size-subsets of range(n_items) in lexicographic order, and their
-    float32 indicator rows."""
-    subsets = list(combinations(range(n_items), size))
-    mat = np.zeros((len(subsets), n_items), dtype=np.float32)
-    members = np.array(subsets, dtype=np.intp).reshape(len(subsets), size)
+def _subset_matrix(n_items: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The size-subsets of range(n_items) in lexicographic order: their
+    members [#subsets, size] and float32 indicator rows [#subsets, n_items]."""
+    count = math.comb(n_items, size)
+    flat = chain.from_iterable(combinations(range(n_items), size))
+    members = np.fromiter(flat, np.intp, count * size).reshape(count, size)
+    mat = np.zeros((count, n_items), dtype=np.float32)
     np.put_along_axis(mat, members, 1.0, axis=1)
-    return subsets, mat
+    return members, mat
+
+
+def _subset_tree(items: np.ndarray, size: int, op: np.ufunc) -> Iterator[np.ndarray]:
+    """op folded over items[:, i] for every size-subset i of axis 1, in
+    lexicographic order, as chunks [items.shape[0], #subsets, ...].
+
+    The j-subsets that start at item v are items[:, v] combined with the
+    (j-1)-subsets that start after v, a suffix of level j-1. Level j keeps
+    only the subsets whose first item is at least size - j, which can
+    still be extended to size items, so the tree costs about
+    C(n + 1, size) ops for n items, not sum_j C(n, j). The last level
+    passes through one reused buffer: a chunk holds only until the next
+    is drawn, and may be a view of items, so callers must not write to it.
+    """
+    lead, n, rest = items.shape[0], items.shape[1], items.shape[2:]
+    if size <= 1:
+        yield items if size else np.zeros((lead, 1, *rest), items.dtype)
+        return
+    level = items[:, size - 1 :]
+    for j in range(2, size):
+        nxt = np.empty((lead, math.comb(n - size + j, j), *rest), items.dtype)
+        pos = 0
+        for v in range(size - j, n - j + 1):
+            count = math.comb(n - 1 - v, j - 1)
+            op(level[:, -count:], items[:, v : v + 1], out=nxt[:, pos : pos + count])
+            pos += count
+        level = nxt
+    # one buffer, as large as the first chunk, spares an allocation (and
+    # its page faults) per chunk; packing the smaller ones spares calls
+    last = np.empty((lead, math.comb(n - 1, size - 1), *rest), items.dtype)
+    pos = 0
+    for v in range(n - size + 1):
+        count = math.comb(n - 1 - v, size - 1)
+        if pos + count > last.shape[1]:
+            yield last[:, :pos]
+            pos = 0
+        op(level[:, -count:], items[:, v : v + 1], out=last[:, pos : pos + count])
+        pos += count
+    yield last[:, :pos]
 
 
 def _one_hot_colors(colors: np.ndarray, num_colors: int, dtype: type) -> np.ndarray:
@@ -137,9 +168,10 @@ def _block_size(row_cost: int, values: int = 1 << 23) -> int:
 
     The block size depends only on the problem dimensions: row_cost is
     how many values the caller expands each row set into (column sets x
-    M for rectangle censuses, side x M for rainbow, side x max(M, #color
-    sets) for the decomposed sweep), so a block's working set stays near
-    the given number of values.
+    M for the witness's logical blocks, the column tree's working set
+    for the full sweep, side x M for rainbow, side x max(M, #color sets)
+    for the decomposed one), so a block's working set stays near the
+    given number of values.
     """
     return max(1, min(4096, values // row_cost))
 
@@ -160,50 +192,42 @@ def _strip_blocks(
 
 
 def _per_row_set(
-    colors: np.ndarray,
-    num_colors: int,
-    rows_mat: np.ndarray,
-    block: int,
+    colors: np.ndarray, num_colors: int, rows_mat: np.ndarray, block: int,
     score: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """score(strip) for every row set of rows_mat, in order.
-
-    score maps a block's strips [M, side, B] to one value per row set.
-    """
+    """score(strip) for every row set of rows_mat, in order: score maps a
+    block's strips [M, side, B] to one value per row set."""
     return np.concatenate(
         [score(strip) for _, strip in _strip_blocks(colors, num_colors, rows_mat, block)]
     )
 
 
-def _per_rectangle(
-    colors: np.ndarray,
-    num_colors: int,
-    rows_mat: np.ndarray,
-    cols_mat: np.ndarray,
-    reduce: Callable[[np.ndarray], np.ndarray],
-) -> tuple[int | float, int, int]:
-    """(value, b1, b2) of the first maximum of reduce(census) over the
-    rectangles rows_mat[b1] x cols_mat[b2], in row-block order and
-    b2-major within a block.
+def _censuses(strip: np.ndarray, rect: int) -> Iterator[np.ndarray]:
+    """The census [M, #B2, B] of every rect-column set on the strips
+    [M, side, B], in column-set order, in the count dtype of rect^2 cells."""
+    return _subset_tree(strip.astype(_count_dtype(rect * rect)), rect, np.add)
 
-    reduce maps a block's censuses [M, numB2, B], per-color cell counts
-    in the matrices' dtype, to one value per rectangle, [numB2, B]. It
-    holds the only reference to the census, so it may overwrite it or
-    drop it early; with the values freed before the next block, peak
-    memory stays at one block's worth.
+
+def _full(
+    colors: np.ndarray, num_colors: int, rows_mat: np.ndarray, rect: int,
+    score: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """The full sweep: for every row set of rows_mat, the most
+    score(census) over its rectangles. score maps a chunk of integer
+    censuses [M, #B2, B] to one value per rectangle, [#B2, B].
+
+    A block's tree holds a level below rect and one last-level chunk,
+    each at most C(side - 1, rect - 1) censuses per color and row set.
     """
-    num_cols = cols_mat.shape[0]
-    best: tuple[int | float, int, int] = (-math.inf, -1, -1)
-    block = _block_size(num_cols * num_colors)
-    for start, strip in _strip_blocks(colors, num_colors, rows_mat, block):
-        count = strip.shape[2]
-        values = reduce(np.matmul(cols_mat, strip))
-        b2, off = divmod(int(np.argmax(values)), count)
-        value = values[b2, off].item()
-        del values
-        if value > best[0]:
-            best = (value, start + off, b2)
-    return best
+    side = colors.shape[0]
+
+    def best(strip: np.ndarray) -> np.ndarray:
+        return np.max([score(census).max(axis=0) for census in _censuses(strip, rect)], axis=0)
+
+    # On sweep-colors' m=6 u=4 job (2-core Xeon) these blocks of 576 row
+    # sets ran 1.6x faster than blocks of 72.
+    block = _block_size(2 * math.comb(side - 1, rect - 1) * num_colors, 1 << 25)
+    return _per_row_set(colors, num_colors, rows_mat, block, best)
 
 
 def _top_sum(arr: np.ndarray, size: int) -> np.ndarray:
@@ -247,8 +271,8 @@ def _plan(
     """Guard the sweep that will run and return its name.
 
     distinct says the reduction is a distinct-color count over at most
-    64 colors: the bitset sweep then costs one OR per column subset of
-    size 1..rect, for each row set (plus the same tree once over rows).
+    64 colors: the bitset sweep then costs at most one OR per column
+    subset of size 1..rect, for each row set (and once over rows).
     Otherwise the decomposed sweep, which costs the strip product plus
     the color-set product per row set, runs when there are fewer color
     sets than row sets, and the full sweep costs a census per rectangle.
@@ -286,10 +310,8 @@ def _decomposed(
         per_col = per_col.reshape(num_sets, side, -1).transpose(1, 0, 2)
         return (_top_sum(per_col, rect) - offsets).max(axis=0)
 
-    # Per-row work is small here, so blocks of about 2^17 values cost no
-    # time; on the sweep-colors benchmark, which mixes these with full
-    # sweeps in one process, they measured ~10 MB less peak RSS than
-    # 2^23-value blocks.
+    # Per-row work is small here: blocks of 2^17 values cost no time and,
+    # on sweep-colors, ~10 MB less peak RSS than 2^23-value blocks.
     return _block_size(side * max(num_colors, num_sets), 1 << 17), score
 
 
@@ -311,6 +333,8 @@ def balance_check_almost(
     exact and ties break toward the earliest rectangle and smallest
     colors.
     """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     side = 1 << table.n
     rect = 1 << k
     num_colors = table.num_colors
@@ -318,8 +342,8 @@ def balance_check_almost(
         raise ValueError("rectangle side exceeds the table")
     if not 1 <= u_size <= num_colors:
         raise ValueError("u_size must be in [1, 2^m]")
-    if eps < 0 or d < 0:
-        raise ValueError("eps and d must be nonnegative")
+    if not math.isfinite(eps) or eps < 0 or d < 0:
+        raise ValueError("eps must be finite and nonnegative, and d nonnegative")
     sweep = _plan(side, rect, num_colors, math.comb(num_colors, u_size), override)
     return _check_almost(table, k, d, eps, u_size, sweep)
 
@@ -332,31 +356,28 @@ def _check_almost(
     side = 1 << table.n
     rect = 1 << k
     num_colors = table.num_colors
-    counts = _count_dtype(rect * rect)
 
     def top_cells(census: np.ndarray) -> np.ndarray:
-        census = census.astype(counts)  # drops the float census
         return _top_sum(census, u_size)
 
-    subsets, mat = _subset_matrix(side, rect)
+    members, mat = _subset_matrix(side, rect)
     if sweep == "decomposed":
         _, sets_mat = _subset_matrix(num_colors, u_size)
         block, score = _decomposed(side, rect, sets_mat.T, 0.0)
         best = _per_row_set(table.colors, num_colors, mat, block, score)
-        # The full sweep's witness lies in the first of its row blocks
-        # that holds a maximal row set, so only that block's maximal row
-        # sets get full censuses against every column set.
-        full_block = _block_size(len(subsets) * num_colors)
-        start = int(np.argmax(best)) // full_block * full_block
-        rows = start + np.flatnonzero(best[start : start + full_block] == best.max())
-        worst_cells, off, b2 = _per_rectangle(
-            table.colors, num_colors, mat[rows], mat, top_cells
-        )
-        b1 = int(rows[off])
     else:
-        worst_cells, b1, b2 = _per_rectangle(table.colors, num_colors, mat, mat, top_cells)
+        best = _full(table.colors, num_colors, mat, rect, top_cells)
+    # only the maximal row sets of the witness's logical block get censuses
+    block = _block_size(len(members) * num_colors)
+    start = int(np.argmax(best)) // block * block
+    rows = start + np.flatnonzero(best[start : start + block] == best.max())
+    _, strip = next(_strip_blocks(table.colors, num_colors, mat[rows], len(rows)))
+    values = np.concatenate([top_cells(census) for census in _censuses(strip, rect)])
+    b2, off = divmod(int(np.argmax(values)), len(rows))
+    worst_cells = int(values[b2, off])
+    b1 = int(rows[off])
 
-    grid = table.colors[np.ix_(subsets[b1], subsets[b2])]
+    grid = table.colors[np.ix_(members[b1], members[b2])]
     census_row = np.bincount(grid.ravel().astype(np.int64), minlength=num_colors)
     order = np.lexsort((np.arange(num_colors), -census_row))
     worst_colors = tuple(sorted(int(z) for z in order[:u_size]))
@@ -367,36 +388,14 @@ def _check_almost(
         bound=bound,
         worst_fraction=fraction,
         worst_cells=worst_cells,
-        worst_rectangle=Rectangle(subsets[b1], subsets[b2]),
+        worst_rectangle=Rectangle(tuple(members[b1].tolist()), tuple(members[b2].tolist())),
         worst_colors=worst_colors,
-        rectangle_pairs=len(subsets) ** 2,
+        rectangle_pairs=len(members) ** 2,
         k=k,
         d=d,
         eps=eps,
         u_size=u_size,
     )
-
-
-def _subset_ors(masks: np.ndarray, size: int) -> np.ndarray:
-    """OR of masks[i] over every size-subset of the leading axis, in
-    colex order: [C(len(masks), size), *masks.shape[1:]].
-
-    The tree is built level by level. In colex order the (j-1)-subsets
-    whose largest item is below v are the first C(v, j-1), so the
-    j-subsets ending at v are that prefix ORed with masks[v]: one OR per
-    subset of size at most size.
-    """
-    items = masks.shape[0]
-    level = np.zeros((1,) + masks.shape[1:], dtype=masks.dtype)
-    for j in range(1, size + 1):
-        nxt = np.empty((math.comb(items, j),) + masks.shape[1:], dtype=masks.dtype)
-        pos = 0
-        for v in range(j - 1, items):
-            count = math.comb(v, j - 1)
-            np.bitwise_or(level[:count], masks[v], out=nxt[pos : pos + count])
-            pos += count
-        level = nxt
-    return level
 
 
 def _min_distinct(colors: np.ndarray, rect: int) -> int:
@@ -408,13 +407,16 @@ def _min_distinct(colors: np.ndarray, rect: int) -> int:
     number of colors.
     """
     bits = np.left_shift(np.uint64(1), colors.astype(np.uint64))
-    row_sets = _subset_ors(bits, rect)
+    row_sets = np.concatenate(
+        [masks[0].copy() for masks in _subset_tree(bits[None], rect, np.bitwise_or)]
+    )
     fewest = rect * rect
     # blocks of about 2^20 rectangle masks (8 MB) per level
     block = _block_size(math.comb(colors.shape[0], rect), 1 << 20)
     for start in range(0, row_sets.shape[0], block):
         cols = np.ascontiguousarray(row_sets[start : start + block].T)
-        fewest = min(fewest, int(np.bitwise_count(_subset_ors(cols, rect)).min()))
+        for masks in _subset_tree(cols[None], rect, np.bitwise_or):
+            fewest = min(fewest, int(np.bitwise_count(masks).min()))
     return fewest
 
 
@@ -432,6 +434,8 @@ def measure_eps_star(
     the clipped overshoot above mass 2^-(m-d). Cell censuses are dyadic
     integers scaled by the rectangle size, so the maximum is exact.
     """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     side = 1 << table.n
     rect = 1 << k
     num_colors = table.num_colors
@@ -450,37 +454,33 @@ def measure_eps_star(
 def _eps_star(table: TwoSourceTable, k: int, d: int, sweep: str) -> float:
     """measure_eps_star on the named sweep, unguarded.
 
-    With t = cells * 2^-(m-d), the decomposed sweep uses
-    sum_z max(c_z - t, 0) = max(0, max over nonempty U of
-    sum_{z in U} c_z - |U| t), and the bitset sweep, valid for t <= 1
-    and at most 64 colors, uses cells - t * (distinct colors).
+    With t = cells * 2^-(m-d), sum_z max(c_z - t, 0) is
+    max(0, max_U sum_{z in U} c_z - |U| t) in the decomposed sweep and
+    cells - sum_z min(c_z, t) in the others. t is a power of two; below 1
+    the last sum is t times the number of colors present, which the
+    bitset sweep counts.
     """
     rect = 1 << k
     num_colors = table.num_colors
     cells = rect * rect
     threshold = cells * 2.0 ** (-(table.m - d))
-
     if sweep == "bitset":
-        worst = cells - threshold * _min_distinct(table.colors, rect)
-    elif sweep == "decomposed":
-        side = 1 << table.n
-        _, mat = _subset_matrix(side, rect)
+        return (cells - threshold * _min_distinct(table.colors, rect)) / cells
+    _, mat = _subset_matrix(1 << table.n, rect)
+    if sweep == "decomposed":
         sets = np.arange(1, 1 << num_colors)
-        members = ((sets[None, :] >> np.arange(num_colors)[:, None]) & 1).astype(np.float32)
-        offsets = members.sum(axis=0, dtype=np.float64) * threshold
-        block, score = _decomposed(side, rect, members, offsets)
+        in_set = ((sets[None, :] >> np.arange(num_colors)[:, None]) & 1).astype(np.float32)
+        offsets = in_set.sum(axis=0, dtype=np.float64) * threshold
+        block, score = _decomposed(1 << table.n, rect, in_set, offsets)
         best = _per_row_set(table.colors, num_colors, mat, block, score)
-        worst = max(0.0, float(best.max()))
-    else:
-        _, mat = _subset_matrix(1 << table.n, rect)
+        return max(0.0, float(best.max())) / cells
+    cap = max(1, int(threshold))
 
-        def overshoot(census: np.ndarray) -> np.ndarray:
-            census -= threshold
-            np.maximum(census, 0.0, out=census)
-            return census.sum(axis=0)
+    def uncovered(census: np.ndarray) -> np.ndarray:
+        return -np.minimum(census, cap).sum(axis=0, dtype=census.dtype)
 
-        worst = _per_rectangle(table.colors, num_colors, mat, mat, overshoot)[0]
-    return worst / cells
+    covered = -int(_full(table.colors, num_colors, mat, rect, uncovered).max())
+    return (cells - min(threshold, 1.0) * covered) / cells
 
 
 @dataclass(frozen=True)
@@ -534,7 +534,7 @@ def rainbow_check(
     set_size = max(1, num_colors // divisor)
     num_sets = math.comb(side, rect_side)
     _guard(2 * num_sets * side * side * num_colors, override)
-    subsets, mat = _subset_matrix(side, rect_side)
+    members, mat = _subset_matrix(side, rect_side)
     block = _block_size(side * num_colors)
     counts = _count_dtype(rect_side * rect_side)
 
@@ -557,7 +557,7 @@ def rainbow_check(
         return RainbowSide(
             passed=worst * divisor <= 2 * rect_side * rect_side,
             worst_cells=worst,
-            rectangle=Rectangle(subsets[b1], chosen),
+            rectangle=Rectangle(tuple(members[b1].tolist()), chosen),
             color_sets=tuple(sets),
         )
 

@@ -13,6 +13,7 @@ as the entry, and report fields carry from_bound of such a floor.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -109,6 +110,8 @@ def dependent_census_sweep(
 ) -> CensusSweepReport:
     """Census every x; optionally gate the fitted constant against a
     committed calibration value."""
+    if committed_max_c is not None and not math.isfinite(committed_max_c):
+        raise ValueError("committed max_c must be finite")
     n = table.n
     member, indeterminate = _dependent(table, all_strings(n), alpha)
     censuses = [

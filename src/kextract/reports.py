@@ -75,12 +75,14 @@ def report_bytes(report: dict, drop_timestamp: bool = False) -> bytes:
     doc = _jsonable(report)
     if drop_timestamp:
         doc = {k: v for k, v in doc.items() if k != "generated_at"}
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    # NaN and Infinity are not JSON: refuse them rather than write them
+    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 def write_report(report: dict, path: str) -> None:
+    data = report_bytes(report)  # before opening, so a refusal leaves no file
     with open(path, "wb") as fh:
-        fh.write(report_bytes(report))
+        fh.write(data)
 
 
 def load_report(path: str) -> dict:

@@ -382,6 +382,27 @@ def brute_balance_worst(table, k: int, u_size: int) -> int:
     return worst
 
 
+def brute_almost_witness(table, k: int, u_size: int, block: int):
+    """(cells, rows, cols, colors) of almost balance's witness: the first
+    rectangle with the most cells in its u_size most frequent colors,
+    taking row sets in blocks of `block` and, within a block, every row
+    set of the block for each column set in turn (b2-major). colors are
+    those u_size colors, ties toward the smaller color."""
+    side = 1 << table.n
+    rect = 1 << k
+    row_sets = list(combinations(range(side), rect))
+    best = None
+    for start in range(0, len(row_sets), block):
+        for cols in combinations(range(side), rect):
+            for rows in row_sets[start : start + block]:
+                counts = rect_census(table.colors, rows, cols, table.num_colors)
+                top = sorted(range(table.num_colors), key=lambda z: (-counts[z], z))[:u_size]
+                cells = sum(counts[z] for z in top)
+                if best is None or cells > best[0]:
+                    best = (cells, rows, cols, tuple(sorted(top)))
+    return best
+
+
 def brute_eps_star(table, k: int, d: int) -> float:
     """Max clipped overshoot via explicit push-forward distributions."""
     side = 1 << table.n

@@ -1,11 +1,13 @@
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
+    brute_almost_witness,
     brute_balance_worst,
     brute_eps_star,
     brute_rainbow_worst_tuples,
@@ -213,11 +215,25 @@ def test_counts_past_int8():
 
 def test_subset_matrix_follows_combinations():
     for items, size in [(1, 1), (4, 0), (4, 2), (5, 5), (8, 3), (16, 4)]:
-        subsets, mat = balance._subset_matrix(items, size)
+        members, mat = balance._subset_matrix(items, size)
+        subsets = [tuple(row) for row in members.tolist()]
         assert subsets == list(combinations(range(items), size))
+        assert members.shape == (len(subsets), size)
         assert mat.dtype == np.float32 and mat.shape == (len(subsets), items)
         for sub, row in zip(subsets, mat):
             assert row.tolist() == [float(i in sub) for i in range(items)]
+
+
+@pytest.mark.parametrize("items, size", [(1, 1), (4, 0), (5, 5), (16, 4), (16, 8), (256, 256)])
+def test_subset_tree_follows_combinations(items, size):
+    rng = np.random.default_rng(items * 31 + size)
+    counts = rng.integers(0, 100, (2, items, 3))
+    masks = rng.integers(0, 1 << 62, (1, items, 2)).astype(np.uint64)
+    for arr, op in ((counts, np.add), (masks, np.bitwise_or)):
+        got = np.concatenate([c.copy() for c in balance._subset_tree(arr, size, op)], axis=1)
+        want = [op.reduce(arr[:, list(sub)], axis=1) for sub in combinations(range(items), size)]
+        assert got.dtype == arr.dtype
+        assert np.array_equal(got, np.stack(want, axis=1))
 
 
 # ---------------------------------------------------------- guard rail
@@ -319,15 +335,91 @@ def test_decomposed_sweeps_equal_full_sweeps(table, k):
             assert balance._eps_star(table, k, d, sweep="bitset") == full
 
 
+def _witness(table, k, u_size, block):
+    """brute_almost_witness in the shape of a BalanceReport's fields."""
+    cells, rows, cols, colors = brute_almost_witness(table, k, u_size, block)
+    return cells, Rectangle(rows, cols), colors
+
+
+def _report_witness(rep):
+    return rep.worst_cells, rep.worst_rectangle, rep.worst_colors
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
 def test_decomposed_witness_with_small_blocks(monkeypatch, block):
-    """Blocks of a few row sets put the full sweep's first maximum at any
-    place in its block, so a witness block one row set off moves it."""
+    """Logical blocks of a few row sets put the first maximum at any place
+    in its block, so a witness block one row set off moves it; both
+    sweeps must find the reference's witness."""
     monkeypatch.setattr(balance, "_block_size", lambda row_cost, values=0: block)
     for table in (gen_inner_product(3), gen_random(3, 2, 5), gen_gf2_mult(3, 3)):
-        for u_size in range(1, table.num_colors + 1):
-            full = balance._check_almost(table, 2, 0, 0.0, u_size, sweep="full")
-            assert balance._check_almost(table, 2, 0, 0.0, u_size, sweep="decomposed") == full
+        for u_size in sorted({1, 2, table.num_colors}):
+            want = _witness(table, 2, u_size, block)
+            for sweep in ("full", "decomposed"):
+                rep = balance._check_almost(table, 2, 0, 0.0, u_size, sweep)
+                assert _report_witness(rep) == want
+
+
+@st.composite
+def witness_tables(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    side = 1 << n
+    palette = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=4))
+    cells = draw(
+        st.lists(st.sampled_from(palette), min_size=side * side, max_size=side * side)
+    )
+    return TwoSourceTable(n, m, np.array(cells).reshape(side, side))
+
+
+@settings(max_examples=40, deadline=None)
+@given(witness_tables(), st.data())
+def test_witness_does_not_depend_on_the_physical_block(table, data):
+    """The logical block (_block_size's default budget) defines the
+    witness; the sweeps' own blocks (other budgets) are free."""
+    k = data.draw(st.integers(1, min(2, table.n)), label="k")
+    u_size = data.draw(st.integers(1, table.num_colors), label="u_size")
+    logical = data.draw(st.integers(1, 9), label="logical")
+    physical = data.draw(st.integers(1, 9), label="physical")
+
+    def block_size(row_cost, values=1 << 23):
+        return logical if values == 1 << 23 else physical
+
+    want = _witness(table, k, u_size, logical)
+    with mock.patch.object(balance, "_block_size", block_size):
+        for sweep in ("full", "decomposed"):
+            rep = balance._check_almost(table, k, 0, 0.0, u_size, sweep)
+            assert _report_witness(rep) == want
+
+
+@pytest.mark.parametrize(
+    "table, k",
+    [
+        pytest.param(gen_random(3, 2, 21), 3, id="n3-k3"),
+        pytest.param(gen_random(3, 2, 21), 2, id="n3-k2"),
+        pytest.param(gen_random(4, 1, 22), 4, id="n4-k4"),
+        pytest.param(gen_random(4, 1, 22), 3, id="n4-k3"),
+    ],
+)
+def test_sweeps_at_the_largest_rectangles(table, k):
+    """k = n and k = n - 1: the column tree keeps only the subsets whose
+    first item leaves room for the rest, which prunes most at these sizes.
+    n4-k3 has 1.7e8 rectangles, past the brute force, so there the full
+    and decomposed sweeps only meet each other."""
+    side, rect = table.side, 1 << k
+    brute = math.comb(side, rect) <= 70
+    block = balance._block_size(math.comb(side, rect) * table.num_colors)
+    for u_size in range(1, table.num_colors + 1):
+        full = balance._check_almost(table, k, 0, 0.0, u_size, sweep="full")
+        assert balance._check_almost(table, k, 0, 0.0, u_size, sweep="decomposed") == full
+        if brute:
+            assert _report_witness(full) == _witness(table, k, u_size, block)
+    for d in range(table.m + 1):
+        full = balance._eps_star(table, k, d, sweep="full")
+        assert balance._eps_star(table, k, d, sweep="decomposed") == full
+        if 2 * k + d <= table.m:
+            assert balance._eps_star(table, k, d, sweep="bitset") == full
+        if brute:
+            assert full == pytest.approx(brute_eps_star(table, k, d), abs=1e-12)
 
 
 # -------------------------------------------------------------- rainbow

@@ -264,6 +264,36 @@ def test_table_verify_almost(workdir, tmp_path):
                      "almost", "--k", "1"]) == 2  # single-source table
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "verify", "--mode", "almost", "--k", "1", "--eps", "nan",
+          "--u-size", "1"], "eps must be finite"),
+        (["table", "verify", "--mode", "almost", "--k", "1", "--eps", "inf"],
+         "eps must be finite"),
+        (["table", "verify", "--mode", "almost", "--k", "-1"], "k must be nonnegative"),
+        (["table", "eps-star", "--k", "-1", "--d", "0"], "k must be nonnegative"),
+    ],
+)
+def test_balance_parameters_are_checked(workdir, tmp_path, capsys, argv, message):
+    """A NaN eps used to pass every check (not fraction > nan) and write
+    "bound": NaN; neither it nor an infinite eps is a bound."""
+    out = tmp_path / "bad.json"
+    argv = argv[:2] + ["--table", workdir["ip2"]] + argv[2:] + ["--out", str(out)]
+    assert dispatch(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("max_c", ["inf", "nan"])
+def test_committed_max_c_must_be_finite(workdir, tmp_path, capsys, max_c):
+    out = tmp_path / "bad.json"
+    assert dispatch(["exp", "dep-census", "--oracle", workdir["o2all"], "--alpha", "0",
+                     "--max-c", max_c, "--out", str(out)]) == 2
+    assert "max_c must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_table_verify_rainbow(workdir, tmp_path):
     out = str(tmp_path / "r.json")
     assert dispatch(["table", "verify", "--table", workdir["rnd2"], "--mode",

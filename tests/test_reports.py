@@ -2,6 +2,7 @@ import dataclasses
 import json
 
 import numpy as np
+import pytest
 
 from kextract.bits import BitString
 from kextract.oracle import NOT_FOUND
@@ -95,3 +96,12 @@ def test_comparable_bytes_ignores_timestamp(tmp_path):
     pc = str(tmp_path / "c.json")
     write_report(c, pc)
     assert comparable_bytes(pa) != comparable_bytes(pc)
+
+
+def test_non_finite_values_are_refused(tmp_path):
+    path = tmp_path / "r.json"
+    for value in (float("nan"), float("inf"), np.float64("-inf")):
+        rep = build_report("demo x", {"eps": value}, {"value": 1}, [assertion("ok", True)])
+        with pytest.raises(ValueError):
+            write_report(rep, str(path))
+        assert not path.exists()
