@@ -44,11 +44,10 @@ most 4^k <= 2^24 cells (n <= 12); its eps* subtracts |U| t in float64.
 Work is estimated for the sweep that will run before anything is
 allocated: rectangle pairs times colors for the full sweep (the tree
 still forms #row sets^2 x M census entries), row sets times the strip
-and color-set products for the decomposed one, row sets times the ORs of
-every column subset of size 1..2^k for the bitset one (more than the
-tree forms), and both orientations' strip products (row sets x 2^n x 2^n
-x M each) for rainbow. Runs past OPS_LIMIT are refused unless explicitly
-overridden.
+and color-set products for the decomposed one, row sets plus columns
+times the ORs one tree forms for the bitset one, and both orientations'
+strip products (row sets x 2^n x 2^n x M each) for rainbow. Runs past
+OPS_LIMIT are refused unless explicitly overridden.
 """
 
 from __future__ import annotations
@@ -271,15 +270,16 @@ def _plan(
     """Guard the sweep that will run and return its name.
 
     distinct says the reduction is a distinct-color count over at most
-    64 colors: the bitset sweep then costs at most one OR per column
-    subset of size 1..rect, for each row set (and once over rows).
+    64 colors: the bitset sweep then runs the OR tree once over rows and
+    once per row set over columns.
     Otherwise the decomposed sweep, which costs the strip product plus
     the color-set product per row set, runs when there are fewer color
     sets than row sets, and the full sweep costs a census per rectangle.
     """
     num_sets = math.comb(side, rect)
     if distinct:
-        ors = sum(math.comb(side, j) for j in range(1, rect + 1))
+        # one tree writes sum_{j=2..rect} C(side - rect + j, j) ORs per lane
+        ors = math.comb(side + 1, rect) - side + rect - 2
         sweep, ops = "bitset", (num_sets + side) * ors
     elif num_color_sets < num_sets:
         sweep, ops = "decomposed", num_sets * side * num_colors * (side + num_color_sets)

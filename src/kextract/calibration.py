@@ -19,8 +19,8 @@ SYMMETRY_MAX_DEVIATION_N4 = 6
 
 # The same over all 5-bit pairs (singles at l_max=10, pairs at l_max=20;
 # histogram {0: 894, 2: 56, 4: 56, 6: 18}) and all 6-bit pairs (singles
-# at l_max=12, pairs at l_max=24 = MAX_L_MAX; histogram {0: 3106,
-# 2: 608, 4: 302, 6: 76, 8: 4}). No pair is skipped at either size.
+# at l_max=12, pairs at l_max=24; histogram {0: 3106, 2: 608, 4: 302,
+# 6: 76, 8: 4}). No pair is skipped at either size.
 SYMMETRY_MAX_DEVIATION_N5 = 6
 SYMMETRY_MAX_DEVIATION_N6 = 8
 

@@ -85,7 +85,7 @@ def _group(top, group: str, help: str):
 
     Every parser turns off prefix matching, so an option spelled short or
     a removed option's old name is a usage error instead of silently
-    binding to a longer option (`--max` to `--max-l-max`).
+    binding to a longer option (`--l` to `--l-max`).
     """
     sub = top.add_parser(group, help=help, allow_abbrev=False).add_subparsers(
         dest="command", required=True
@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = parser.add_subparsers(dest="group", required=True)
 
     oracle = _group(top, "oracle", "complexity table builds and lookups")
-    p = oracle("build", cmd_oracle_build, "enumerate programs into a table",
+    p = oracle("build", cmd_oracle_build, "build a table of shortest program lengths",
                out_help="write the oracle table JSON here")
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
@@ -127,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="'lambda', 'all' (lambda plus all n-bit), or 'all:<len>'",
     )
     p.add_argument("--l-max", type=int, default=None)
-    p.add_argument("--max-l-max", type=int, default=24)
     p.add_argument("--budget-out", type=int, default=4096)
     p.add_argument("--budget-ops", type=int, default=4096)
     p = oracle("query", cmd_oracle_query, "look up one complexity value")
@@ -273,13 +272,7 @@ def cmd_oracle_build(args) -> int:
         raise ValueError("oracle build needs --out for the table file")
     conds = _conditions_for(args.conditions, args.n)
     budget = MachineBudget(args.budget_out, args.budget_ops)
-    table = build_complexity_table(
-        args.n,
-        conds,
-        l_max=args.l_max,
-        budget=budget,
-        max_l_max=args.max_l_max,
-    )
+    table = build_complexity_table(args.n, conds, l_max=args.l_max, budget=budget)
     save_table(table, args.out)
     print(
         f"[oracle build] n={table.n} l_max={table.l_max} "

@@ -12,20 +12,20 @@ programs are distinct bit strings. Targets no program reaches within
 l_max are recorded as NOT_FOUND, a sentinel that compares strictly
 greater than any int; table values never do arithmetic with infinities.
 
-The builder enumerates complete op sequences, not programs. The opcode
-encoding is a prefix code, so the encoding of an op sequence parses back
-to exactly that sequence, and every program is the encoding of the ops
-it completes followed by a dangling tail that adds no output. The
-shortest program for a (condition, target) pair is therefore a tail-free
-op sequence, and a depth-first search over sequences whose encoding fits
-in l_max bits finds exactly the minimal lengths a scan of all
-2^(l_max+1) - 1 programs would. Every op grows the output, so a branch
-stops once the output reaches n bits; it is cut earlier when an op would
-break the budget or l_max, and REPEAT never runs past the output so far.
-Only COPY reads the condition, and only its window check depends on the
-condition's length: a sequence without COPY writes the same target under
-every condition, and one with COPY is evaluated as a numpy array over
-each group of equal-length conditions whose length admits its windows.
+The builder finds shortest paths instead of running programs. The
+opcode encoding is a prefix code and a dangling tail adds no output, so
+a shortest program is the bare encoding of an op sequence. Every op
+appends a bit, so these sequences are the paths of a DAG over the output
+prefixes of at most n bits, each op an edge weighted by its encoding: 2
+bits for EMIT, 2 bitlen(L) + 2 bitlen(Q) for COPY and 2 bitlen(L) +
+2 bitlen(R) for REPEAT. Layers of prefixes are relaxed in order of
+length, the distances of the j-bit ones an array [condition x 2^j] and
+each edge out of them one vectorised minimum. EMIT and REPEAT map a
+prefix alike under every condition, COPY per group of equal-length
+conditions; each map is injective in the prefix, so a fancy-index store
+is exact. An op budget below n adds an op-count axis; a larger one never
+binds. The work is cells times edges, capped by MAX_WORK, and distances
+past l_max become NOT_FOUND.
 
 Entries live in one int32 matrix [condition x target], with -1 standing
 for NOT_FOUND. Consumers read whole rows of it through one rule: a
@@ -40,23 +40,29 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .bits import EMPTY, BitString
 from .machine import DEFAULT_BUDGET, MachineBudget
 
-MAX_L_MAX = 24
 # Target lengths past this would allocate more than a 64 MB row per
 # condition (2^n int32 entries).
 MAX_N = 24
 # Condition x target cells past this would allocate more than a 128 MB
 # int32 matrix.
 MAX_CELLS = 1 << 25
-# Entries are int32, so a loaded l_max must fit one.
+# Entries are int32, so a built or loaded l_max must fit one.
 MAX_ENTRY = (1 << 31) - 1
+# Builds whose relaxation would make more cell updates than this are
+# refused before anything is allocated.
+MAX_WORK = 1 << 29
+# Distance of an unreached prefix. Real distances (n <= MAX_N ops of a few
+# dozen bits each) and the sums it passes on stay far below int32's limit.
+_UNREACHED = 1 << 30
 
 
 class _NotFound:
@@ -172,16 +178,15 @@ def build_complexity_table(
     conditions: Iterable[BitString],
     l_max: Optional[int] = None,
     budget: MachineBudget = DEFAULT_BUDGET,
-    max_l_max: int = MAX_L_MAX,
 ) -> ComplexityTable:
-    """Enumerate all op sequences up to l_max bits and record minimal lengths.
+    """Relax every op sequence up to l_max bits and record minimal lengths.
 
     l_max defaults to n + 6, enough for EMIT-only programs plus slack.
     Builds with l_max < 2n get a warning: a COPY of the whole condition
     costs at most 2*floor(log2 n) + 4 <= 2n bits, so conditional entries
-    only become NOT_FOUND-free once l_max reaches that scale. The
-    max_l_max guard refuses programs longer than max_l_max bits; raise
-    it deliberately if you can afford the run.
+    only become NOT_FOUND-free once l_max reaches that scale. Besides
+    check_shape, a build is refused when l_max does not fit an int32
+    entry or the relaxation would make more than MAX_WORK cell updates.
     """
     conds = list(dict.fromkeys(conditions))
     if not conds:
@@ -191,11 +196,15 @@ def build_complexity_table(
         l_max = n + 6
     if l_max < 0:
         raise ValueError("l_max must be nonnegative")
-    if l_max > max_l_max:
-        raise ValueError(
-            f"l_max={l_max} exceeds the enumeration guard {max_l_max}; "
-            "pass a larger max_l_max to run anyway"
-        )
+    if l_max > MAX_ENTRY:
+        raise ValueError(f"l_max {l_max} does not fit an int32 entry")
+    # An op adds a bit, so a budget of n or more ops never binds; a
+    # smaller one makes the op count a leading axis of the distances.
+    counts = budget.max_opcodes + 1 if budget.max_opcodes < n else 1
+    cap = min(n, budget.max_output_bits)
+    work = counts * _relaxation_work(n, cap, [y.length for y in conds], l_max)
+    if work > MAX_WORK:
+        raise ValueError(f"the build would make {work:.3g} cell updates, past {MAX_WORK:.3g}")
     if l_max < 2 * n:
         warnings.warn(
             f"l_max={l_max} < 2n={2 * n}: expect NOT_FOUND entries",
@@ -206,104 +215,95 @@ def build_complexity_table(
         l_max=l_max,
         budget=budget,
         conditions=tuple(conds),
-        _matrix=_minimal_lengths(n, conds, l_max, budget),
+        _matrix=_minimal_lengths(n, cap, conds, l_max, counts),
     )
 
 
+def _operands(l_max: int, a_top: int, b_top: Callable[[int], int]) -> list[tuple[int, int]]:
+    """(a, b_most) for each first operand a in 1..a_top of a COPY or
+    REPEAT: its second operands b are 1..b_most, those with b <= b_top(a)
+    whose op, 2 bitlen(a) + 2 bitlen(b) bits, fits in l_max."""
+    out = []
+    for a in range(1, a_top + 1):
+        top = b_top(a)
+        fits = max(0, (l_max - 2 * a.bit_length()) // 2)
+        out.append((a, min(top, (1 << min(fits, top.bit_length())) - 1)))
+    return out
+
+
+def _relaxation_work(n: int, cap: int, lengths: Sequence[int], l_max: int) -> int:
+    """Cell updates _minimal_lengths makes per op count: one fill per
+    distance cell, and per edge one for each cell it reads (every
+    condition's for EMIT and REPEAT, its group's for COPY)."""
+    total, per_length = 0, Counter(lengths)
+    for j in range(n + 1):
+        room = max(cap - j, 0)
+        edges = (2 if l_max >= 2 and room else 0) + 1
+        edges += sum(most for _, most in _operands(l_max, min(j, room), lambda a: room // a))
+        total += len(lengths) * edges << j
+        for length, rows in per_length.items():
+            copies = _operands(l_max, min(room, length), lambda a: length - a + 1)
+            total += rows * sum(most for _, most in copies) << j
+    return total
+
+
+def _relax(dst: np.ndarray, step: int, rows, targets: np.ndarray, cand: np.ndarray) -> None:
+    """dst[t + step, rows, targets] = min(itself, cand[t]) for every op
+    count t. An edge maps prefixes to targets injectively, so no cell is
+    written twice and a plain fancy-index store is exact."""
+    dst[step:, rows, targets] = np.minimum(dst[step:, rows, targets], cand)
+
+
 def _minimal_lengths(
-    n: int, conds: Sequence[BitString], l_max: int, budget: MachineBudget
+    n: int, cap: int, conds: Sequence[BitString], l_max: int, counts: int
 ) -> np.ndarray:
-    """Depth-first search over op sequences; see the module docstring.
+    """Layered shortest-path relaxation; see the module docstring.
 
-    A node's output is an int while its sequence has no COPY, else a
-    list of (group, values) over the condition groups whose length
-    admits every COPY window so far, values holding one output per
-    condition of the group.
+    dist[j][t, c, v] holds the fewest bits of a t-op sequence that
+    writes the j-bit prefix v under condition c (t stays 0 when counts
+    is 1). Layers are relaxed in order of length, so a layer is final
+    before an edge leaves it. No edge ends past cap, the output budget,
+    so a budget below n leaves every entry NOT_FOUND.
     """
-    cap = min(n, budget.max_output_bits)
-    unreached = l_max + 1
-    best = np.full((len(conds), 1 << n), unreached, dtype=np.int32)
-    shared = np.full(1 << n, unreached, dtype=np.int32)  # COPY-free sequences
-
-    by_length: dict[int, list[int]] = {}
-    for i, y in enumerate(conds):
-        by_length.setdefault(y.length, []).append(i)
-    lengths = sorted(by_length)
-    rows = [np.array(by_length[length]) for length in lengths]
-    max_len = lengths[-1]
-    windows: dict[tuple[int, int, int], np.ndarray] = {}
-
-    def window(g: int, a: int, q: int) -> np.ndarray:
-        """Condition bits [q-1, q-1+a) of every condition of group g."""
-        key = (g, a, q)
-        if key not in windows:
-            shift = lengths[g] - (q - 1) - a
+    step = int(counts > 1)
+    lengths = [y.length for y in conds]
+    values = np.array([y.value for y in conds], dtype=object)
+    groups = [(length, np.flatnonzero(np.equal(lengths, length))) for length in set(lengths)]
+    dist = [
+        np.full((counts, len(conds), 1 << j), _UNREACHED, dtype=np.int32)
+        for j in range(n + 1)
+    ]
+    dist[0][0, :, 0] = 0
+    for j in range(cap):
+        room = cap - j
+        src, dist[j] = dist[j][: counts - step], None
+        v = np.arange(1 << j, dtype=np.int64)
+        # EMIT0, EMIT1 and REPEAT (the last a <= j bits r more times) map
+        # a prefix the same way under every condition.
+        if l_max >= 2:
+            for b in (0, 1):
+                _relax(dist[j + 1], step, slice(None), (v << 1) | b, src + 2)
+        for a, most in _operands(l_max, min(j, room), lambda a: room // a):
             mask = (1 << a) - 1
-            windows[key] = np.array(
-                [(conds[i].value >> shift) & mask for i in by_length[lengths[g]]],
-                dtype=np.int64,
-            )
-        return windows[key]
-
-    def each(out, op):
-        return op(out) if type(out) is int else [(g, op(v)) for g, v in out]
-
-    def visit(bits: int, out_n: int, count: int, out) -> None:
-        if out_n == n:
-            if type(out) is int:
-                shared[out] = min(shared[out], bits)
-            else:
-                for g, v in out:
-                    best[rows[g], v] = np.minimum(best[rows[g], v], bits)
-            return
-        left = l_max - bits
-        room = cap - out_n
-        if count == budget.max_opcodes or left < 2 or room < 1:
-            return
-        count += 1
-        # EMIT0, EMIT1: 2 bits.
-        visit(bits + 2, out_n + 1, count, each(out, lambda v: v << 1))
-        visit(bits + 2, out_n + 1, count, each(out, lambda v: (v << 1) | 1))
-        # COPY a bits from condition position q: 2 + g(a) + g(q) bits,
-        # 2*bitlen(a) + 2*bitlen(q) in all; FAILs past the condition.
-        per_group = [(g, out) for g in range(len(lengths))] if type(out) is int else out
-        for a in range(1, min(room, max_len) + 1):
-            cost_a = 2 * a.bit_length()
-            if cost_a + 2 > left:
-                break
-            for q in range(1, max_len - a + 2):
-                cost = cost_a + 2 * q.bit_length()
-                if cost > left:
-                    break
-                live = [
-                    (g, (v << a) | window(g, a, q))
-                    for g, v in per_group
-                    if lengths[g] >= a + q - 1
-                ]
-                if live:
-                    visit(bits + cost, out_n + a, count, live)
-        # REPEAT the last a bits r more times; FAILs when a > out_n.
-        for a in range(1, out_n + 1):
-            cost_a = 2 * a.bit_length()
-            if cost_a + 2 > left:
-                break
-            mask = (1 << a) - 1
-            for r in range(1, room // a + 1):
-                cost = cost_a + 2 * r.bit_length()
-                if cost > left:
-                    break
+            for r in range(1, most + 1):
                 span = a * r
-                rep = ((1 << span) - 1) // mask
-                visit(
-                    bits + cost,
-                    out_n + span,
-                    count,
-                    each(out, lambda v: (v << span) | ((v & mask) * rep)),
-                )
-
-    visit(0, 0, 0, 0)
-    np.minimum(best, shared, out=best)
-    best[best == unreached] = -1
+                targets = (v << span) | ((v & mask) * (((1 << span) - 1) // mask))
+                cost = 2 * a.bit_length() + 2 * r.bit_length()
+                _relax(dist[j + span], step, slice(None), targets, src + cost)
+        # COPY a bits from condition position q, per group of equal-length
+        # conditions; windows are cut with Python ints, so long conditions
+        # stay exact.
+        for length, rows in groups:
+            from_rows, bits = src[:, rows], values[rows]
+            for a, most in _operands(l_max, min(room, length), lambda a: length - a + 1):
+                mask = (1 << a) - 1
+                for q in range(1, most + 1):
+                    window = ((bits >> (length - q + 1 - a)) & mask).astype(np.int64)
+                    targets = (v << a) | window[:, None]
+                    cost = 2 * a.bit_length() + 2 * q.bit_length()
+                    _relax(dist[j + a], step, rows[:, None], targets, from_rows + cost)
+    best = dist[n].min(axis=0)
+    best[best > min(l_max, _UNREACHED - 1)] = -1
     return best
 
 

@@ -33,7 +33,7 @@ def brute_complexity_map(
 ) -> dict[int, int]:
     """Minimal program length per n-bit target, by running every program.
 
-    No parsing shortcuts, no op-sequence search: every program of
+    No parsing shortcuts, no shortest-path relaxation: every program of
     every length up to l_max is executed through run_machine.
     """
     found: dict[int, int] = {}

@@ -188,7 +188,8 @@ def test_counts_past_int16():
     assert rep.worst_cells == 65_536
     assert rep.worst_colors == (3,)
     assert rep.worst_fraction == 1.0
-    # t = 65,536 / 4 > 1 keeps eps* on the float32 census
+    # t = 65,536 / 4 > 1 keeps eps* off the bitset sweep, on the integer
+    # subset tree
     assert measure_eps_star(table, 8, 0) == 0.75
     assert measure_eps_star(table, 8, 1) == 0.5
 
@@ -271,12 +272,32 @@ def test_guard_prices_the_decomposed_sweep(monkeypatch):
 def test_guard_prices_the_bitset_sweep(monkeypatch):
     # the seed-740 m=6 table at k=3: the full census would cost
     # 12,870^2 * 64 ~ 1.06e10 ops, past OPS_LIMIT; t = 1 puts eps* on the
-    # bitset sweep, priced at (12,870 + 16) * 39,202 ~ 5.05e8 ORs
+    # bitset sweep, priced at (12,870 + 16) * 24,300 ~ 3.13e8 ORs
     table = gen_random(4, SEPARATION_M, SEPARATION_SEED)
     assert measure_eps_star(table, 3, 0) == SEPARATION_EPS_STAR
     monkeypatch.setattr(balance, "OPS_LIMIT", 10**8)
     with pytest.raises(FeasibilityError):
         measure_eps_star(table, 3, 0)
+
+
+@pytest.mark.parametrize("n, k", [(2, 0), (2, 1), (3, 2), (3, 3), (4, 2)])
+def test_bitset_guard_prices_the_ors_the_trees_write(monkeypatch, n, k):
+    """One OR tree over rows, then one over columns per row set: the
+    guard's estimate is every element those trees write."""
+    written, priced = [], []
+    tree = balance._subset_tree
+
+    def counting_tree(items, size, op):
+        def counted(x, y, out):
+            written.append(out.size)
+            return op(x, y, out=out)
+
+        return tree(items, size, counted)
+
+    monkeypatch.setattr(balance, "_subset_tree", counting_tree)
+    monkeypatch.setattr(balance, "_guard", lambda ops, override: priced.append(ops))
+    measure_eps_star(gen_random(n, 6, 1), k, 0)
+    assert priced == [sum(written)]
 
 
 def test_guard_refuses_n5_decomposed_sweeps():

@@ -105,6 +105,9 @@ def test_argparse_usage_errors():
         dispatch(["table", "verify", "--table", "t.kext", "--mode", "almost",
                   "--k", "1", "--threads", "2"])  # the option no longer exists
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["oracle", "build", "--n", "2", "--max-l-max", "30"])  # nor this one
+    assert exc.value.code == 2
     with pytest.raises(SystemExit):
         dispatch([])
 
@@ -211,7 +214,7 @@ def test_pipeline_run_has_no_out(tmp_path):
 @pytest.mark.parametrize(
     "argv, prefix, full, dest",
     [
-        (["oracle", "build", "--n", "2"], "--max", "--max-l-max", "max_l_max"),
+        (["oracle", "build", "--n", "2"], "--l", "--l-max", "l_max"),
         (["table", "verify", "--table", "t.kext", "--mode", "almost", "--k", "1"],
          "--u", "--u-size", "u_size"),
     ],

@@ -8,12 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import brute_complexity_map, brute_table_from_json
 
-from kextract import calibration
+from kextract import calibration, oracle
 from kextract.bits import EMPTY, BitString, all_strings
 from kextract.cli import dispatch
 from kextract.machine import MachineBudget
 from kextract.oracle import (
     MAX_CELLS,
+    MAX_ENTRY,
     MAX_N,
     NOT_FOUND,
     ComplexityTable,
@@ -37,7 +38,7 @@ def build_quiet(*args, **kwargs):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_builder_matches_direct_enumeration(n):
-    """Searching op sequences instead of programs changes no entry."""
+    """Relaxing shortest paths instead of running programs changes no entry."""
     conditions = [EMPTY] + all_strings(n)
     l_max = 2 * n + 2
     table = build_quiet(n, conditions, l_max=l_max)
@@ -73,8 +74,8 @@ def test_builder_matches_direct_enumeration_tight_budget():
     ),
 )
 def test_pruned_builder_matches_running_every_program(n, l_max, max_out, max_ops, conds):
-    """Op-sequence search with every prune against plain execution of all
-    programs, under tiny budgets and conditions of mixed lengths."""
+    """The layered relaxation against plain execution of all programs,
+    under tiny budgets and conditions of mixed lengths."""
     budget = MachineBudget(max_output_bits=max_out, max_opcodes=max_ops)
     table = build_quiet(n, conds, l_max=l_max, budget=budget)
     for y in table.conditions:
@@ -211,11 +212,7 @@ def test_condition_validation(oracle_n2_all):
 
 
 def test_builder_guards():
-    with pytest.raises(ValueError):
-        build_complexity_table(2, [EMPTY], l_max=25)
-    with pytest.raises(ValueError):
-        build_quiet(2, [EMPTY], l_max=11, max_l_max=10)
-    build_quiet(2, [EMPTY], l_max=11, max_l_max=11)  # raising the guard works
+    assert (build_complexity_table(2, [EMPTY], l_max=25).entries() == 4).all()
     with pytest.raises(ValueError):
         build_complexity_table(2, [])
     with pytest.raises(ValueError):
@@ -225,6 +222,70 @@ def test_builder_guards():
     too_many = all_strings(MAX_CELLS.bit_length() - 1 - 12) + [EMPTY]
     with pytest.raises(ValueError, match="cell cap"):
         build_complexity_table(12, too_many, l_max=4)
+
+
+def test_l_max_up_to_an_int32_entry(tmp_path):
+    """The largest l_max a file can hold builds, with no int32 overflow,
+    and loads back; one more is refused before anything is written."""
+    table = build_complexity_table(2, [EMPTY], l_max=MAX_ENTRY)
+    assert np.array_equal(table.entries(), build_complexity_table(2, [EMPTY], l_max=6).entries())
+    save_table(table, str(tmp_path / "wide.json"))
+    loaded = load_table(str(tmp_path / "wide.json"))
+    assert loaded.l_max == MAX_ENTRY and np.array_equal(loaded.entries(), table.entries())
+    # one op reaches no 2-bit target under lambda, however large l_max is
+    lean = build_complexity_table(2, [EMPTY], l_max=MAX_ENTRY, budget=MachineBudget(4096, 1))
+    assert lean.not_found_count() == 4
+    out = tmp_path / "past.json"
+    argv = ["oracle", "build", "--n", "2", "--l-max", str(MAX_ENTRY + 1), "--out", str(out)]
+    assert dispatch(argv) == 2
+    assert not out.exists()
+
+
+def test_work_guard_refuses_before_allocating(monkeypatch):
+    """COPY positions run to the condition's length, 200,000 of them per
+    layer here: minutes of work, refused before the relaxation starts."""
+
+    def never(*args):
+        raise AssertionError("the relaxation ran")
+
+    monkeypatch.setattr(oracle, "_minimal_lengths", never)
+    with pytest.raises(ValueError, match="cell updates"):
+        build_complexity_table(12, [BitString(200_000, 1)], l_max=10**6)
+
+
+@pytest.mark.parametrize(
+    "n, conds, l_max, budget",
+    [
+        (6, [EMPTY] + all_strings(3), 12, MachineBudget()),
+        (5, [EMPTY, BitString(9, 300), BitString.from01("1")], 7, MachineBudget()),
+        (5, [EMPTY] + all_strings(2), 10, MachineBudget(4, 4096)),  # output cap < n
+        (4, [EMPTY] + all_strings(4), 1, MachineBudget()),  # no op fits
+        (4, [EMPTY] + all_strings(2), 8, MachineBudget(8, 2)),  # op-count axis
+    ],
+)
+def test_work_estimate_counts_the_relaxation(monkeypatch, n, conds, l_max, budget):
+    """The guard's price is the cells the relaxation fills plus the cells
+    each edge reads, times the op counts kept: a cap of exactly that
+    lets the build run, one less refuses it."""
+    done = []
+    real_full, real_relax = np.full, oracle._relax
+
+    def full(shape, *args, **kwargs):
+        done.append(int(np.prod(shape)))
+        return real_full(shape, *args, **kwargs)
+
+    def relax(dst, step, rows, targets, cand):
+        done.append(dst.shape[0] * cand[0].size)  # priced at every op count
+        real_relax(dst, step, rows, targets, cand)
+
+    monkeypatch.setattr(oracle.np, "full", full)
+    monkeypatch.setattr(oracle, "_relax", relax)
+    build_quiet(n, conds, l_max=l_max, budget=budget)
+    monkeypatch.setattr(oracle, "MAX_WORK", sum(done))
+    build_quiet(n, conds, l_max=l_max, budget=budget)
+    monkeypatch.setattr(oracle, "MAX_WORK", oracle.MAX_WORK - 1)
+    with pytest.raises(ValueError, match="cell updates"):
+        build_quiet(n, conds, l_max=l_max, budget=budget)
 
 
 def test_duplicate_conditions_collapse():
