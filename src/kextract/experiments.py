@@ -86,7 +86,7 @@ def _census(
         alpha=alpha,
         members=members,
         indeterminate=int(indeterminate.sum()),
-        fitted_c=len(members) / 2.0 ** (n - alpha),
+        fitted_c=math.ldexp(len(members), alpha - n),
     )
 
 

@@ -245,21 +245,38 @@ def load_config(config_path: Optional[str], standard: Optional[str]) -> dict:
         return json.load(fh)
 
 
+def _resolve_step(index: int, raw: object, out_dir: str) -> dict:
+    """Step index of a config with "{out}" resolved to out_dir; a
+    ValueError naming the step and field unless it is an object with a
+    string name, a list of strings argv and, optionally, lists of
+    strings inputs and outputs."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"step {index} is not an object")
+    if not isinstance(raw.get("name"), str):
+        raise ValueError(f'step {index}: "name" must be a string')
+    step = {"name": raw["name"]}
+    for field, default in (("argv", None), ("inputs", []), ("outputs", [])):
+        value = raw.get(field, default)
+        if not isinstance(value, list) or not all(isinstance(a, str) for a in value):
+            raise ValueError(f'step {index}: "{field}" must be a list of strings')
+        step[field] = [a.replace("{out}", out_dir) for a in value]
+    return step
+
+
 def preflight(config: dict, out_dir: str, _unused: object = None) -> list[dict]:
-    """Resolve "{out}" and check the input/output dependency chain.
+    """Check the config's shape, resolve "{out}" and check the
+    input/output dependency chain.
 
     The optional third argument is ignored. It was the worker count of
     the former signature, and kbench/workloads.py still passes it.
     """
+    raw_steps = config.get("steps") if isinstance(config, dict) else None
+    if not isinstance(raw_steps, list):
+        raise ValueError('a pipeline config is an object whose "steps" is a list')
     steps = []
     produced: set[str] = set()
-    for raw in config["steps"]:
-        step = {
-            "name": raw["name"],
-            "argv": [a.replace("{out}", out_dir) for a in raw["argv"]],
-            "inputs": [p.replace("{out}", out_dir) for p in raw.get("inputs", [])],
-            "outputs": [p.replace("{out}", out_dir) for p in raw.get("outputs", [])],
-        }
+    for index, raw in enumerate(raw_steps):
+        step = _resolve_step(index, raw, out_dir)
         for path in step["inputs"]:
             if path not in produced and not os.path.exists(path):
                 raise FileNotFoundError(

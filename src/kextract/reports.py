@@ -3,9 +3,9 @@
 A report is {schema_version, command, params, generated_at, data,
 assertions}. Everything except generated_at is a pure function of the
 params, so byte comparison after dropping that one field is the
-determinism contract. Execution details that cannot change results
-(worker thread counts, feasibility overrides) are deliberately kept out
-of the envelope.
+determinism contract. Execution details that cannot change results,
+such as the feasibility override, are deliberately kept out of the
+envelope.
 """
 
 from __future__ import annotations

@@ -216,25 +216,30 @@ def test_counts_past_int8():
 
 def test_subset_matrix_follows_combinations():
     for items, size in [(1, 1), (4, 0), (4, 2), (5, 5), (8, 3), (16, 4)]:
-        members, mat = balance._subset_matrix(items, size)
+        members = balance._subset_matrix(items, size)
         subsets = [tuple(row) for row in members.tolist()]
         assert subsets == list(combinations(range(items), size))
         assert members.shape == (len(subsets), size)
-        assert mat.dtype == np.float32 and mat.shape == (len(subsets), items)
-        for sub, row in zip(subsets, mat):
-            assert row.tolist() == [float(i in sub) for i in range(items)]
 
 
 @pytest.mark.parametrize("items, size", [(1, 1), (4, 0), (5, 5), (16, 4), (16, 8), (256, 256)])
 def test_subset_tree_follows_combinations(items, size):
+    """For every chunk width, including one wider than the whole output,
+    no chunk holds more than width subsets and the chunks concatenate to
+    the same result."""
     rng = np.random.default_rng(items * 31 + size)
     counts = rng.integers(0, 100, (2, items, 3))
     masks = rng.integers(0, 1 << 62, (1, items, 2)).astype(np.uint64)
-    for arr, op in ((counts, np.add), (masks, np.bitwise_or)):
-        got = np.concatenate([c.copy() for c in balance._subset_tree(arr, size, op)], axis=1)
-        want = [op.reduce(arr[:, list(sub)], axis=1) for sub in combinations(range(items), size)]
-        assert got.dtype == arr.dtype
-        assert np.array_equal(got, np.stack(want, axis=1))
+    for width in (None, 1, 3, math.comb(items, size) + 5):
+        for arr, op in ((counts, np.add), (masks, np.bitwise_or)):
+            chunks = [c.copy() for c in balance._subset_tree(arr, size, op, width)]
+            got = np.concatenate(chunks, axis=1)
+            want = [op.reduce(arr[:, list(sub)], axis=1)
+                    for sub in combinations(range(items), size)]
+            assert got.dtype == arr.dtype
+            assert np.array_equal(got, np.stack(want, axis=1))
+            if width is not None:
+                assert all(1 <= c.shape[1] <= width for c in chunks)
 
 
 # ---------------------------------------------------------- guard rail
@@ -287,12 +292,12 @@ def test_bitset_guard_prices_the_ors_the_trees_write(monkeypatch, n, k):
     written, priced = [], []
     tree = balance._subset_tree
 
-    def counting_tree(items, size, op):
+    def counting_tree(items, size, op, width=None):
         def counted(x, y, out):
             written.append(out.size)
             return op(x, y, out=out)
 
-        return tree(items, size, counted)
+        return tree(items, size, counted, width)
 
     monkeypatch.setattr(balance, "_subset_tree", counting_tree)
     monkeypatch.setattr(balance, "_guard", lambda ops, override: priced.append(ops))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import kextract
-from kextract import cli
+from kextract import balance, cli
 from kextract.cli import GUARDED, build_parser, dispatch, main
 from kextract.reports import comparable_bytes, load_report
 from kextract.tables import read_table
@@ -285,6 +285,21 @@ def test_balance_parameters_are_checked(workdir, tmp_path, capsys, argv, message
     argv = argv[:2] + ["--table", workdir["ip2"]] + argv[2:] + ["--out", str(out)]
     assert dispatch(argv) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d", ["1100", str(10**30)])
+def test_overflowing_bound_is_a_usage_error(workdir, tmp_path, capsys, monkeypatch, d):
+    """u_size/2^m * 2^d + eps past the largest float used to crash with an
+    OverflowError (exit 3) after the whole sweep; now nothing is swept."""
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep was planned")
+
+    monkeypatch.setattr(balance, "_plan", no_sweep)
+    out = tmp_path / "bad.json"
+    assert dispatch(["table", "verify", "--table", workdir["ip2"], "--mode", "almost",
+                     "--k", "1", "--d", d, "--out", str(out)]) == 2
+    assert "overflows" in capsys.readouterr().err
     assert not out.exists()
 
 

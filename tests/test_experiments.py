@@ -103,6 +103,15 @@ def test_sweep_n4(oracle_n4_all):
     assert len(sw2.censuses) == 16
 
 
+def test_sweep_alpha_past_l_max(oracle_n4_all):
+    # no drop past l_max + 1 is certified, and 2^-(alpha - n) underflows
+    # to 0.0 at alpha = 1100, which a division by it would not survive
+    for alpha in (oracle_n4_all.l_max + 2, 1100):
+        sw = dependent_census_sweep(oracle_n4_all, alpha)
+        assert all(census.members == () for census in sw.censuses)
+        assert sw.max_fitted_c == 0.0
+
+
 def test_sweep_n5_against_committed(oracle_n5_all):
     sw = dependent_census_sweep(
         oracle_n5_all, 2, committed_max_c=calibration.MAX_FITTED_C_N5_ALPHA2

@@ -89,6 +89,35 @@ def test_preflight_rejects_dangling_input(tmp_path):
     assert os.listdir(out) == []
 
 
+GEN = TINY["steps"][0]
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([], '"steps" is a list'),
+        ({}, '"steps" is a list'),
+        ({"steps": 5}, '"steps" is a list'),
+        ({"steps": [5]}, "step 0 is not an object"),
+        ({"steps": [GEN, {**GEN, "name": 7}]}, 'step 1: "name"'),
+        ({"steps": [{k: v for k, v in GEN.items() if k != "argv"}]}, 'step 0: "argv"'),
+        ({"steps": [{**GEN, "argv": ["table", 5]}]}, 'step 0: "argv"'),
+        ({"steps": [{**GEN, "inputs": "{out}/t.kext"}]}, 'step 0: "inputs"'),
+        ({"steps": [GEN, {**GEN, "outputs": "{out}/t.kext"}]}, 'step 1: "outputs"'),
+    ],
+)
+def test_malformed_config_is_a_usage_error(tmp_path, capsys, config, message):
+    with pytest.raises(ValueError, match=message):
+        preflight(config, str(tmp_path))
+    path = str(tmp_path / "c.json")
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    out = str(tmp_path / "run")
+    assert run_pipeline(path, None, out) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(out) == []  # no step ran
+
+
 def test_tiny_pipeline_runs_and_reruns_identically(tmp_path):
     config_path = str(tmp_path / "tiny.json")
     with open(config_path, "w") as fh:
