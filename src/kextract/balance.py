@@ -11,9 +11,13 @@ strip[M, side, B]. The color axis stays first and the row set last, so
 each top-u (_top_sum, an insertion network of np.maximum/np.minimum
 passes) combines whole slices instead of reducing many short rows.
 
-- The full sweep forms every census [M, #B2, B] with the tree over the
-  strip's columns, a chunk at a time, and reduces it to the top u_size
-  colors or to the cells past a cap.
+- The full sweep forms censuses [M, #B2, B] with the tree over the
+  strip's columns, a chunk at a time, and reduces them to the top u_size
+  colors or to the cells past a cap. For almost balance it is a branch
+  and bound: every (2^k - 1)-column prefix is scored once per row set,
+  and a last column is added only to the prefixes whose top-u count
+  plus 2^k (the most one column adds) still reaches the best rectangle
+  found so far. eps* scores every census.
 - The decomposed sweep fixes B1 and a color set U: the best B2 is then
   the 2^k columns with the most U-cells, which the tree over the strip's
   color axis counts, so column sets are never enumerated. Almost balance
@@ -31,7 +35,10 @@ step. The witness is defined by logical blocks of
 _block_size(#column sets x M) row sets: it is the first maximum in block
 order, b2-major within a block. The step sums the strips of the maximal
 row sets of the first logical block that holds one and forms their
-censuses with the same tree. The sweeps' own blocks never move it.
+censuses with the same tree. The sweeps' own blocks never move it, and
+the branch and bound returns every maximal row set's value exactly and
+every other row set's below the maximum, so the step finds the same
+row sets.
 
 All values are exact: strips, censuses and color-set sums are integers
 in the smallest of int8, int16 and int32 that holds the cell bound, 4^k
@@ -39,7 +46,8 @@ in the smallest of int8, int16 and int32 that holds the cell bound, 4^k
 the dyadic |U| t in float64.
 
 Work is estimated for the sweep that will run before anything is
-allocated: rectangle pairs times colors for the full sweep, row sets
+allocated: rectangle pairs times colors for the full sweep (every
+census, which bounds what the branch and bound forms), row sets
 plus columns times the ORs one tree writes for the bitset one, row sets
 x 2^n x M x (2^n + #color sets) for the decomposed one and row sets x
 2^n x 2^n x M per orientation for rainbow. The last two price dense
@@ -202,25 +210,119 @@ def _per_row_set(
 
 def _full(
     items: np.ndarray, rect: int, score: Callable[[np.ndarray], np.ndarray],
-    op: np.ufunc = np.add, values: int = 1 << 25,
+    op: np.ufunc = np.add, values: int = 1 << 25, slack: Optional[int] = None,
 ) -> np.ndarray:
     """The full sweep: for every rect-row set, the most score(census)
-    over its rectangles. items and op are as for _per_row_set; score maps
-    a chunk of censuses [M, #B2, B] to one value per rectangle, [#B2, B].
+    over its rectangles, exact wherever it is the maximum over all
+    rectangles and strictly below that maximum everywhere else. items and
+    op are as for _per_row_set; score maps censuses [M, ...] to one value
+    per census, [...].
+
+    With slack None every column set's census is scored. Otherwise slack
+    bounds what one more column can add to a score, and the sweep is a
+    branch and bound over the column sets P + {v}: P is a prefix, a
+    (rect - 1)-subset of columns 1..side - 1 (the column tree's level
+    below rect), and v < min(P). Each block scores every (prefix, row
+    set) pair once, then extends its pairs over their v one score level
+    at a time, best first. The threshold T is the best extension so far,
+    a real rectangle's score, and carries over to later blocks; a level s
+    with s + slack < T cannot reach T, so it and every level below it are
+    skipped, and their pairs stand as s + slack < T in the result. Once a
+    block's levels would extend more than a quarter of its rectangles
+    (many tied prefixes), it and every later block are swept densely.
 
     A block's column tree holds a level below rect and one last-level
     chunk, each at most C(side - 1, rect - 1) censuses per M-slice and
     row set; blocks keep that working set near the given values.
     """
     side = items.shape[1]
-
-    def best(strip: np.ndarray) -> np.ndarray:
-        return np.max([score(c).max(axis=0) for c in _subset_tree(strip, rect, op)], axis=0)
-
+    num_sets, num_prefixes = math.comb(side, rect), math.comb(side - 1, rect - 1)
     # On sweep-colors' m=6 u=4 job (2-core Xeon) these blocks of 576 row
-    # sets ran 1.6x faster than blocks of 72.
-    block = _block_size(2 * math.comb(side - 1, rect - 1) * items.shape[0], values)
-    return _per_row_set(items, rect, block, best, op)
+    # sets ran 1.6x faster than blocks of 72 in the dense sweep. The
+    # branch and bound ran 8% faster with 1,152, but their prefix tree
+    # takes 40 MB, more than the dense sweep's 576-row-set tree.
+    block = _block_size(2 * num_prefixes * items.shape[0], values)
+    threshold = -math.inf
+
+    def dense(strip: np.ndarray) -> np.ndarray:
+        nonlocal threshold
+        best = np.max([score(c).max(axis=0) for c in _subset_tree(strip, rect, op)], axis=0)
+        threshold = max(threshold, int(best.max()))
+        return best
+
+    if slack is None:
+        return _per_row_set(items, rect, block, dense, op)
+
+    # prefix p extends by the columns v < min(P): its first member, or
+    # every column for the empty prefix
+    reach = _subset_matrix(side - 1, rect - 1)[:, 0] + 1 if rect > 1 else np.array([side])
+    # pairs extended per scoring call: their censuses and added columns
+    # take at most half the values of the block's prefix censuses
+    batch = max(1, num_prefixes * block // (4 * (side - rect + 1)))
+
+    pruning = True
+
+    def pruned(strip: np.ndarray) -> np.ndarray:
+        if not pruning:
+            return dense(strip)
+        width = strip.shape[2]
+        censuses = next(_subset_tree(strip[:, 1:], rect - 1, op, num_prefixes))
+        scores = score(censuses).reshape(-1)  # by prefix * width + row set
+        best = scores + slack
+        # flat [M, ...] arrays, so that np.take gathers contiguous censuses
+        columns = strip.reshape(len(strip), -1)
+
+        def extend(source: np.ndarray, index: np.ndarray, pairs: np.ndarray) -> None:
+            """Score pairs[i], whose census is source[:, index[i]], over
+            its rectangles."""
+            nonlocal threshold
+            for i in range(0, len(pairs), batch):
+                part = pairs[i : i + batch]
+                counts = reach[part // width]
+                starts = np.cumsum(counts) - counts
+                rows = np.repeat(part % width, counts)
+                v = np.arange(len(rows)) - np.repeat(starts, counts)
+                ext = np.take(source, np.repeat(index[i : i + batch], counts), axis=1)
+                op(ext, np.take(columns, v * width + rows, axis=1), out=ext)
+                best[part] = np.maximum.reduceat(score(ext), starts)
+                threshold = max(threshold, int(best[part].max()))
+
+        spent = 0
+
+        def too_many(extensions: int) -> bool:
+            """Count extensions. Past a quarter of the block's rectangles
+            the dense tree's adds cost less than gathering each extension,
+            and ties this wide tend to recur, so this block and the later
+            ones are swept densely."""
+            nonlocal spent, pruning
+            spent += extensions
+            pruning = 4 * spent <= num_sets * width
+            return not pruning
+
+        level = int(scores.max())
+        if level + slack < threshold:
+            return best.reshape(-1, width).max(axis=0)
+        top = scores == level
+        if too_many(int(reach @ top.reshape(num_prefixes, width).sum(axis=1))):
+            return dense(strip)
+        top = np.flatnonzero(top)
+        extend(censuses.reshape(len(censuses), -1), top, top)
+        # one gather of the pairs that can still reach the threshold; each
+        # lower level then gathers from this smaller array
+        cand = np.flatnonzero((scores < level) & (scores >= threshold - slack))
+        compact = np.take(censuses.reshape(len(censuses), -1), cand, axis=1)
+        del censuses
+        cand_scores, cand_reach = scores[cand], reach[cand // width]
+        level -= 1
+        while level + slack >= threshold:
+            sel = np.flatnonzero(cand_scores == level)
+            if too_many(int(cand_reach[sel].sum())):
+                return dense(strip)
+            extend(compact, sel, cand[sel])
+            level -= 1
+        return best.reshape(-1, width).max(axis=0)
+
+    return _per_row_set(items, rect, block, pruned, op)
 
 
 def _top_sum(arr: np.ndarray, size: int) -> np.ndarray:
@@ -267,7 +369,9 @@ def _plan(
     64 colors: the bitset sweep then runs the OR tree once over rows and
     once per row set over columns, and is priced at exactly the ORs they
     write. Otherwise the decomposed sweep runs when there are fewer color
-    sets than row sets, and the full sweep costs a census per rectangle.
+    sets than row sets, and the full sweep is priced at a census per
+    rectangle: the dense sweep, an upper bound on the censuses that the
+    almost-balance branch and bound forms.
     The decomposed estimate prices a dense product per strip and per
     color set, which over-prices the adds of its row and color-set trees;
     weighting each sweep's estimate in seconds is left open.
@@ -377,7 +481,7 @@ def _check_almost(
     if sweep == "decomposed":
         best = _decomposed(one_hot, rect, [u_size])
     else:
-        best = _full(one_hot, rect, top_cells)
+        best = _full(one_hot, rect, top_cells, slack=rect)
     # only the maximal row sets of the witness's logical block get censuses
     members = _subset_matrix(side, rect)
     block = _block_size(len(members) * num_colors)
@@ -470,7 +574,13 @@ def _eps_star(table: TwoSourceTable, k: int, d: int, sweep: str) -> float:
         if sweep == "decomposed":
             best = _decomposed(items, rect, range(1, num_colors + 1), threshold)
             return max(0.0, float(best.max())) / cells
-        cap = max(1, int(threshold))
+        # no count exceeds cells, so a larger t caps nothing (and might
+        # not fit the count dtype). This score can only drop as columns
+        # are added, but _full's branch and bound with slack 0 ran 1.2-1.7x
+        # slower than the dense sweep at k=2 on n=4 m=6 tables (2-core
+        # Xeon), where many prefixes tie, though 3x faster at t <= 4 on an
+        # m=4 table; eps* keeps the dense sweep.
+        cap = min(max(1, int(threshold)), cells)
 
         def uncovered(census: np.ndarray) -> np.ndarray:
             return -np.minimum(census, cap).sum(axis=0, dtype=census.dtype)

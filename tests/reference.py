@@ -403,6 +403,21 @@ def brute_almost_witness(table, k: int, u_size: int, block: int):
     return best
 
 
+def dense_full_sweep(items: np.ndarray, rect: int, score, op=np.add) -> np.ndarray:
+    """The full sweep with nothing pruned: for every rect-row set, in
+    lexicographic order, the most score(census) over all rect-column
+    sets. items is [M, side (columns), side (rows)]; a row set's strip is
+    op folded over its rows and a census op folded over the strip's
+    columns, and score maps censuses [M, #column sets] to one value each."""
+    side = items.shape[1]
+    col_sets = np.array(list(combinations(range(side), rect))).reshape(-1, rect)
+    best = []
+    for rows in combinations(range(side), rect):
+        strip = op.reduce(items[:, :, list(rows)], axis=2)
+        best.append(score(op.reduce(strip[:, col_sets], axis=2)).max())
+    return np.array(best)
+
+
 def brute_eps_star(table, k: int, d: int) -> float:
     """Max clipped overshoot via explicit push-forward distributions."""
     side = 1 << table.n

@@ -11,6 +11,7 @@ from reference import (
     brute_balance_worst,
     brute_eps_star,
     brute_rainbow_worst_tuples,
+    dense_full_sweep,
     rect_census,
 )
 
@@ -682,3 +683,137 @@ def test_eps_star_sweeps_match_brute_force_with_many_colors(table, data):
     # 2^16 - 1 color sets: the decomposed sweep is quick only at n <= 2
     if table.m == 4 and table.n <= 2:
         assert got == balance._eps_star(table, k, d, sweep="decomposed")
+
+
+@st.composite
+def constant_tables(draw):
+    n = draw(st.integers(0, 3))
+    m = draw(st.integers(0, 6))
+    color = draw(st.integers(0, (1 << m) - 1))
+    return gen_constant(n, m, color)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(small_tables(), many_color_tables(), witness_tables(), constant_tables()),
+    st.data(),
+)
+def test_pruned_full_sweep_is_exact_at_the_maximum(table, data):
+    """The branch and bound returns, per row set, the dense sweep's value
+    wherever that is the maximum over all rectangles, and a value below
+    the maximum everywhere else, for any physical block. Besides almost
+    balance's top-u score (slack 2^k) it holds for the capped eps* score,
+    which one more column can only lower (slack 0)."""
+    k = data.draw(st.integers(0, table.n), label="k")
+    rect = 1 << k
+    physical = data.draw(st.integers(1, 9), label="physical")
+    if data.draw(st.booleans(), label="top_u"):
+        u_size = data.draw(st.integers(1, table.num_colors), label="u_size")
+
+        def score(census):
+            return balance._top_sum(census, u_size)
+
+        slack = rect
+    else:
+        cap = data.draw(st.integers(1, rect * rect), label="cap")
+
+        def score(census):
+            return -np.minimum(census, cap).sum(axis=0, dtype=census.dtype)
+
+        slack = 0
+    items = balance._one_hot(table.colors, table.num_colors, balance._count_dtype(rect * rect))
+    want = dense_full_sweep(items, rect, score)
+    budgets = []
+
+    def block_size(row_cost, values=1 << 23):
+        budgets.append(values)
+        return physical
+
+    with mock.patch.object(balance, "_block_size", block_size):
+        got = balance._full(items, rect, score, slack=slack)
+    assert budgets and all(values != 1 << 23 for values in budgets)
+    top = want.max()
+    assert got.shape == want.shape
+    assert got.max() == top
+    assert np.array_equal(got == top, want == top)
+
+
+def _striped_table():
+    colors = np.zeros((8, 8), np.int64)
+    colors[7, :5] = 1
+    colors[6, 3:] = 2
+    return TwoSourceTable(3, 4, colors)
+
+
+@pytest.mark.parametrize("physical", [1, 2, 3, 70])
+@pytest.mark.parametrize("table", [_striped_table(), gen_random(3, 2, 5)], ids=["striped", "rnd3m2"])
+def test_pruned_full_sweep_keeps_ties_at_the_threshold(table, physical):
+    """Many row sets reach the maximum only through a last column that
+    adds its full 2^k cells, so a pair whose prefix score + slack equals
+    the threshold must still be extended, in its block's first score
+    level or a later one, and also in a later block."""
+    items = balance._one_hot(table.colors, table.num_colors, np.int8)
+    for u_size in (1, 2, 3):
+        def score(census):
+            return balance._top_sum(census, u_size)
+
+        want = dense_full_sweep(items, 4, score)
+        with mock.patch.object(balance, "_block_size", lambda row_cost, values=0: physical):
+            got = balance._full(items, 4, score, slack=4)
+        top = want.max()
+        assert np.array_equal(got == top, want == top)
+        assert got.max() == top
+
+
+def test_pruned_full_sweep_scores_few_rectangles():
+    """On a seeded m=6 table at k=2 the branch and bound scores each of
+    the C(15, 3) prefixes once per row set, and extends to under a tenth
+    of the rectangles the dense sweep scores; it still finds every
+    maximal row set."""
+    table = gen_random(4, 6, 3)
+    items = balance._one_hot(table.colors, table.num_colors, np.int8)
+    scored = {2: 0, 3: 0}  # extensions [M, E], prefixes and dense chunks [M, #B2, B]
+
+    def top_cells(census):
+        scored[census.ndim] += math.prod(census.shape[1:])
+        return balance._top_sum(census, 4)
+
+    got = balance._full(items, 4, top_cells, slack=4)
+    assert scored[3] == 455 * 1820
+    extended = scored[2]
+    want = balance._full(items, 4, top_cells)
+    assert scored[3] == 455 * 1820 + 1820 * 1820
+    assert 10 * extended < 1820 * 1820
+    assert got.max() == want.max()
+    assert np.array_equal(got == want.max(), want == want.max())
+
+
+def test_full_eps_star_with_a_cap_past_the_counts():
+    """d > m makes t = 2^(2k + d - m) exceed every count; at k=3 t = 128
+    no longer fits the int8 counts, which must not matter."""
+    table = gen_random(3, 2, 5)
+    assert balance._eps_star(table, 3, 3, "full") == 0.0
+    for d in range(table.m + 2):
+        assert balance._eps_star(table, 3, d, "full") == balance._eps_star(
+            table, 3, d, "decomposed"
+        )
+
+
+@settings(max_examples=30, deadline=None)
+@given(many_color_tables().filter(lambda table: table.n >= 1), st.data())
+def test_eps_star_full_sweep_with_integer_t(table, data):
+    """t = 2^(2k + d - m) > 1 and more color sets than row sets: eps* runs
+    the full sweep with counts capped at t."""
+    k = data.draw(st.integers(1, min(2, table.n)), label="k")
+    d = data.draw(st.integers(max(0, table.m - 2 * k + 1), table.m), label="d")
+    plans = []
+    plan = balance._plan
+
+    def spy(*args, **kwargs):
+        plans.append(plan(*args, **kwargs))
+        return plans[-1]
+
+    with mock.patch.object(balance, "_plan", spy):
+        got = measure_eps_star(table, k, d)
+    assert plans == ["full"]
+    assert got == pytest.approx(brute_eps_star(table, k, d), abs=1e-12)
