@@ -6,8 +6,9 @@ pipeline run. Every subcommand echoes a one-screen summary, and all but
 pipeline run (whose summary goes into --out-dir) can write a report
 envelope with --out; the report's command and params come from the
 parsed arguments. Exit codes: 0 on pass/complete, 1 when a report
-assertion fails, 2 on usage or feasibility errors, 3 when a command
-crashes (its traceback goes to stderr).
+assertion fails, 2 on usage or feasibility errors (a user-named path
+that cannot be read or written among them), 3 when a command crashes
+(its traceback goes to stderr).
 
 Randomized subcommands require an explicit --seed; nothing here reads
 environmental entropy. Every sweep runs sequentially in a fixed order.
@@ -45,8 +46,9 @@ from .extraction import (
     popular_prefix_demo,
     popular_range_procedure,
 )
-from .machine import MachineBudget
+from .machine import DEFAULT_BUDGET, MachineBudget
 from .oracle import MAX_N, build_complexity_table, check_shape, load_table, save_table
+from .pipeline import STANDARDS
 from .reports import all_passed, assertion, build_report, write_report
 from .tables import (
     SingleSourceTable,
@@ -127,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="'lambda', 'all' (lambda plus all n-bit), or 'all:<len>'",
     )
     p.add_argument("--l-max", type=int, default=None)
-    p.add_argument("--budget-out", type=int, default=4096)
-    p.add_argument("--budget-ops", type=int, default=4096)
+    p.add_argument("--budget-out", type=int, default=DEFAULT_BUDGET.max_output_bits)
+    p.add_argument("--budget-ops", type=int, default=DEFAULT_BUDGET.max_opcodes)
     p = oracle("query", cmd_oracle_query, "look up one complexity value")
     p.add_argument("--table", required=True)
     p.add_argument("--target", required=True, help="target as a 01 string")
@@ -218,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipe = _group(top, "pipeline", "run committed step sequences")
     p = pipe("run", cmd_pipeline_run, out_help=None)
     p.add_argument("--config", default=None, help="JSON step list")
-    p.add_argument("--standard", default=None, choices=["n4"], help="built-in pipeline")
+    p.add_argument("--standard", default=None, choices=list(STANDARDS), help="built-in pipeline")
     p.add_argument("--out-dir", required=True)
 
     return parser
@@ -250,10 +252,16 @@ def _params(args, *names: str) -> dict:
     return {name: getattr(args, name) for name in names}
 
 
-def _two_source(path: str, what: str) -> TwoSourceTable:
+# table class -> the name its errors and summaries use
+_SHAPES = {TwoSourceTable: "two-source", SingleSourceTable: "single-source"}
+
+
+def _read_table(path: str, kind: type, what: str):
+    """The KEXT table at path; a ValueError naming the kind that what
+    needs unless the table is of that kind."""
     table = read_table(path)
-    if not isinstance(table, TwoSourceTable):
-        raise ValueError(f"{what} needs a two-source table")
+    if not isinstance(table, kind):
+        raise ValueError(f"{what} needs a {_SHAPES[kind]} table")
     return table
 
 
@@ -301,13 +309,13 @@ def cmd_table_gen(args) -> int:
         raise ValueError(f"{args.kind} needs " + " and ".join(f"--{o}" for o in needs))
     table = generate(args)
     write_table(table, args.out)
-    shape = "two-source" if isinstance(table, TwoSourceTable) else "single-source"
-    print(f"[table gen] {args.kind} n={table.n} m={table.m} ({shape}) -> {args.out}")
+    print(f"[table gen] {args.kind} n={table.n} m={table.m} ({_SHAPES[type(table)]}) "
+          f"-> {args.out}")
     return 0
 
 
 def cmd_table_verify(args) -> int:
-    table = _two_source(args.table, "verification")
+    table = _read_table(args.table, TwoSourceTable, "verification")
     if args.mode == "almost":
         if args.k is None:
             raise ValueError("--mode almost needs --k")
@@ -372,7 +380,7 @@ def cmd_table_search(args) -> int:
 
 
 def cmd_table_eps_star(args) -> int:
-    table = _two_source(args.table, "eps-star")
+    table = _read_table(args.table, TwoSourceTable, "eps-star")
     value = measure_eps_star(
         table,
         args.k,
@@ -384,7 +392,7 @@ def cmd_table_eps_star(args) -> int:
 
 
 def cmd_extract_check(args) -> int:
-    table = read_table(args.table)
+    table = _read_table(args.table, TwoSourceTable, "extract check")
     cond_oracle = load_table(args.cond_oracle)
     output_oracle = load_table(args.output_oracle)
     cls = enumerate_class(cond_oracle, args.k, args.alpha)
@@ -409,7 +417,7 @@ def cmd_extract_check(args) -> int:
 
 
 def cmd_extract_equiv(args) -> int:
-    table = read_table(args.table)
+    table = _read_table(args.table, TwoSourceTable, "extract equiv")
     cond_oracle = load_table(args.cond_oracle)
     output_oracle = load_table(args.output_oracle)
     report = equivalence_report(
@@ -436,9 +444,7 @@ def cmd_extract_equiv(args) -> int:
 
 
 def cmd_demo_popular(args) -> int:
-    table = read_table(args.table)
-    if not isinstance(table, SingleSourceTable):
-        raise ValueError("demo popular needs a single-source table")
+    table = _read_table(args.table, SingleSourceTable, "demo popular")
     oracle = load_table(args.oracle)
     report = popular_color_demo(table, oracle)
     print(
@@ -454,7 +460,7 @@ def cmd_demo_popular(args) -> int:
 
 
 def cmd_demo_curse(args) -> int:
-    table = _two_source(args.table, "demo curse")
+    table = _read_table(args.table, TwoSourceTable, "demo curse")
     pair_oracle = load_table(args.pair_oracle)
     output_oracle = load_table(args.output_oracle) if args.output_oracle else None
     report = popular_prefix_demo(table, args.alpha, pair_oracle, output_oracle)
@@ -514,7 +520,7 @@ def cmd_exp_dep_census(args) -> int:
 
 
 def cmd_exp_hitting(args) -> int:
-    table = _two_source(args.table, "exp hitting")
+    table = _read_table(args.table, TwoSourceTable, "exp hitting")
     cond_oracle = load_table(args.cond_oracle)
     output_oracle = load_table(args.output_oracle)
     if (args.target_set is None) == (args.set_popular_row is None):
@@ -562,7 +568,8 @@ def dispatch(argv: list[str]) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FeasibilityError, FileNotFoundError, ValueError) as exc:
+    # OSError: a user-named path that is missing, a directory or a file
+    except (FeasibilityError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # a bug, never a check verdict

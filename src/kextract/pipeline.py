@@ -3,7 +3,9 @@
 A pipeline config is a JSON object {"steps": [...]} where each step has
 a name, a CLI argv list, and declared inputs/outputs. Path-valued
 entries use the "{out}" placeholder for the output directory; no other
-placeholder is expanded. Inputs are checked up front against earlier
+placeholder is expanded. The built-in pipelines in STANDARDS write each
+step as its argv alone and derive the declared lists from it; config
+files declare them. Inputs are checked up front against earlier
 outputs: a dangling reference aborts with exit 2 before any step runs,
 so a broken pipeline leaves no partial summary. A step that exits with
 neither 0 nor 1 aborts the run with its code: 2 when the CLI rejects
@@ -32,215 +34,80 @@ from .reports import (
 
 SUMMARY_NAME = "pipeline_summary.json"
 
+# The argv options whose "{out}" value a built-in step writes, in the
+# order of its declared outputs. Every other "{out}" value is an input.
+_OUTPUT_OPTIONS = ("--out", "--table-out", "--csv")
+
+
+def _step(name: str, argv: str) -> dict:
+    """A built-in step from its argv, one space-separated string, with
+    its declared inputs and outputs read off the argv's "{out}" values."""
+    tokens = argv.split()
+    paths = [(opt, value) for opt, value in zip(tokens, tokens[1:])
+             if value.startswith("{out}/")]
+    return {
+        "name": name,
+        "argv": tokens,
+        "inputs": [value for opt, value in paths if opt not in _OUTPUT_OPTIONS],
+        "outputs": [value for out in _OUTPUT_OPTIONS for opt, value in paths if opt == out],
+    }
+
+
 # The committed n=4 reproduction pipeline: oracles, tables,
 # verifications, demos, experiments. Every assertion in every step is
 # expected to pass, and a rerun must reproduce every artifact byte for
 # byte (report timestamps aside).
-STANDARD_N4 = {
-    "steps": [
-        {
-            "name": "oracle-n4-cond",
-            "argv": [
-                "oracle", "build", "--n", "4", "--conditions", "all",
-                "--l-max", "8", "--out", "{out}/oracle_n4_cond.json",
-            ],
-            "inputs": [],
-            "outputs": ["{out}/oracle_n4_cond.json"],
-        },
-        {
-            "name": "oracle-n8-pairs",
-            "argv": [
-                "oracle", "build", "--n", "8", "--conditions", "lambda",
-                "--l-max", "16", "--out", "{out}/oracle_n8_pairs.json",
-            ],
-            "inputs": [],
-            "outputs": ["{out}/oracle_n8_pairs.json"],
-        },
-        {
-            "name": "oracle-m2-out",
-            "argv": [
-                "oracle", "build", "--n", "2", "--conditions", "lambda",
-                "--l-max", "4", "--out", "{out}/oracle_m2_out.json",
-            ],
-            "inputs": [],
-            "outputs": ["{out}/oracle_m2_out.json"],
-        },
-        {
-            "name": "oracle-m2-cond4",
-            "argv": [
-                "oracle", "build", "--n", "2", "--conditions", "all:4",
-                "--l-max", "6", "--out", "{out}/oracle_m2_cond4.json",
-            ],
-            "inputs": [],
-            "outputs": ["{out}/oracle_m2_cond4.json"],
-        },
-        {
-            "name": "gen-ip4",
-            "argv": [
-                "table", "gen", "--kind", "inner-product", "--n", "4",
-                "--out", "{out}/ip4.kext",
-            ],
-            "inputs": [],
-            "outputs": ["{out}/ip4.kext"],
-        },
-        {
-            "name": "gen-gf4",
-            "argv": [
-                "table", "gen", "--kind", "gf2", "--n", "4", "--m", "2",
-                "--out", "{out}/gf4.kext",
-            ],
-            "inputs": [],
-            "outputs": ["{out}/gf4.kext"],
-        },
-        {
-            "name": "gen-rnd4",
-            "argv": [
-                "table", "gen", "--kind", "random", "--n", "4", "--m", "2",
-                "--seed", "1", "--out", "{out}/rnd4.kext",
-            ],
-            "inputs": [],
-            "outputs": ["{out}/rnd4.kext"],
-        },
-        {
-            "name": "gen-trunc4",
-            "argv": [
-                "table", "gen", "--kind", "truncate", "--n", "4", "--m", "2",
-                "--out", "{out}/trunc4.kext",
-            ],
-            "inputs": [],
-            "outputs": ["{out}/trunc4.kext"],
-        },
-        {
-            "name": "verify-ip4-almost",
-            "argv": [
-                "table", "verify", "--table", "{out}/ip4.kext",
-                "--mode", "almost", "--k", "3", "--d", "0",
-                "--eps", "0.25", "--u-size", "1",
-                "--out", "{out}/verify_ip4_almost.json",
-            ],
-            "inputs": ["{out}/ip4.kext"],
-            "outputs": ["{out}/verify_ip4_almost.json"],
-        },
-        {
-            "name": "eps-star-ip4",
-            "argv": [
-                "table", "eps-star", "--table", "{out}/ip4.kext",
-                "--k", "3", "--d", "0",
-                "--out", "{out}/eps_star_ip4.json",
-            ],
-            "inputs": ["{out}/ip4.kext"],
-            "outputs": ["{out}/eps_star_ip4.json"],
-        },
-        {
-            "name": "verify-rnd4-rainbow",
-            "argv": [
-                "table", "verify", "--table", "{out}/rnd4.kext",
-                "--mode", "rainbow", "--side", "4", "--divisor", "2",
-                "--out", "{out}/verify_rnd4_rainbow.json",
-            ],
-            "inputs": ["{out}/rnd4.kext"],
-            "outputs": ["{out}/verify_rnd4_rainbow.json"],
-        },
-        {
-            "name": "search-rainbow",
-            "argv": [
-                "table", "search", "--n", "4", "--m", "2", "--side", "8",
-                "--divisor", "2", "--seed", "1", "--max-trials", "4",
-                "--table-out", "{out}/rainbow_found.kext",
-                "--out", "{out}/search_rainbow.json",
-            ],
-            "inputs": [],
-            "outputs": ["{out}/search_rainbow.json", "{out}/rainbow_found.kext"],
-        },
-        {
-            "name": "extract-check-rnd4",
-            "argv": [
-                "extract", "check", "--table", "{out}/rnd4.kext",
-                "--cond-oracle", "{out}/oracle_n4_cond.json",
-                "--output-oracle", "{out}/oracle_m2_out.json",
-                "--k", "3", "--alpha", "2", "--require-d", "0",
-                "--out", "{out}/extract_check_rnd4.json",
-            ],
-            "inputs": [
-                "{out}/rnd4.kext",
-                "{out}/oracle_n4_cond.json",
-                "{out}/oracle_m2_out.json",
-            ],
-            "outputs": ["{out}/extract_check_rnd4.json"],
-        },
-        {
-            "name": "demo-popular",
-            "argv": [
-                "demo", "popular", "--table", "{out}/trunc4.kext",
-                "--oracle", "{out}/oracle_n4_cond.json",
-                "--out", "{out}/demo_popular.json",
-            ],
-            "inputs": ["{out}/trunc4.kext", "{out}/oracle_n4_cond.json"],
-            "outputs": ["{out}/demo_popular.json"],
-        },
-        {
-            "name": "demo-curse",
-            "argv": [
-                "demo", "curse", "--table", "{out}/rnd4.kext", "--alpha", "1",
-                "--pair-oracle", "{out}/oracle_n8_pairs.json",
-                "--output-oracle", "{out}/oracle_m2_out.json",
-                "--out", "{out}/demo_curse.json",
-            ],
-            "inputs": [
-                "{out}/rnd4.kext",
-                "{out}/oracle_n8_pairs.json",
-                "{out}/oracle_m2_out.json",
-            ],
-            "outputs": ["{out}/demo_curse.json"],
-        },
-        {
-            "name": "demo-vv",
-            "argv": [
-                "demo", "vv", "--oracle", "{out}/oracle_m2_cond4.json",
-                "--advice", "1", "--n", "4", "--m", "2",
-                "--out", "{out}/demo_vv.json",
-            ],
-            "inputs": ["{out}/oracle_m2_cond4.json"],
-            "outputs": ["{out}/demo_vv.json"],
-        },
-        {
-            "name": "exp-dep-census",
-            "argv": [
-                "exp", "dep-census", "--oracle", "{out}/oracle_n4_cond.json",
-                "--alpha", "2", "--max-c", "0.0",
-                "--csv", "{out}/census_n4_a2.csv",
-                "--out", "{out}/exp_dep_census.json",
-            ],
-            "inputs": ["{out}/oracle_n4_cond.json"],
-            "outputs": ["{out}/exp_dep_census.json", "{out}/census_n4_a2.csv"],
-        },
-        {
-            "name": "exp-hitting",
-            "argv": [
-                "exp", "hitting", "--table", "{out}/rnd4.kext",
-                "--cond-oracle", "{out}/oracle_n4_cond.json",
-                "--output-oracle", "{out}/oracle_m2_out.json",
-                "--k", "3", "--alpha", "2", "--set-popular-row", "0",
-                "--out", "{out}/exp_hitting.json",
-            ],
-            "inputs": [
-                "{out}/rnd4.kext",
-                "{out}/oracle_n4_cond.json",
-                "{out}/oracle_m2_out.json",
-            ],
-            "outputs": ["{out}/exp_hitting.json"],
-        },
-    ]
-}
+STANDARD_N4 = {"steps": [_step(name, argv) for name, argv in (
+    ("oracle-n4-cond", "oracle build --n 4 --conditions all --l-max 8"
+                       " --out {out}/oracle_n4_cond.json"),
+    ("oracle-n8-pairs", "oracle build --n 8 --conditions lambda --l-max 16"
+                        " --out {out}/oracle_n8_pairs.json"),
+    ("oracle-m2-out", "oracle build --n 2 --conditions lambda --l-max 4"
+                      " --out {out}/oracle_m2_out.json"),
+    ("oracle-m2-cond4", "oracle build --n 2 --conditions all:4 --l-max 6"
+                        " --out {out}/oracle_m2_cond4.json"),
+    ("gen-ip4", "table gen --kind inner-product --n 4 --out {out}/ip4.kext"),
+    ("gen-gf4", "table gen --kind gf2 --n 4 --m 2 --out {out}/gf4.kext"),
+    ("gen-rnd4", "table gen --kind random --n 4 --m 2 --seed 1 --out {out}/rnd4.kext"),
+    ("gen-trunc4", "table gen --kind truncate --n 4 --m 2 --out {out}/trunc4.kext"),
+    ("verify-ip4-almost", "table verify --table {out}/ip4.kext --mode almost --k 3 --d 0"
+                          " --eps 0.25 --u-size 1 --out {out}/verify_ip4_almost.json"),
+    ("eps-star-ip4", "table eps-star --table {out}/ip4.kext --k 3 --d 0"
+                     " --out {out}/eps_star_ip4.json"),
+    ("verify-rnd4-rainbow", "table verify --table {out}/rnd4.kext --mode rainbow --side 4"
+                            " --divisor 2 --out {out}/verify_rnd4_rainbow.json"),
+    ("search-rainbow", "table search --n 4 --m 2 --side 8 --divisor 2 --seed 1 --max-trials 4"
+                       " --table-out {out}/rainbow_found.kext --out {out}/search_rainbow.json"),
+    ("extract-check-rnd4", "extract check --table {out}/rnd4.kext"
+                           " --cond-oracle {out}/oracle_n4_cond.json"
+                           " --output-oracle {out}/oracle_m2_out.json --k 3 --alpha 2"
+                           " --require-d 0 --out {out}/extract_check_rnd4.json"),
+    ("demo-popular", "demo popular --table {out}/trunc4.kext --oracle {out}/oracle_n4_cond.json"
+                     " --out {out}/demo_popular.json"),
+    ("demo-curse", "demo curse --table {out}/rnd4.kext --alpha 1"
+                   " --pair-oracle {out}/oracle_n8_pairs.json"
+                   " --output-oracle {out}/oracle_m2_out.json --out {out}/demo_curse.json"),
+    ("demo-vv", "demo vv --oracle {out}/oracle_m2_cond4.json --advice 1 --n 4 --m 2"
+                " --out {out}/demo_vv.json"),
+    ("exp-dep-census", "exp dep-census --oracle {out}/oracle_n4_cond.json --alpha 2"
+                       " --max-c 0.0 --csv {out}/census_n4_a2.csv"
+                       " --out {out}/exp_dep_census.json"),
+    ("exp-hitting", "exp hitting --table {out}/rnd4.kext --cond-oracle {out}/oracle_n4_cond.json"
+                    " --output-oracle {out}/oracle_m2_out.json --k 3 --alpha 2"
+                    " --set-popular-row 0 --out {out}/exp_hitting.json"),
+)]}
+
+# The built-in pipelines by their --standard name.
+STANDARDS = {"n4": STANDARD_N4}
 
 
 def load_config(config_path: Optional[str], standard: Optional[str]) -> dict:
     if (config_path is None) == (standard is None):
         raise ValueError("pass exactly one of --config / --standard")
     if standard is not None:
-        if standard != "n4":
+        if standard not in STANDARDS:
             raise ValueError(f"unknown standard pipeline {standard!r}")
-        return STANDARD_N4
+        return STANDARDS[standard]
     with open(config_path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -300,7 +167,7 @@ def run_pipeline(
         config = load_config(config_path, standard)
         os.makedirs(out_dir, exist_ok=True)
         steps = preflight(config, out_dir)
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

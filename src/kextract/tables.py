@@ -3,8 +3,9 @@
 A two-source table colors the full 2^n x 2^n grid with colors in
 [0, 2^m); a single-source table colors the 2^n line. Rows are indexed by
 the first argument, columns by the second. Tables are dense uint16
-arrays, so n is practically capped by memory (the generators refuse
-grids past MAX_CELLS = 2^24 cells, n > 12).
+arrays, so n is practically capped by memory: _check_size refuses grids
+past MAX_CELLS = 2^24 cells (n > 12), and the generators check it before
+they allocate.
 """
 
 from __future__ import annotations
@@ -89,10 +90,7 @@ class SingleSourceTable:
 def _freeze_colors(table, shape: tuple[int, ...]) -> None:
     """Check a table's header and colors, then store them as a read-only
     uint16 copy."""
-    if not 0 <= table.n <= 16:
-        raise ValueError("n must be in [0, 16]")
-    if not 0 <= table.m <= 16:
-        raise ValueError("m must be in [0, 16]")
+    _check_size(table.n, table.m, len(shape) == 2)
     arr = np.array(table.colors, dtype=np.uint16, copy=True)
     if arr.shape != shape:
         raise ValueError(f"colors must have shape {shape}, not {arr.shape}")
@@ -102,13 +100,12 @@ def _freeze_colors(table, shape: tuple[int, ...]) -> None:
     object.__setattr__(table, "colors", arr)
 
 
-def _check_random(n: int, m: int) -> None:
-    if not 1 <= m <= 16 or not 0 <= n <= 16:
-        raise ValueError("need 0 <= n <= 16 and 1 <= m <= 16")
-
-
-def _check_cells(n: int) -> None:
-    if (1 << (2 * n)) > MAX_CELLS:
+def _check_size(n: int, m: int, grid: bool) -> None:
+    """The one table-size rule: 0 <= n, m <= 16, and a grid (2^n x 2^n,
+    else a 2^n line) of at most MAX_CELLS cells."""
+    if not 0 <= n <= 16 or not 0 <= m <= 16:
+        raise ValueError(f"need 0 <= n <= 16 and 0 <= m <= 16, not n={n} m={m}")
+    if grid and (1 << (2 * n)) > MAX_CELLS:
         raise ValueError(
             f"2^{2 * n} cells will not fit in memory; largest supported n is 12"
         )
@@ -128,7 +125,7 @@ def gen_inner_product(n: int) -> TwoSourceTable:
     """One-bit table: parity of the bitwise AND of the two arguments."""
     if n < 1:
         raise ValueError("n must be positive")
-    _check_cells(n)
+    _check_size(n, 1, True)
     side = np.arange(1 << n, dtype=np.uint32)
     grid = side[:, None] & side[None, :]
     return TwoSourceTable(n, 1, _parity(grid).astype(np.uint16))
@@ -153,7 +150,7 @@ def gen_gf2_mult(n: int, m: int) -> TwoSourceTable:
     """Field product in GF(2^n), keeping the m low bits."""
     if not 1 <= m <= n or n not in IRREDUCIBLE_POLYS:
         raise ValueError("need 1 <= m <= n <= 16")
-    _check_cells(n)
+    _check_size(n, m, True)
     poly = IRREDUCIBLE_POLYS[n]
     side = np.arange(1 << n, dtype=np.uint64)
     prod = np.zeros((1 << n, 1 << n), dtype=np.uint64)
@@ -171,8 +168,9 @@ def gen_gf2_mult(n: int, m: int) -> TwoSourceTable:
 def gen_random(n: int, m: int, seed: int) -> TwoSourceTable:
     """Seeded table: cell (x, y) takes the low m bits of splitmix64
     output number x * 2^n + y + 1 for the given seed (row-major order)."""
-    _check_random(n, m)
-    _check_cells(n)
+    if m < 1:
+        raise ValueError("m must be positive")
+    _check_size(n, m, True)
     outs = prng.stream(seed, 1 << (2 * n))
     colors = (outs & np.uint64((1 << m) - 1)).astype(np.uint16)
     return TwoSourceTable(n, m, colors.reshape(1 << n, 1 << n))
@@ -180,15 +178,17 @@ def gen_random(n: int, m: int, seed: int) -> TwoSourceTable:
 
 def gen_random_single(n: int, m: int, seed: int) -> SingleSourceTable:
     """Seeded line table from the same generator as gen_random."""
-    _check_random(n, m)
+    if m < 1:
+        raise ValueError("m must be positive")
+    _check_size(n, m, False)
     outs = prng.stream(seed, 1 << n)
     return SingleSourceTable(n, m, (outs & np.uint64((1 << m) - 1)).astype(np.uint16))
 
 
 def gen_constant(n: int, m: int, c: int) -> TwoSourceTable:
+    _check_size(n, m, True)
     if not 0 <= c < (1 << m):
         raise ValueError("constant color out of range")
-    _check_cells(n)
     return TwoSourceTable(n, m, np.full((1 << n, 1 << n), c, dtype=np.uint16))
 
 
@@ -196,6 +196,7 @@ def gen_truncate(n: int, m: int) -> SingleSourceTable:
     """Keep the m most significant bits of the input."""
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
+    _check_size(n, m, False)
     vals = np.arange(1 << n, dtype=np.uint32) >> np.uint32(n - m)
     return SingleSourceTable(n, m, vals.astype(np.uint16))
 

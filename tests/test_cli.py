@@ -231,6 +231,29 @@ def test_oracle_query_missing_file(tmp_path):
                      "--target", "0"]) == 2
 
 
+def test_oversized_table_gen_is_a_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "t.kext")
+    argv = ["table", "gen", "--kind", "truncate", "--n", "40", "--m", "2", "--out", out]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n=40" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(lambda w, d: ["table", "gen", "--kind", "inner-product", "--n", "2",
+                               "--out", d], id="out-is-a-directory"),
+    pytest.param(lambda w, d: ["pipeline", "run", "--standard", "n4",
+                               "--out-dir", w["rnd2"]], id="out-dir-is-a-file"),
+    pytest.param(lambda w, d: ["oracle", "query", "--table", d, "--target", "0"],
+                 id="table-is-a-directory"),
+])
+def test_unusable_user_path_is_a_usage_error(workdir, tmp_path, capsys, argv):
+    assert dispatch(argv(workdir, str(tmp_path))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_table_gen_kinds(workdir, tmp_path):
     for kind, extra in [
         ("gf2", ["--m", "1"]),
@@ -390,6 +413,17 @@ def test_demo_popular(workdir, tmp_path):
     assert all(a["passed"] for a in rep["assertions"])
     assert dispatch(["demo", "popular", "--table", workdir["rnd2"],
                      "--oracle", workdir["o2all"]]) == 2  # needs single-source
+
+
+@pytest.mark.parametrize("command", [["extract", "check", "--alpha", "0"],
+                                     ["extract", "equiv", "--d", "0"]])
+def test_extract_needs_a_two_source_table(workdir, capsys, command):
+    argv = [*command, "--table", workdir["trunc2"], "--cond-oracle", workdir["o2all"],
+            "--output-oracle", workdir["om1"], "--k", "1"]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {command[0]} {command[1]} needs a two-source table" in err
+    assert "Traceback" not in err
 
 
 def test_demo_curse(workdir, tmp_path):

@@ -8,7 +8,9 @@ from kextract import balance, cli
 from kextract.cli import dispatch
 from kextract.pipeline import (
     STANDARD_N4,
+    STANDARDS,
     SUMMARY_NAME,
+    _step,
     artifact_digests,
     load_config,
     preflight,
@@ -289,3 +291,15 @@ def test_standard_n4_shape():
             assert path in produced, f"{step['name']} reads {path} before it exists"
         produced.update(step["outputs"])
         assert all(p.startswith("{out}/") for p in step["outputs"])
+
+
+def test_builtin_steps_derive_their_declared_paths():
+    step = _step("s", "table search --table-out {out}/t.kext --table {out}/in.kext"
+                      " --csv {out}/c.csv --seed 1 --out {out}/r.json")
+    assert step["argv"][:2] == ["table", "search"] and step["argv"][-1] == "{out}/r.json"
+    assert step["inputs"] == ["{out}/in.kext"]
+    assert step["outputs"] == ["{out}/r.json", "{out}/t.kext", "{out}/c.csv"]
+    for config in STANDARDS.values():
+        for step in config["steps"]:
+            paths = [a for a in step["argv"] if a.startswith("{out}")]
+            assert sorted(step["inputs"] + step["outputs"]) == sorted(paths)

@@ -46,6 +46,26 @@ def test_cell_guard():
         gen_constant(13, 1, 0)
 
 
+@pytest.mark.parametrize("generate", [
+    lambda n: gen_inner_product(n),
+    lambda n: gen_gf2_mult(n, 2),
+    lambda n: gen_random(n, 2, 1),
+    lambda n: gen_random_single(n, 2, 1),
+    lambda n: gen_constant(n, 2, 0),
+    lambda n: gen_truncate(n, 2),
+])
+def test_generators_check_the_size_before_allocating(monkeypatch, generate):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    for name in ("arange", "zeros", "full"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(prng, "stream", refuse)
+    for n in (40, 17, -1):
+        with pytest.raises(ValueError):
+            generate(n)
+
+
 def test_transposed():
     t = gen_random(2, 2, 3)
     tt = t.transposed()
