@@ -356,7 +356,9 @@ def popular_range_procedure(
 
     witnesses = tuple(np.flatnonzero((in_range == is_chosen).all(axis=1)).tolist())
     count = len(witnesses)
-    bound_met = count * temperature**max_steps >= 1 << n
+    # T >= 2, so T^K >= 2^n as soon as K >= n: capping the exponent at n
+    # gives the same integer test without raising T to a huge power.
+    bound_met = count * temperature ** min(max_steps, n) >= 1 << n
     # Re-derive each witness range straight from the oracle rather than
     # trusting the matrix the iteration used.
     ranges_match = all(

@@ -7,7 +7,9 @@ placeholder is expanded. The built-in pipelines in STANDARDS write each
 step as its argv alone and derive the declared lists from it; config
 files declare them. Inputs are checked up front against earlier
 outputs: a dangling reference aborts with exit 2 before any step runs,
-so a broken pipeline leaves no partial summary. A step that exits with
+so a broken pipeline leaves no partial summary. So does a file already
+in the output directory that no step declares, since artifact_digests
+would hash it as if the run had made it. A step that exits with
 neither 0 nor 1 aborts the run with its code: 2 when the CLI rejects
 its argv (an old config's --threads, say), 3 when it crashes. A step
 that returns without writing a declared output aborts with exit 2.
@@ -23,14 +25,7 @@ import os
 import sys
 from typing import Optional
 
-from .reports import (
-    all_passed,
-    assertion,
-    build_report,
-    comparable_bytes,
-    load_report,
-    write_report,
-)
+from .reports import all_passed, assertion, build_report, write_report
 
 SUMMARY_NAME = "pipeline_summary.json"
 
@@ -56,7 +51,7 @@ def _step(name: str, argv: str) -> dict:
 # The committed n=4 reproduction pipeline: oracles, tables,
 # verifications, demos, experiments. Every assertion in every step is
 # expected to pass, and a rerun must reproduce every artifact byte for
-# byte (report timestamps aside).
+# byte.
 STANDARD_N4 = {"steps": [_step(name, argv) for name, argv in (
     ("oracle-n4-cond", "oracle build --n 4 --conditions all --l-max 8"
                        " --out {out}/oracle_n4_cond.json"),
@@ -131,8 +126,9 @@ def _resolve_step(index: int, raw: object, out_dir: str) -> dict:
 
 
 def preflight(config: dict, out_dir: str, _unused: object = None) -> list[dict]:
-    """Check the config's shape, resolve "{out}" and check the
-    input/output dependency chain.
+    """Check the config's shape, resolve "{out}", check the input/output
+    dependency chain and refuse regular files in out_dir that no step
+    declares, the summary aside.
 
     The optional third argument is ignored. It was the worker count of
     the former signature, and kbench/workloads.py still passes it.
@@ -152,6 +148,12 @@ def preflight(config: dict, out_dir: str, _unused: object = None) -> list[dict]:
                 )
         produced.update(step["outputs"])
         steps.append(step)
+    declared = {os.path.abspath(path) for step in steps
+                for path in step["inputs"] + step["outputs"]}
+    stray = [name for name in _files(out_dir) if name != SUMMARY_NAME
+             and os.path.abspath(os.path.join(out_dir, name)) not in declared]
+    if stray:
+        raise ValueError(f"{out_dir} holds files no step declares: {', '.join(stray)}")
     return steps
 
 
@@ -208,25 +210,18 @@ def run_pipeline(
     return 0 if all_passed(summary) else 1
 
 
-def artifact_digests(out_dir: str) -> dict[str, str]:
-    """sha256 per artifact, with report timestamps excluded.
+def _files(out_dir: str) -> list[str]:
+    """Names of the regular files in out_dir, sorted; none if it is missing."""
+    if not os.path.isdir(out_dir):
+        return []
+    return sorted(name for name in os.listdir(out_dir)
+                  if os.path.isfile(os.path.join(out_dir, name)))
 
-    Files carrying a report envelope are canonicalized through
-    comparable_bytes first; all other files digest raw.
-    """
+
+def artifact_digests(out_dir: str) -> dict[str, str]:
+    """sha256 of the bytes of each regular file in out_dir, by name."""
     digests = {}
-    for name in sorted(os.listdir(out_dir)):
-        path = os.path.join(out_dir, name)
-        if not os.path.isfile(path):
-            continue
-        if name.endswith(".json"):
-            try:
-                doc = load_report(path)
-            except json.JSONDecodeError:
-                doc = None
-            if isinstance(doc, dict) and "schema_version" in doc and "generated_at" in doc:
-                digests[name] = hashlib.sha256(comparable_bytes(path)).hexdigest()
-                continue
-        with open(path, "rb") as fh:
+    for name in _files(out_dir):
+        with open(os.path.join(out_dir, name), "rb") as fh:
             digests[name] = hashlib.sha256(fh.read()).hexdigest()
     return digests

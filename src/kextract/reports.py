@@ -1,18 +1,16 @@
 """Report envelopes: canonical JSON with a reproducible config block.
 
-A report is {schema_version, command, params, generated_at, data,
-assertions}. Everything except generated_at is a pure function of the
-params, so byte comparison after dropping that one field is the
-determinism contract. Execution details that cannot change results,
-such as the feasibility override, are deliberately kept out of the
-envelope.
+A report is {schema_version, command, params, data, assertions}, a pure
+function of the command and its params, and it carries no wall-clock
+value: equal params give byte-identical files, which is the determinism
+contract. Execution details that cannot change results, such as the
+feasibility override, are deliberately kept out of the envelope.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from datetime import datetime, timezone
 from typing import Any, Optional
 
 import numpy as np
@@ -37,7 +35,6 @@ def build_report(
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "params": params,
-        "generated_at": datetime.now(timezone.utc).isoformat(),
         "data": data,
         "assertions": assertions or [],
     }
@@ -71,10 +68,8 @@ def _jsonable(obj: Any) -> Any:
     return obj
 
 
-def report_bytes(report: dict, drop_timestamp: bool = False) -> bytes:
+def report_bytes(report: dict) -> bytes:
     doc = _jsonable(report)
-    if drop_timestamp:
-        doc = {k: v for k, v in doc.items() if k != "generated_at"}
     # NaN and Infinity are not JSON: refuse them rather than write them
     return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
@@ -88,8 +83,3 @@ def write_report(report: dict, path: str) -> None:
 def load_report(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def comparable_bytes(path: str) -> bytes:
-    """File bytes with the timestamp field removed, for determinism checks."""
-    return report_bytes(load_report(path), drop_timestamp=True)

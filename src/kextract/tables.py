@@ -111,16 +111,6 @@ def _check_size(n: int, m: int, grid: bool) -> None:
         )
 
 
-def _parity(v: np.ndarray) -> np.ndarray:
-    v = v.astype(np.uint32)
-    v ^= v >> np.uint32(16)
-    v ^= v >> np.uint32(8)
-    v ^= v >> np.uint32(4)
-    v ^= v >> np.uint32(2)
-    v ^= v >> np.uint32(1)
-    return v & np.uint32(1)
-
-
 def gen_inner_product(n: int) -> TwoSourceTable:
     """One-bit table: parity of the bitwise AND of the two arguments."""
     if n < 1:
@@ -128,7 +118,7 @@ def gen_inner_product(n: int) -> TwoSourceTable:
     _check_size(n, 1, True)
     side = np.arange(1 << n, dtype=np.uint32)
     grid = side[:, None] & side[None, :]
-    return TwoSourceTable(n, 1, _parity(grid).astype(np.uint16))
+    return TwoSourceTable(n, 1, (np.bitwise_count(grid) & 1).astype(np.uint16))
 
 
 def gf2_mult(a: int, b: int, n: int) -> int:

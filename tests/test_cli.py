@@ -10,7 +10,7 @@ import pytest
 import kextract
 from kextract import balance, cli
 from kextract.cli import GUARDED, build_parser, dispatch, main
-from kextract.reports import comparable_bytes, load_report
+from kextract.reports import load_report
 from kextract.tables import read_table
 
 
@@ -201,6 +201,13 @@ def test_condition_length_is_capped(monkeypatch, tmp_path, spec):
     argv = ["oracle", "build", "--n", "8", "--conditions", spec,
             "--out", str(tmp_path / "o.json")]
     assert dispatch(argv) == 2
+
+
+def test_unknown_condition_spec_is_a_usage_error(tmp_path, capsys):
+    argv = ["oracle", "build", "--n", "2", "--conditions", "bogus",
+            "--out", str(tmp_path / "o.json")]
+    assert dispatch(argv) == 2
+    assert "unknown condition spec 'bogus'" in capsys.readouterr().err
 
 
 def test_pipeline_run_has_no_out(tmp_path):
@@ -456,6 +463,21 @@ def test_demo_vv(workdir, tmp_path):
     assert dispatch(["demo", "vv", "--oracle", workdir["om1"], "--advice", "1"]) == 2
 
 
+def test_demo_vv_at_a_huge_advice(workdir, tmp_path):
+    """Advice 64 gives advice 22's report but for the advice and its K."""
+    reports = {}
+    for advice in (22, 64):
+        out = str(tmp_path / f"v{advice}.json")
+        assert dispatch(["demo", "vv", "--oracle", workdir["oc4"], "--advice", str(advice),
+                         "--n", "4", "--m", "2", "--out", out]) == 0
+        reports[advice] = load_report(out)
+    small, huge = reports[22], reports[64]
+    assert huge["data"]["max_steps"] == (1 << 65) - 1
+    small["params"]["advice"] = small["data"]["k_adv"] = 64
+    small["data"]["max_steps"] = huge["data"]["max_steps"]
+    assert huge == small
+
+
 def test_exp_dep_census(workdir, tmp_path):
     out = str(tmp_path / "d.json")
     csv_path = str(tmp_path / "census.csv")
@@ -518,14 +540,14 @@ def test_reports_reproducible_from_params(workdir, tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert dispatch(argv + ["--out", a]) == 0
     assert dispatch(argv + ["--out", b]) == 0
-    assert comparable_bytes(a) == comparable_bytes(b)
+    assert open(a, "rb").read() == open(b, "rb").read()
     # the params block alone is enough to rebuild the invocation
     params = load_report(a)["params"]
     rebuilt = ["table", "eps-star", "--table", params["table"],
                "--k", str(params["k"]), "--d", str(params["d"])]
     c = str(tmp_path / "c.json")
     assert dispatch(rebuilt + ["--out", c]) == 0
-    assert comparable_bytes(c) == comparable_bytes(a)
+    assert open(c, "rb").read() == open(a, "rb").read()
 
 
 def test_report_json_is_canonical(workdir, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from reference import brute_class
 
 from kextract.bits import EMPTY, BitString
+from kextract.cli import dispatch
 from kextract.extraction import (
     DELTA_MARGIN,
     compute_range,
@@ -17,7 +18,7 @@ from kextract.extraction import (
     popular_range_procedure,
 )
 from kextract.machine import MachineBudget
-from kextract.oracle import NOT_FOUND, build_complexity_table, table_from_json
+from kextract.oracle import NOT_FOUND, build_complexity_table, save_table, table_from_json
 from kextract.tables import (
     SingleSourceTable,
     gen_constant,
@@ -308,6 +309,27 @@ def test_range_procedure_validation(oracle_m2_cond4, oracle_m2_out, oracle_n2_al
     )
     with pytest.raises(ValueError):
         popular_range_procedure(broken, 1)
+
+
+def test_range_procedure_needs_every_condition(tmp_path, capsys):
+    """Conditions of one length that miss one n-bit string are refused,
+    also through `demo vv` as a usage error."""
+    partial = table_from_json(
+        {
+            "version": 1,
+            "n": 2,
+            "l_max": 8,
+            "budget": {"out": 4096, "ops": 4096},
+            "conditions": [{"len": 2, "hex": BitString(2, xv).pack_hex()} for xv in range(3)],
+            "entries": [],
+        }
+    )
+    with pytest.raises(ValueError, match="every n-bit condition"):
+        popular_range_procedure(partial, 1)
+    path = str(tmp_path / "partial.json")
+    save_table(partial, path)
+    assert dispatch(["demo", "vv", "--oracle", path, "--advice", "1"]) == 2
+    assert "every n-bit condition" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------- equivalence

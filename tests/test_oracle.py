@@ -224,6 +224,14 @@ def test_builder_guards():
         build_complexity_table(12, too_many, l_max=4)
 
 
+def test_negative_l_max_is_refused(tmp_path, capsys):
+    with pytest.raises(ValueError, match="l_max must be nonnegative"):
+        build_complexity_table(2, [EMPTY], l_max=-1)
+    out = str(tmp_path / "o.json")
+    assert dispatch(["oracle", "build", "--n", "2", "--l-max", "-1", "--out", out]) == 2
+    assert "l_max must be nonnegative" in capsys.readouterr().err
+
+
 def test_l_max_up_to_an_int32_entry(tmp_path):
     """The largest l_max a file can hold builds, with no int32 overflow,
     and loads back; one more is refused before anything is written."""

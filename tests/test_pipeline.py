@@ -265,21 +265,38 @@ def test_standard_n4_artifacts_are_pinned(tmp_path, monkeypatch):
     assert combined == STANDARD_N4_DIGEST
 
 
-def test_artifact_digests_canonicalize_reports(tmp_path):
-    rep = build_report("c", {"x": 1}, {"v": 2})
-    write_report(rep, str(tmp_path / "a.json"))
-    rep2 = dict(rep, generated_at="1999-01-01T00:00:00+00:00")
-    write_report(rep2, str(tmp_path / "b.json"))
-    with open(tmp_path / "raw.json", "w") as fh:
-        json.dump({"plain": True}, fh)
+def test_artifact_digests_hash_raw_bytes(tmp_path):
+    write_report(build_report("c", {"x": 1}, {"v": 2}), str(tmp_path / "a.json"))
     with open(tmp_path / "blob.bin", "wb") as fh:
         fh.write(b"\x00\x01")
     with open(tmp_path / "broken.json", "w") as fh:
         fh.write("{not json")
     os.mkdir(tmp_path / "sub")
     digests = artifact_digests(str(tmp_path))
-    assert digests["a.json"] == digests["b.json"]  # timestamps excluded
-    assert set(digests) == {"a.json", "b.json", "raw.json", "blob.bin", "broken.json"}
+    assert set(digests) == {"a.json", "blob.bin", "broken.json"}  # no directories
+    for name, digest in digests.items():
+        assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+
+def test_stray_file_in_out_dir_is_refused(tmp_path, capsys):
+    """A file no step declares would be digested as if the run made it,
+    so the run refuses it before any step runs; the summary is allowed."""
+    config_path = str(tmp_path / "tiny.json")
+    with open(config_path, "w") as fh:
+        json.dump(TINY, fh)
+    out = tmp_path / "work"
+    (out / "sub").mkdir(parents=True)
+    (out / SUMMARY_NAME).write_text("{}")
+    (out / "v.json").write_text("{}")  # declared: rewritten by the run
+    (out / "stale.json").write_text("{}")
+    with pytest.raises(ValueError, match="stale.json"):
+        preflight(TINY, str(out))
+    assert run_pipeline(config_path, None, str(out)) == 2
+    err = capsys.readouterr().err
+    assert "stale.json" in err and "v.json" not in err
+    assert sorted(os.listdir(out)) == sorted([SUMMARY_NAME, "stale.json", "sub", "v.json"])
+    os.remove(out / "stale.json")
+    assert run_pipeline(config_path, None, str(out)) == 0
 
 
 def test_standard_n4_shape():

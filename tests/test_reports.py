@@ -11,7 +11,6 @@ from kextract.reports import (
     all_passed,
     assertion,
     build_report,
-    comparable_bytes,
     load_report,
     report_bytes,
     write_report,
@@ -24,13 +23,11 @@ def test_envelope_shape():
         "schema_version",
         "command",
         "params",
-        "generated_at",
         "data",
         "assertions",
     }
     assert rep["schema_version"] == SCHEMA_VERSION == 1
     assert rep["command"] == "demo x"
-    assert rep["generated_at"].endswith("+00:00")  # always UTC
     assert rep["assertions"][0] == {"name": "ok", "passed": True, "detail": None}
 
 
@@ -62,15 +59,12 @@ def test_jsonable_conversions():
     assert doc["data"]["int_keys"] == {"3": "x"}
 
 
-def test_bytes_canonical_and_drop_timestamp():
+def test_bytes_canonical():
     rep = build_report("c", {"b": 1, "a": 2}, [1, 2])
     blob = report_bytes(rep)
     assert blob.endswith(b"\n")
     keys = [line.split(b'"')[1] for line in blob.splitlines() if b'": ' in line or b'": {' in line]
     assert keys.index(b"assertions") < keys.index(b"command")  # sort_keys
-    dropped = report_bytes(rep, drop_timestamp=True)
-    assert b"generated_at" not in dropped
-    assert b"generated_at" in blob
 
 
 def test_write_load_round_trip(tmp_path):
@@ -83,19 +77,15 @@ def test_write_load_round_trip(tmp_path):
     assert open(path, "rb").read() == report_bytes(rep)
 
 
-def test_comparable_bytes_ignores_timestamp(tmp_path):
-    a = build_report("c", {"x": 1}, {"v": [1, 2]})
-    b = build_report("c", {"x": 1}, {"v": [1, 2]})
-    b["generated_at"] = "1999-01-01T00:00:00+00:00"
-    pa, pb = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    write_report(a, pa)
-    write_report(b, pb)
-    assert open(pa, "rb").read() != open(pb, "rb").read()
-    assert comparable_bytes(pa) == comparable_bytes(pb)
-    c = build_report("c", {"x": 2}, {"v": [1, 2]})
-    pc = str(tmp_path / "c.json")
-    write_report(c, pc)
-    assert comparable_bytes(pa) != comparable_bytes(pc)
+def test_equal_params_give_identical_files(tmp_path):
+    """A report carries no wall-clock value: equal inputs write equal bytes."""
+    paths = [str(tmp_path / f"{name}.json") for name in "abc"]
+    write_report(build_report("c", {"x": 1}, {"v": [1, 2]}), paths[0])
+    write_report(build_report("c", {"x": 1}, {"v": [1, 2]}), paths[1])
+    write_report(build_report("c", {"x": 2}, {"v": [1, 2]}), paths[2])
+    a, b, c = (open(path, "rb").read() for path in paths)
+    assert a == b
+    assert a != c
 
 
 def test_non_finite_values_are_refused(tmp_path):

@@ -246,8 +246,10 @@ def test_kext_rejects_garbage(tmp_path):
         (b"KEXT\x01\x02", "header"),
         # an n=1 grid needs 4 u16 colors; 7 bytes is not a whole number
         (b"KEXT\x01\x01\x00\x01\x00\x00" + bytes(7), "payload"),
+        # an n=2 line needs 4 u16 colors; 3 is a whole number but short
+        (b"KEXT\x01\x02\x00\x01\x00\x01" + bytes(6), "payload"),
     ],
-    ids=["4-byte", "6-byte", "odd-payload"],
+    ids=["4-byte", "6-byte", "odd-payload", "short-line-payload"],
 )
 def test_kext_truncated_header_is_a_usage_error(tmp_path, blob, part):
     path = str(tmp_path / "short.kext")
