@@ -42,11 +42,11 @@ import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .bits import EMPTY, BitString
+from .bits import EMPTY, BitString, pack_hex_value
 from .machine import DEFAULT_BUDGET, MachineBudget
 
 # Target lengths past this would allocate more than a 64 MB row per
@@ -307,8 +307,21 @@ def _minimal_lengths(
     return best
 
 
-def _json_header(table: ComplexityTable) -> dict:
-    """table_to_json's document with an empty entry list."""
+def _entry_columns(table: ComplexityTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cond_idx, target and c of every found entry, condition by
+    condition with targets ascending."""
+    cond_idx, targets = np.nonzero(table._matrix >= 0)
+    return cond_idx, targets, table._matrix[cond_idx, targets]
+
+
+def table_to_json(table: ComplexityTable) -> dict:
+    """Portable JSON form; bits are hex-packed MSB-first.
+
+    Entries run condition by condition, targets ascending within each;
+    NOT_FOUND entries are omitted.
+    """
+    cond_idx, targets, values = _entry_columns(table)
+    hexes = {x: BitString(table.n, x).pack_hex() for x in np.unique(targets).tolist()}
     return {
         "version": 1,
         "n": table.n,
@@ -320,65 +333,72 @@ def _json_header(table: ComplexityTable) -> dict:
         "conditions": [
             {"len": y.length, "hex": y.pack_hex()} for y in table.conditions
         ],
-        "entries": [],
+        "entries": [
+            {"cond_idx": ci, "target_hex": hexes[x], "c": c}
+            for ci, x, c in zip(cond_idx.tolist(), targets.tolist(), values.tolist())
+        ],
     }
 
 
-def _entry_columns(
-    table: ComplexityTable,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
-    """cond_idx, target and c of every found entry, condition by
-    condition with targets ascending, and each target's hex."""
-    cond_idx, targets = np.nonzero(table._matrix >= 0)
-    hexes = {x: BitString(table.n, x).pack_hex() for x in np.unique(targets).tolist()}
-    return cond_idx, targets, table._matrix[cond_idx, targets], hexes
-
-
-def table_to_json(table: ComplexityTable) -> dict:
-    """Portable JSON form; bits are hex-packed MSB-first.
-
-    Entries run condition by condition, targets ascending within each;
-    NOT_FOUND entries are omitted.
-    """
-    cond_idx, targets, values, hexes = _entry_columns(table)
-    doc = _json_header(table)
-    doc["entries"] = [
-        {"cond_idx": ci, "target_hex": hexes[x], "c": c}
-        for ci, x, c in zip(cond_idx.tolist(), targets.tolist(), values.tolist())
-    ]
-    return doc
-
-
-# One entry of the top-level "entries" list as json.dumps lays it out
-# with indent=2 and sort_keys=True.
-_ENTRY = (
-    '\n    {\n      "c": %d,\n      "cond_idx": %d,\n      "target_hex": "%s"\n    }'
-)
+# save_table's layout, json.dumps(table_to_json(table), indent=2,
+# sort_keys=True) plus a newline, cut into pieces. Every condition and
+# entry is led by a comma, which the first of each list drops, and a
+# list that is not empty closes on a line of its own. An entry is a
+# piece for each field value.
+_HEAD = '{\n  "budget": {\n    "ops": %d,\n    "out": %d\n  },\n  "conditions": [%s%s],\n  '
+_CONDITION = ',\n    {\n      "hex": "%s",\n      "len": %d\n    }'
+_ENTRIES_OPEN = '"entries": ['
+_C_PIECE = ',\n    {\n      "c": %d,\n      "cond_idx": '
+_COND_PIECE = '%d,\n      "target_hex": "'
+_TARGET_PIECE = '%s"\n    }'
+_TAIL = '%s],\n  "l_max": %d,\n  "n": %d,\n  "version": 1\n}\n'
 _ENTRY_BLOCK = 4096
+
+
+def _list_end(items: int) -> str:
+    """What closes a list of that many items, before its "]"."""
+    return "\n  " if items else ""
+
+
+def _canonical_chunks(table: ComplexityTable) -> Iterator[bytes]:
+    """save_table's file as ASCII pieces: the header through the opening
+    of the entry list, the entries _ENTRY_BLOCK at a time, then the rest.
+
+    Each distinct c, cond_idx and target is rendered once, an entry is
+    three indices into those pieces, and a block is one gather and one
+    join.
+    """
+    conds = "".join(_CONDITION % (y.pack_hex(), y.length) for y in table.conditions)
+    ops, out = table.budget.max_opcodes, table.budget.max_output_bits
+    head = _HEAD % (ops, out, conds[1:], _list_end(len(table.conditions)))
+    yield (head + _ENTRIES_OPEN).encode("ascii")
+    cond_idx, targets, values = _entry_columns(table)
+    pieces: list[str] = []
+    index = np.empty((len(values), 3), dtype=np.intp)
+    for field, (column, render) in enumerate(
+        (
+            (values, _C_PIECE.__mod__),
+            (cond_idx, _COND_PIECE.__mod__),
+            (targets, lambda x: _TARGET_PIECE % pack_hex_value(table.n, x)),
+        )
+    ):
+        distinct, inverse = np.unique(column, return_inverse=True)
+        index[:, field] = inverse + len(pieces)
+        pieces += map(render, distinct.tolist())
+    gather = np.array(pieces, dtype=object)
+    for start in range(0, len(index), _ENTRY_BLOCK):
+        block = "".join(gather[index[start : start + _ENTRY_BLOCK]].ravel().tolist())
+        yield (block[1:] if start == 0 else block).encode("ascii")
+    yield (_TAIL % (_list_end(len(index)), table.l_max, table.n)).encode("ascii")
 
 
 def save_table(table: ComplexityTable, path: str) -> None:
     """Write json.dumps(table_to_json(table), indent=2, sort_keys=True)
-    plus a newline, byte for byte, without building an entry dict.
-
-    The header is dumped with an empty entry list and the entries are
-    streamed into that gap from the matrix, _ENTRY_BLOCK at a time.
-    """
-    head, tail = json.dumps(_json_header(table), indent=2, sort_keys=True).split(
-        '"entries": []'
-    )
-    cond_idx, targets, values, hexes = _entry_columns(table)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head + '"entries": [')
-        for start in range(0, len(values), _ENTRY_BLOCK):
-            block = slice(start, start + _ENTRY_BLOCK)
-            rows = zip(
-                values[block].tolist(),
-                cond_idx[block].tolist(),
-                map(hexes.__getitem__, targets[block].tolist()),
-            )
-            fh.write(("," if start else "") + ",".join(_ENTRY % row for row in rows))
-        fh.write(("\n  ]" if len(values) else "]") + tail + "\n")
+    plus a newline, byte for byte, without building an entry dict: the
+    entries are rendered from the matrix a block at a time (see
+    _canonical_chunks). load_table reads this layout directly."""
+    with open(path, "wb") as fh:
+        fh.writelines(_canonical_chunks(table))
 
 
 def _field(obj: object, key: str, where: str) -> object:
@@ -446,25 +466,9 @@ def _target_column(entries: list, n: int) -> np.ndarray:
     return np.fromiter(map(value_of.__getitem__, hexes), np.int32, len(hexes))
 
 
-def table_from_json(doc: dict) -> ComplexityTable:
-    """Inverse of table_to_json.
-
-    Raises ValueError on a document or budget, condition or entry that
-    is not a JSON object or lacks a field; on conditions or entries that
-    are not a list; on a header count (n, l_max, a condition's len,
-    budget out/ops) that is not a nonnegative int; on l_max past
-    MAX_ENTRY, n > MAX_N or a matrix past MAX_CELLS; on a condition that
-    repeats an earlier one; on a condition hex or entry target_hex that
-    is not a string, of the wrong length or with nonzero padding bits; and
-    on an entry whose cond_idx is not a condition index, whose c is not
-    an int in [0, l_max], or whose (cond_idx, target) pair repeats an
-    earlier entry.
-
-    Entries are checked a field at a time over the whole list, hex
-    strings are unpacked once each, and the first fault of each kind in
-    entry order is reported; a document with one fault gets that
-    fault's message.
-    """
+def _table_header(doc: object) -> tuple[int, int, MachineBudget, list[BitString]]:
+    """n, l_max, budget and conditions of an oracle document, checked as
+    table_from_json describes."""
     if type(doc) is not dict:
         raise ValueError("oracle table is not a JSON object")
     if doc.get("version") != 1:
@@ -491,7 +495,29 @@ def table_from_json(doc: dict) -> ComplexityTable:
         _json_count(_field(budget_doc, "out", "budget"), "budget out"),
         _json_count(_field(budget_doc, "ops", "budget"), "budget ops"),
     )
+    return n, l_max, budget, conds
 
+
+def table_from_json(doc: dict) -> ComplexityTable:
+    """Inverse of table_to_json.
+
+    Raises ValueError on a document or budget, condition or entry that
+    is not a JSON object or lacks a field; on conditions or entries that
+    are not a list; on a header count (n, l_max, a condition's len,
+    budget out/ops) that is not a nonnegative int; on l_max past
+    MAX_ENTRY, n > MAX_N or a matrix past MAX_CELLS; on a condition that
+    repeats an earlier one; on a condition hex or entry target_hex that
+    is not a string, of the wrong length or with nonzero padding bits; and
+    on an entry whose cond_idx is not a condition index, whose c is not
+    an int in [0, l_max], or whose (cond_idx, target) pair repeats an
+    earlier entry.
+
+    Entries are checked a field at a time over the whole list, hex
+    strings are unpacked once each, and the first fault of each kind in
+    entry order is reported; a document with one fault gets that
+    fault's message.
+    """
+    n, l_max, budget, conds = _table_header(doc)
     entries = _json_list(_field(doc, "entries", "oracle table"), "entries")
     # Cell indices stay below MAX_CELLS, so int32 holds them.
     cells = _int_column(
@@ -515,10 +541,112 @@ def table_from_json(doc: dict) -> ComplexityTable:
     )
 
 
+# Where an entry's fields lie around its three ":" bytes a: c runs
+# from a[0] + 2 up to a[1] - 18, cond_idx from a[1] + 2 up to a[2] - 20
+# and target_hex from a[2] + 3 for its 2 ceil(n/8) digits (ends
+# exclusive). _FIELD_END is each end's offset from the ":" that
+# _FIELD_END_COLON names.
+_FIELD_START = np.array([2, 2, 3])
+_FIELD_END_COLON = np.array([1, 2, 2])
+_FIELD_END = np.array([-len(',\n      "cond_idx"'), -len(',\n      "target_hex"'), 3])
+# c <= MAX_ENTRY and cond_idx < MAX_CELLS take at most this many digits.
+_MAX_DIGITS = 10
+# Place value of each digit of a field, last digit first.
+_PLACE = np.array([[10**k, 10**k, 16**k] for k in range(_MAX_DIGITS)])
+# Byte -> value of a hex digit (0 for every other byte).
+_DIGIT = np.zeros(256, dtype=np.int64)
+_DIGIT[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
+# Entries are parsed this many bytes of the file at a time, so the
+# parse's temporaries stay block-sized.
+_PARSE_BYTES = 1 << 18
+# Smaller files load faster through json: the fast path costs about
+# 0.1 ms more per call (2-vCPU Xeon), which a few hundred entries do
+# not win back.
+_CANONICAL_MIN_BYTES = 1 << 14
+
+
+def _load_canonical(blob: bytes) -> Optional[ComplexityTable]:
+    """The table whose save_table file is blob, or None if blob is not
+    such a file; never raises on bad input.
+
+    The header goes through json and _table_header. Each entry's three
+    ":" bytes locate its c, cond_idx and target_hex, which are read with
+    numpy a block of the file at a time and range-checked. The table is
+    then rendered again and compared with blob byte for byte, so it is
+    returned only when blob is exactly save_table's output for it, and
+    then it equals table_from_json(json.loads(blob)).
+    """
+    opened = blob.find(_ENTRIES_OPEN.encode("ascii"))
+    closed = blob.rfind(b"]")  # l_max, n and version follow the entries
+    first = opened + len(_ENTRIES_OPEN)
+    if opened < 0 or closed < first:
+        return None
+    try:
+        doc = json.loads(blob[:opened] + b'"entries": []' + blob[closed + 1 :])
+        n, l_max, budget, conds = _table_header(doc)
+    except (ValueError, RecursionError):
+        return None
+    hex_digits, pad = 2 * ((n + 7) // 8), -n % 8
+    matrix = np.full((len(conds), 1 << n), -1, dtype=np.int32)
+    data = np.frombuffer(blob, dtype=np.uint8)
+    carry = np.empty(0, dtype=np.intp)
+    for lo in range(first, closed, _PARSE_BYTES):
+        colons = np.flatnonzero(data[lo : min(lo + _PARSE_BYTES, closed)] == ord(":")) + lo
+        if len(carry):
+            colons = np.concatenate([carry, colons])
+        whole = len(colons) - len(colons) % 3
+        at, carry = colons[:whole].reshape(-1, 3), colons[whole:]
+        if not len(at):
+            continue
+        starts = at + _FIELD_START
+        ends = at[:, _FIELD_END_COLON] + _FIELD_END
+        ends[:, 2] += hex_digits
+        lengths = ends - starts
+        width = int(lengths.max())
+        if lengths[:, :2].min() < 1 or width > _MAX_DIGITS or ends[-1, 2] > len(blob):
+            return None
+        # Digit k of each field, counted from its last. A field shorter
+        # than width gives the bytes before it place value 0; they lie
+        # inside the file, as every field but target_hex is nonempty.
+        places = np.arange(width)[:, None, None]
+        digits = _DIGIT[data[ends - 1 - places]]
+        digits *= np.where(places < lengths, _PLACE[:width, None], 0)
+        c, cond_idx, packed = digits.sum(0).T  # each nonnegative
+        if c.max() > l_max or cond_idx.max() >= len(conds):
+            return None
+        matrix[cond_idx, packed >> pad] = c
+    if len(carry):
+        return None
+    table = ComplexityTable(
+        n=n, l_max=l_max, budget=budget, conditions=tuple(conds), _matrix=matrix
+    )
+    pos = 0
+    for chunk in _canonical_chunks(table):
+        if blob[pos : pos + len(chunk)] != chunk:
+            return None
+        pos += len(chunk)
+    return table if pos == len(blob) else None
+
+
 def load_table(path: str) -> ComplexityTable:
-    """table_from_json of the JSON document at path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return table_from_json(json.load(fh))
+    """The table in the oracle JSON file at path.
+
+    A file in save_table's layout of at least _CANONICAL_MIN_BYTES is
+    read directly (_load_canonical); any other file goes through
+    table_from_json(json.loads(...)), with its checks and messages. JSON
+    nested too deeply for the decoder is a ValueError naming the file.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) >= _CANONICAL_MIN_BYTES:
+        table = _load_canonical(blob)
+        if table is not None:
+            return table
+    try:
+        doc = json.loads(blob.decode("utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nesting is too deep to decode") from None
+    return table_from_json(doc)
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,10 @@ def load_config(config_path: Optional[str], standard: Optional[str]) -> dict:
             raise ValueError(f"unknown standard pipeline {standard!r}")
         return STANDARDS[standard]
     with open(config_path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{config_path}: JSON nesting is too deep to decode") from None
 
 
 def _resolve_step(index: int, raw: object, out_dir: str) -> dict:

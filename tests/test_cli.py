@@ -261,6 +261,21 @@ def test_unusable_user_path_is_a_usage_error(workdir, tmp_path, capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(lambda p: ["oracle", "query", "--table", p, "--target", "0"], id="oracle"),
+    pytest.param(lambda p: ["pipeline", "run", "--config", p, "--out-dir", p + ".out"],
+                 id="pipeline-config"),
+])
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys, argv):
+    """JSON nested past the decoder's recursion limit is malformed input,
+    not a crash."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert dispatch(argv(str(path))) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+
+
 def test_table_gen_kinds(workdir, tmp_path):
     for kind, extra in [
         ("gf2", ["--m", "1"]),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -496,20 +497,14 @@ def load_outcome(loader, doc):
 NOT_INTS = st.sampled_from([True, False, 1.0, "1", None, [0], {}])
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    table=small_tables(),
-    fault=st.sampled_from(
-        [
-            None, "cond_idx", "cond_idx_type", "c", "c_type", "hex", "padding",
-            "duplicate", "condition",
-        ]
-    ),
-    data=st.data(),
-)
-def test_loader_matches_entry_by_entry_reference(table, fault, data):
-    """Whole-column checks against reference.brute_table_from_json: equal
-    tables on valid documents, the same message on one fault."""
+FAULTS = [
+    None, "cond_idx", "cond_idx_type", "c", "c_type", "hex", "padding", "duplicate",
+    "condition",
+]
+
+
+def faulty_doc(table, fault, data):
+    """table_to_json(table) with one fault of the given kind drawn in."""
     doc = table_to_json(table)
     entries = doc["entries"]
     if fault is not None:
@@ -539,14 +534,112 @@ def test_loader_matches_entry_by_entry_reference(table, fault, data):
                 twin["target_hex"]
             )
             entries.insert(data.draw(st.integers(i + 1, len(entries))), twin)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=small_tables(), fault=st.sampled_from(FAULTS), data=st.data())
+def test_loader_matches_entry_by_entry_reference(table, fault, data):
+    """Whole-column checks against reference.brute_table_from_json: equal
+    tables on valid documents, the same message on one fault."""
+    doc = faulty_doc(table, fault, data)
     got = load_outcome(table_from_json, doc)
     assert got == load_outcome(brute_table_from_json, doc)
     assert (got[0] == "error") == (fault is not None)
 
 
+def load_file(path):
+    """load_table(path) with every file size offered to the fast path."""
+    with mock.patch.object(oracle, "_CANONICAL_MIN_BYTES", 0):
+        return load_table(str(path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=small_tables(), fault=st.sampled_from(FAULTS), data=st.data())
+def test_file_loader_matches_dict_loader(tmp_path_factory, table, fault, data):
+    """Each document above written in save_table's layout: load_table
+    gives table_from_json's table or message, and the fast path takes
+    exactly the valid ones, which are save_table's own files."""
+    doc = faulty_doc(table, fault, data)
+    blob = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    path = tmp_path_factory.mktemp("faults") / "t.json"
+    path.write_bytes(blob)
+    assert load_outcome(load_file, path) == load_outcome(table_from_json, doc)
+    assert (oracle._load_canonical(blob) is None) == (fault is not None)
+
+
+def swap_first_entries(blob):
+    """blob with its first two entries in the other order."""
+    head, entries = blob.split(b'"entries": [')
+    first, second, rest = entries.split(b"},", 2)
+    return head + b'"entries": [' + second + b"}," + first + b"}," + rest
+
+
+# Files one edit away from save_table's output, and whether they are
+# still a valid table; the fast path refuses them all.
+NEAR_CANONICAL = {
+    "uppercase-hex": (lambda b: b.replace(b'"c0"', b'"C0"', 1), True),
+    "leading-zero-c": (lambda b: b.replace(b'"c": ', b'"c": 0', 1), False),
+    "negative-c": (lambda b: b.replace(b'"c": ', b'"c": -', 1), False),
+    "crlf": (lambda b: b.replace(b"\n", b"\r\n"), True),
+    "no-trailing-newline": (lambda b: b[:-1], True),
+    "trailing-space": (lambda b: b + b" ", True),
+    "utf8-bom": (lambda b: b"\xef\xbb\xbf" + b, False),
+    "entries-out-of-order": (swap_first_entries, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_CANONICAL))
+def test_fast_path_refuses_near_canonical_files(tmp_path, oracle_n2_all, case):
+    edit, valid = NEAR_CANONICAL[case]
+    path = tmp_path / "t.json"
+    save_table(oracle_n2_all, str(path))
+    blob = edit(path.read_bytes())
+    path.write_bytes(blob)
+    assert oracle._load_canonical(blob) is None
+    got = load_outcome(load_file, path)
+    assert got == load_outcome(lambda b: table_from_json(json.loads(b.decode("utf-8"))), blob)
+    if valid:
+        assert got == load_outcome(lambda t: t, oracle_n2_all)
+    else:
+        assert got[0] == "error"
+        assert dispatch(["oracle", "query", "--table", str(path), "--target", "00"]) == 2
+
+
+def test_fast_path_reads_the_widest_entry(tmp_path):
+    """c = 2^31 - 1 takes ten digits and still loads without json."""
+    matrix = np.array([[MAX_ENTRY, -1, 0, 7]], dtype=np.int32)
+    table = ComplexityTable(2, MAX_ENTRY, MachineBudget(9, 9), (EMPTY,), matrix)
+    path = tmp_path / "t.json"
+    save_table(table, str(path))
+    loaded = oracle._load_canonical(path.read_bytes())
+    assert loaded is not None and (loaded._matrix == matrix).all()
+    assert loaded.l_max == MAX_ENTRY and loaded.budget == table.budget
+
+
+@pytest.mark.parametrize("n", [0, 2, 4, 5, 8])
+def test_load_reads_save_output_without_json(tmp_path, monkeypatch, n):
+    """save_table's files load through the fast path alone, padded hex
+    widths included; table_from_json, the general path, is never run."""
+    table = build_quiet(n, [EMPTY] + all_strings(8), l_max=16)
+    path = tmp_path / "t.json"
+    save_table(table, str(path))
+    assert path.stat().st_size >= oracle._CANONICAL_MIN_BYTES
+
+    def refuse(doc):
+        raise AssertionError("the general path ran")
+
+    monkeypatch.setattr(oracle, "table_from_json", refuse)
+    loaded = load_table(str(path))
+    assert (loaded.n, loaded.l_max, loaded.budget) == (table.n, table.l_max, table.budget)
+    assert loaded.conditions == table.conditions
+    assert (loaded._matrix == table._matrix).all()
+
+
 def test_large_oracle_file_is_pinned(tmp_path):
-    """n=8 over lambda and every 8-bit condition: 65,792 entries, written
-    in 17 blocks. Size and digest were recorded with json.dump."""
+    """n=8 over lambda and every 8-bit condition: 65,792 entries, so the
+    writer and the loader's byte check both cross entry blocks. Size and
+    digest were recorded with json.dump."""
     table = build_complexity_table(8, [EMPTY] + all_strings(8), l_max=16)
     path = tmp_path / "o8.json"
     save_table(table, str(path))
