@@ -30,15 +30,19 @@ passes) combines whole slices instead of reducing many short rows.
 
 The bitset sweep runs whenever it applies; otherwise the decomposed
 sweep runs when there are strictly fewer color sets than row sets, and
-the full one when not. Both almost-balance sweeps share one witness
-step. The witness is defined by logical blocks of
-_block_size(#column sets x M) row sets: it is the first maximum in block
-order, b2-major within a block. The step sums the strips of the maximal
-row sets of the first logical block that holds one and forms their
-censuses with the same tree. The sweeps' own blocks never move it, and
-the branch and bound returns every maximal row set's value exactly and
-every other row set's below the maximum, so the step finds the same
-row sets.
+the full one when not. The almost-balance witness is defined by logical
+blocks of _block_size(#column sets x M) row sets: it is the first
+maximum in block order, b2-major within a block. Both sweeps return
+every maximal row set's value exactly (the branch and bound every other
+row set's below the maximum), so the witness step reads the maximal row
+sets of the first logical block that holds one, unranks them
+(_unrank) and sums their strips; the sweeps' own blocks never move it.
+After the full sweep it forms their censuses with the same tree. After
+the decomposed one it takes, for each of them and each color set, the
+lexicographically first best column set, which is read off the U-counts
+per column, and ranks it (_rank): the smallest rank is b2, at the cost
+of the sweep itself on those row sets. No array over all row sets'
+members is built.
 
 All values are exact: strips, censuses and color-set sums are integers
 in the smallest of int8, int16 and int32 that holds the cell bound, 4^k
@@ -59,7 +63,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -106,12 +109,50 @@ class BalanceReport:
     u_size: int
 
 
-def _subset_matrix(n_items: int, size: int) -> np.ndarray:
-    """The members [#subsets, size] of the size-subsets of range(n_items),
-    in lexicographic order."""
-    count = math.comb(n_items, size)
-    flat = chain.from_iterable(combinations(range(n_items), size))
-    return np.fromiter(flat, np.intp, count * size).reshape(count, size)
+def _comb_table(side: int, size: int) -> np.ndarray:
+    """[side, size + 1] int64: at [v, j], C(side - 1 - v, size - 1 - j),
+    the size-subsets that take column v as member j, wherever j members
+    and v - j <= side - size non-members can precede v; 0 elsewhere, so
+    also at j = size."""
+    table = np.zeros((side, size + 1), dtype=np.int64)
+    for v in range(side):
+        for j in range(max(0, v - side + size), min(v + 1, size)):
+            table[v, j] = math.comb(side - 1 - v, size - 1 - j)
+    return table
+
+
+def _unrank(side: int, size: int, rank) -> np.ndarray:
+    """The members of the size-subset of range(side) at lexicographic
+    rank, [..., size] for an int or an array of ranks.
+
+    With j members taken, column v is the next member when the rank
+    left is below C(side - 1 - v, size - 1 - j), the number of subsets
+    that take v as member j; otherwise those subsets are passed over and
+    the rank left drops by their number.
+    """
+    rank = np.array(rank, dtype=np.int64)
+    members = np.empty((rank.size, size), dtype=np.intp)
+    left, taken = rank.reshape(-1), np.zeros(rank.size, dtype=np.intp)
+    table = _comb_table(side, size)
+    for v in range(side):
+        ahead = table[v, taken]
+        take = left < ahead
+        members[take, taken[take]] = v
+        left = np.where(take, left, left - ahead)
+        taken += take
+    return members.reshape(*rank.shape, size)
+
+
+def _rank(masks: np.ndarray, size: int) -> np.ndarray:
+    """The lexicographic rank of each size-subset of range(side) given as
+    a bool mask [..., side]: over each column v that is not a member and
+    lies before the last member, C(side - 1 - v, size - 1 - #members
+    before v), the subsets that agree before v and take v instead."""
+    side = masks.shape[-1]
+    before = np.cumsum(masks, axis=-1) - masks
+    # past the last member, before == size picks the table's 0 column
+    passed = _comb_table(side, size)[np.arange(side), before]
+    return np.where(masks, 0, passed).sum(axis=-1)
 
 
 def _subset_tree(
@@ -184,11 +225,14 @@ def _block_size(row_cost: int, values: int = 1 << 23) -> int:
     """Row sets per block when each one expands into row_cost values.
 
     The block size depends only on the problem dimensions: row_cost is
-    how many values the caller expands each row set into (column sets x
-    M for the witness's logical blocks, the column tree's working set
-    for the full and bitset sweeps, side x M for rainbow, side x max(M,
-    #color sets) for the decomposed one), so a block's working set stays
-    near the given number of values.
+    how many values the caller expands each row set into (the column
+    tree's working set for the full and bitset sweeps, side x M for
+    rainbow, side x max(M, #color sets) for the decomposed one), so a
+    block's working set stays near the given number of values. The
+    almost-balance witness's logical blocks are priced at column sets x
+    M, the censuses the full sweep's witness step forms per row set; they
+    fix which maximal row sets the witness is drawn from, and so bound
+    how many the witness step reads.
     """
     return max(1, min(4096, values // row_cost))
 
@@ -250,8 +294,13 @@ def _full(
         return _per_row_set(items, rect, block, dense, op)
 
     # prefix p extends by the columns v < min(P): its first member, or
-    # every column for the empty prefix
-    reach = _subset_matrix(side - 1, rect - 1)[:, 0] + 1 if rect > 1 else np.array([side])
+    # every column for the empty prefix. C(side - 2 - f, rect - 2)
+    # prefixes, in order, start at column f + 1.
+    if rect > 1:
+        starts = [math.comb(side - 2 - f, rect - 2) for f in range(side - rect + 1)]
+        reach = np.repeat(np.arange(1, side - rect + 2), starts)
+    else:
+        reach = np.array([side])
     # pairs extended per scoring call: their censuses and added columns
     # take at most half the values of the block's prefix censuses
     batch = max(1, num_prefixes * block // (4 * (side - rect + 1)))
@@ -480,18 +529,21 @@ def _check_almost(
         best = _decomposed(one_hot, rect, [u_size])
     else:
         best = _full(one_hot, rect, top_cells, slack=rect)
-    # only the maximal row sets of the witness's logical block get censuses
-    members = _subset_matrix(side, rect)
-    block = _block_size(len(members) * num_colors)
+    # only the maximal row sets of the witness's logical block are looked at
+    num_sets = len(best)
+    block = _block_size(num_sets * num_colors)
     start = int(np.argmax(best)) // block * block
-    rows = start + np.flatnonzero(best[start : start + block] == best.max())
-    strip = one_hot[:, :, members[rows]].sum(axis=3, dtype=counts)
-    values = np.concatenate([top_cells(c) for c in _subset_tree(strip, rect, np.add)])
-    b2, off = divmod(int(np.argmax(values)), len(rows))
-    worst_cells = int(values[b2, off])
-    b1 = int(rows[off])
+    worst_cells = int(best.max())
+    rows = start + np.flatnonzero(best[start : start + block] == worst_cells)
+    strip = one_hot[:, :, _unrank(side, rect, rows)].sum(axis=3, dtype=counts)
+    if sweep == "decomposed":
+        b2, off = _color_set_witness(strip, rect, u_size, worst_cells)
+    else:
+        values = np.concatenate([top_cells(c) for c in _subset_tree(strip, rect, np.add)])
+        b2, off = divmod(int(np.argmax(values)), len(rows))
+    b1_members, b2_members = _unrank(side, rect, [rows[off], b2])
 
-    grid = table.colors[np.ix_(members[b1], members[b2])]
+    grid = table.colors[np.ix_(b1_members, b2_members)]
     census_row = np.bincount(grid.ravel().astype(np.int64), minlength=num_colors)
     order = np.lexsort((np.arange(num_colors), -census_row))
     worst_colors = tuple(sorted(int(z) for z in order[:u_size]))
@@ -501,14 +553,43 @@ def _check_almost(
         bound=bound,
         worst_fraction=fraction,
         worst_cells=worst_cells,
-        worst_rectangle=Rectangle(tuple(members[b1].tolist()), tuple(members[b2].tolist())),
+        worst_rectangle=Rectangle(tuple(b1_members.tolist()), tuple(b2_members.tolist())),
         worst_colors=worst_colors,
-        rectangle_pairs=len(members) ** 2,
+        rectangle_pairs=num_sets**2,
         k=k,
         d=d,
         eps=eps,
         u_size=u_size,
     )
+
+
+def _color_set_witness(
+    strip: np.ndarray, rect: int, u_size: int, worst: int
+) -> tuple[int, int]:
+    """(b2, i): the b2-major first maximum over the column sets b2 and the
+    row sets i whose strips [M, side, #rows] reach worst U-cells for a
+    color set U of u_size colors.
+
+    With the rows and U fixed, let c_v be column v's U-cells and tau the
+    rect-th largest: the lexicographically first best column set is every
+    column with c_v > tau, then the first columns with c_v = tau. The
+    smallest such rank over the (row, U) pairs that reach worst is b2, and
+    a row that reaches worst at b2 has b2 as its own smallest rank, so i
+    is the first such row.
+    """
+    side = strip.shape[1]
+    ranks, rows = [], []
+    for counts in _subset_tree(strip.transpose(1, 0, 2), u_size, np.add):
+        color_sets, row = np.nonzero(_top_sum(counts, rect) == worst)
+        c = counts[:, color_sets, row]  # [side, #pairs]
+        tau = np.sort(c, axis=0)[side - rect]
+        above, ties = c > tau, c == tau
+        best = above | (ties & (np.cumsum(ties, axis=0) <= rect - above.sum(axis=0)))
+        ranks.append(_rank(best.T, rect))
+        rows.append(row)
+    ranks, rows = np.concatenate(ranks), np.concatenate(rows)
+    b2 = int(ranks.min())
+    return b2, int(rows[ranks == b2].min())
 
 
 def measure_eps_star(
@@ -641,7 +722,6 @@ def rainbow_check(
     set_size = max(1, num_colors // divisor)
     num_sets = math.comb(side, rect_side)
     _guard(2 * num_sets * side * side * num_colors, override)
-    members = _subset_matrix(side, rect_side)
     block = _block_size(side * num_colors)
     counts = _count_dtype(rect_side * rect_side)
 
@@ -653,7 +733,8 @@ def rainbow_check(
         one_hot = _one_hot(colors, num_colors, counts)
         per_set = _per_row_set(one_hot, rect_side, block, cells)
         b1 = int(np.argmax(per_set))
-        strip = one_hot[:, :, members[b1]].sum(axis=2, dtype=counts)
+        rows = _unrank(side, rect_side, b1)
+        strip = one_hot[:, :, rows].sum(axis=2, dtype=counts)
         col_order = np.lexsort((np.arange(side), -_top_sum(strip, set_size)))
         chosen = tuple(sorted(int(v) for v in col_order[:rect_side]))
         sets = []
@@ -664,7 +745,7 @@ def rainbow_check(
         return RainbowSide(
             passed=worst * divisor <= 2 * rect_side * rect_side,
             worst_cells=worst,
-            rectangle=Rectangle(tuple(members[b1].tolist()), chosen),
+            rectangle=Rectangle(tuple(rows.tolist()), chosen),
             color_sets=tuple(sets),
         )
 

@@ -215,12 +215,31 @@ def test_counts_past_int8():
     assert rb.passed
 
 
-def test_subset_matrix_follows_combinations():
-    for items, size in [(1, 1), (4, 0), (4, 2), (5, 5), (8, 3), (16, 4)]:
-        members = balance._subset_matrix(items, size)
-        subsets = [tuple(row) for row in members.tolist()]
-        assert subsets == list(combinations(range(items), size))
-        assert members.shape == (len(subsets), size)
+def test_rank_and_unrank_follow_combinations():
+    for side in range(1, 11):
+        for size in range(side + 1):
+            subsets = list(combinations(range(side), size))
+            members = balance._unrank(side, size, np.arange(len(subsets)))
+            assert members.shape == (len(subsets), size)
+            assert [tuple(row) for row in members.tolist()] == subsets
+            assert [tuple(balance._unrank(side, size, r).tolist())
+                    for r in (0, len(subsets) - 1)] == [subsets[0], subsets[-1]]
+            masks = np.zeros((len(subsets), side), dtype=bool)
+            for i, sub in enumerate(subsets):
+                masks[i, list(sub)] = True
+            assert balance._rank(masks, size).tolist() == list(range(len(subsets)))
+
+
+@pytest.mark.parametrize("side, size", [(64, 3), (32, 8), (256, 2)])
+def test_rank_inverts_unrank(side, size):
+    count = math.comb(side, size)
+    ranks = np.unique(np.r_[0, 1, count - 2, count - 1,
+                            np.random.default_rng(side).integers(0, count, 500)])
+    members = balance._unrank(side, size, ranks)
+    assert (np.diff(members, axis=1) > 0).all()
+    masks = np.zeros((len(ranks), side), dtype=bool)
+    np.put_along_axis(masks, members, True, axis=1)
+    assert (balance._rank(masks, size) == ranks).all()
 
 
 @pytest.mark.parametrize("items, size", [(1, 1), (4, 0), (5, 5), (16, 4), (16, 8), (256, 256)])
@@ -376,14 +395,24 @@ def _report_witness(rep):
 def test_decomposed_witness_with_small_blocks(monkeypatch, block):
     """Logical blocks of a few row sets put the first maximum at any place
     in its block, so a witness block one row set off moves it; both
-    sweeps must find the reference's witness."""
+    sweeps must find the reference's witness. On the constant table and
+    the two-color one (colors 0 and 3 by column parity) every row set
+    ties, and so do the color sets of the latter."""
     monkeypatch.setattr(balance, "_block_size", lambda row_cost, values=0: block)
-    for table in (gen_inner_product(3), gen_random(3, 2, 5), gen_gf2_mult(3, 3)):
+    parity = TwoSourceTable(3, 2, np.tile(3 * (np.arange(8) % 2), (8, 1)))
+    for table in (gen_inner_product(3), gen_random(3, 2, 5), gen_gf2_mult(3, 3),
+                  gen_constant(3, 2, 1), parity):
         for u_size in sorted({1, 2, table.num_colors}):
             want = _witness(table, 2, u_size, block)
             for sweep in ("full", "decomposed"):
                 rep = balance._check_almost(table, 2, 0, 0.0, u_size, sweep)
                 assert _report_witness(rep) == want
+
+
+def test_ip4_witness_on_the_decomposed_sweep():
+    rep = balance._check_almost(gen_inner_product(4), 3, 0, 0.0, 1, "decomposed")
+    members = (0, 1, 2, 3, 4, 5, 8, 10)
+    assert _report_witness(rep) == (44, Rectangle(members, members), (0,))
 
 
 @st.composite
