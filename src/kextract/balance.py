@@ -3,21 +3,37 @@
 Every check here is exact over all rectangles B1 x B2 with both sides of
 a fixed size: almost balance, eps* and rainbow balance each maximize a
 score of the rectangle's color census. One integer subset tree,
-_subset_tree, forms every aggregate by folding np.add (counts) or
-np.bitwise_or (uint64 color bits) over each subset of an axis. Over the
-rows of a one-hot table [M, side (columns), side (rows)] it gives every
-row set's strip (per-column color counts), a block at a time, as
-strip[M, side, B]. The color axis stays first and the row set last, so
-each top-u (_top_sum, an insertion network of np.maximum/np.minimum
-passes) combines whole slices instead of reducing many short rows.
+_subset_tree, forms every aggregate by folding an add over each subset
+of an axis. Over the rows of a table of one-cell censuses [lead, side
+(columns), side (rows)] it gives every row set's strip (per-column
+censuses), a block at a time, as strip[lead, side, B]. A census is held
+one of two ways:
 
-- The full sweep forms censuses [M, #B2, B] with the tree over the
-  strip's columns, a chunk at a time, and reduces them to the top u_size
-  colors or to the cells past a cap. For almost balance it is a branch
-  and bound: every (2^k - 1)-column prefix is scored once per row set,
-  and a last column is added only to the prefixes whose top-u count
-  plus 2^k (the most one column adds) still reaches the best rectangle
-  found so far. eps* scores every census.
+- One-hot: M counts (lead = M), added with np.add. The color axis stays
+  first and the row set last, so each top-u (_top_sum, an insertion
+  network of np.maximum/np.minimum passes) combines whole slices instead
+  of reducing many short rows.
+- Bit planes, for M <= 64: P planes (lead = P) in the narrowest unsigned
+  dtype with M bits, plane s - 1 holding the colors counted at least s
+  times, so counts saturate at P; _saturating_add adds two censuses in
+  about 3P^2 / 4 bitwise passes. With N_s the popcount of plane s - 1, a
+  census of c cells holds c - sum_{s <= P} max(0, N_s - u) cells of its
+  top u colors. This is exact for P = max(1, c // (u + 1)): a color
+  counted s times takes s cells, so N_s <= c // s <= u for every s past
+  P.
+
+- The full sweep forms censuses [lead, #B2, B] with the tree over the
+  strip's columns, a chunk at a time, and scores them. With a score that
+  one more column raises by at most a slack, it is a branch and bound:
+  every (2^k - 1)-column prefix is scored once per row set, and a last
+  column is added only to the prefixes whose score plus the slack still
+  reaches the best rectangle found so far. Almost balance scores planes
+  when M <= 64 and P <= 4 (_num_planes), and one-hot counts otherwise.
+  On planes its score is 4^k less the overflow sum above, which only
+  falls as columns are added (slack 0); one-hot, it is the top-u count
+  with slack 2^k, the most one column adds. Both prune the same pairs,
+  since a prefix's top-u count is its cells less the same overflow. eps*
+  with t > 1 scores every one-hot census capped at t.
 - The decomposed sweep fixes B1 and a color set U: the best B2 is then
   the 2^k columns with the most U-cells, which the tree over the strip's
   color axis counts, so column sets are never enumerated. Almost balance
@@ -26,7 +42,8 @@ passes) combines whole slices instead of reducing many short rows.
   Rainbow is always scored this way, per column.
 - The bitset sweep serves eps* when t <= 1 and M <= 64: the overshoot is
   then cells - t * (distinct colors in the rectangle). It is the full
-  sweep over uint64 color bits, with np.bitwise_or and score -popcount.
+  sweep's branch and bound over one plane (P = 1, whose saturating add is
+  np.bitwise_or), with score -popcount and slack 0.
 
 The bitset sweep runs whenever it applies; otherwise the decomposed
 sweep runs when there are strictly fewer color sets than row sets, and
@@ -36,27 +53,30 @@ maximum in block order, b2-major within a block. Both sweeps return
 every maximal row set's value exactly (the branch and bound every other
 row set's below the maximum), so the witness step reads the maximal row
 sets of the first logical block that holds one, unranks them
-(_unrank) and sums their strips; the sweeps' own blocks never move it.
-After the full sweep it forms their censuses with the same tree. After
-the decomposed one it takes, for each of them and each color set, the
-lexicographically first best column set, which is read off the U-counts
-per column, and ranks it (_rank): the smallest rank is b2, at the cost
-of the sweep itself on those row sets. No array over all row sets'
-members is built.
+(_unrank) and sums their one-hot strips; the sweeps' own blocks never
+move it. After the full sweep it forms their censuses with the same
+tree. After the decomposed one it takes, for each of them and each color
+set, the lexicographically first best column set, which is read off the
+U-counts per column, and ranks it (_rank): the smallest rank is b2, at
+the cost of the sweep itself on those row sets. No array over all row
+sets' members is built.
 
 All values are exact: strips, censuses and color-set sums are integers
 in the smallest of int8, int16 and int32 that holds the cell bound, 4^k
-(K^2 for rainbow), which no count or partial sum exceeds; eps* subtracts
-the dyadic |U| t in float64.
+(K^2 for rainbow), which no count or partial sum exceeds, and plane
+overflow sums are kept in the same dtype; eps* subtracts the dyadic
+|U| t in float64.
 
 Work is estimated for the sweep that will run before anything is
 allocated: rectangle pairs times colors for the full sweep (every
 census, which bounds what the branch and bound forms), row sets
-plus columns times the ORs one tree writes for the bitset one, row sets
-x 2^n x M x (2^n + #color sets) for the decomposed one and row sets x
-2^n x 2^n x M per orientation for rainbow. The last two price dense
-products, more than their trees' adds. Runs past OPS_LIMIT are refused
-unless explicitly overridden.
+plus columns times the ORs one tree writes for the bitset one (which its
+branch and bound never exceeds), row sets x 2^n x M x (2^n + #color
+sets) for the decomposed one and row sets x 2^n x 2^n x M per
+orientation for rainbow. The last two price dense products, more than
+their trees' adds. Runs past OPS_LIMIT are refused unless explicitly
+overridden. The full and bitset sweeps size their blocks in bytes, so a
+block of planes holds no more memory than a block of one-hot counts.
 """
 
 from __future__ import annotations
@@ -109,15 +129,23 @@ class BalanceReport:
     u_size: int
 
 
-def _comb_table(side: int, size: int) -> np.ndarray:
-    """[side, size + 1] int64: at [v, j], C(side - 1 - v, size - 1 - j),
-    the size-subsets that take column v as member j, wherever j members
-    and v - j <= side - size non-members can precede v; 0 elsewhere, so
-    also at j = size."""
-    table = np.zeros((side, size + 1), dtype=np.int64)
-    for v in range(side):
-        for j in range(max(0, v - side + size), min(v + 1, size)):
-            table[v, j] = math.comb(side - 1 - v, size - 1 - j)
+def _binomials(side: int, size: int) -> np.ndarray:
+    """[size + 1, side - size + 1] int64: C(c + t, c) at [c, t].
+
+    These are the binomials C(side - 1 - v, size - 1 - j) that count the
+    size-subsets taking column v as member j, at c = size - 1 - j and
+    t = side - size - (v - j), the non-members left after v; none exceeds
+    C(side, size). Each row is the running sum of the one above (and each
+    column of the one to its left), so the shorter side sets the number
+    of passes.
+    """
+    table = np.ones((size + 1, side - size + 1), dtype=np.int64)
+    if size + 1 <= side - size + 1:
+        for c in range(1, size + 1):
+            np.cumsum(table[c - 1], out=table[c])
+    else:
+        for t in range(1, side - size + 1):
+            np.cumsum(table[:, t - 1], out=table[:, t])
     return table
 
 
@@ -125,22 +153,25 @@ def _unrank(side: int, size: int, rank) -> np.ndarray:
     """The members of the size-subset of range(side) at lexicographic
     rank, [..., size] for an int or an array of ranks.
 
-    With j members taken, column v is the next member when the rank
-    left is below C(side - 1 - v, size - 1 - j), the number of subsets
-    that take v as member j; otherwise those subsets are passed over and
-    the rank left drops by their number.
+    Member j is column j + i for the i >= the previous member's i (its
+    non-members before it): through[i] counts the subsets whose member j
+    lies at or before column j + i, so with the subsets passed over
+    before the previous member's i added back, one search finds i, and
+    the rank left drops by the subsets passed over before it.
     """
-    rank = np.array(rank, dtype=np.int64)
-    members = np.empty((rank.size, size), dtype=np.intp)
-    left, taken = rank.reshape(-1), np.zeros(rank.size, dtype=np.intp)
-    table = _comb_table(side, size)
-    for v in range(side):
-        ahead = table[v, taken]
-        take = left < ahead
-        members[take, taken[take]] = v
-        left = np.where(take, left, left - ahead)
-        taken += take
-    return members.reshape(*rank.shape, size)
+    rank = np.asarray(rank, dtype=np.int64)
+    members = np.empty((*rank.shape, size), dtype=np.intp)
+    # [size, side - size + 1]: member j's counts, from its first column on
+    counts = _binomials(side, size)[:size][::-1, ::-1]
+    through = np.cumsum(counts, axis=1)
+    passed = through - counts
+    left, i = rank, np.zeros(rank.shape, dtype=np.intp)
+    for j in range(size):
+        target = left + passed[j, i]
+        i = np.searchsorted(through[j], target, side="right")
+        left = target - passed[j, i]
+        members[..., j] = j + i
+    return members
 
 
 def _rank(masks: np.ndarray, size: int) -> np.ndarray:
@@ -150,13 +181,16 @@ def _rank(masks: np.ndarray, size: int) -> np.ndarray:
     before v), the subsets that agree before v and take v instead."""
     side = masks.shape[-1]
     before = np.cumsum(masks, axis=-1) - masks
-    # past the last member, before == size picks the table's 0 column
-    passed = _comb_table(side, size)[np.arange(side), before]
-    return np.where(masks, 0, passed).sum(axis=-1)
+    passed = ~masks & (before < size)
+    # a passed column has members left and a non-member after it
+    c = np.where(passed, size - 1 - before, 0)
+    t = np.where(passed, side - size - (np.arange(side) - before), 0)
+    return np.where(passed, _binomials(side, size)[c, t], 0).sum(axis=-1)
 
 
 def _subset_tree(
-    items: np.ndarray, size: int, op: np.ufunc, width: Optional[int] = None
+    items: np.ndarray, size: int, op: Callable, width: Optional[int] = None,
+    below: Optional[np.ndarray] = None,
 ) -> Iterator[np.ndarray]:
     """op folded over items[:, i] for every size-subset i of axis 1, in
     lexicographic order, as chunks [items.shape[0], <= width, ...].
@@ -171,7 +205,9 @@ def _subset_tree(
     when size is 1). Groups are packed into it; one that does not fit
     starts the next chunk, and one wider than the buffer is split. A
     chunk holds only until the next is drawn, and may be a view of
-    items, so callers must not write to it.
+    items, so callers must not write to it. below, when given, is the
+    level under the last one, the (size - 1)-subsets of items 1..n - 1 as
+    the tree would form them, and only the last level is formed.
     """
     lead, n, rest = items.shape[0], items.shape[1], items.shape[2:]
     if size == 0:
@@ -182,15 +218,17 @@ def _subset_tree(
         yield from (items[:, v : v + width] for v in range(0, n, width))
         return
     width = min(width or math.comb(n - 1, size - 1), math.comb(n, size))
-    level = items[:, size - 1 :]
-    for j in range(2, size):
-        nxt = np.empty((lead, math.comb(n - size + j, j), *rest), items.dtype)
-        pos = 0
-        for v in range(size - j, n - j + 1):
-            count = math.comb(n - 1 - v, j - 1)
-            op(level[:, -count:], items[:, v : v + 1], out=nxt[:, pos : pos + count])
-            pos += count
-        level = nxt
+    level = below
+    if level is None:
+        level = items[:, size - 1 :]
+        for j in range(2, size):
+            nxt = np.empty((lead, math.comb(n - size + j, j), *rest), items.dtype)
+            pos = 0
+            for v in range(size - j, n - j + 1):
+                count = math.comb(n - 1 - v, j - 1)
+                op(level[:, -count:], items[:, v : v + 1], out=nxt[:, pos : pos + count])
+                pos += count
+            level = nxt
     # one buffer spares an allocation (and its page faults) per chunk
     last = np.empty((lead, width, *rest), items.dtype)
     pos = 0
@@ -221,14 +259,120 @@ def _count_dtype(bound: int) -> type:
     return next(t for t in (np.int8, np.int16, np.int32) if bound <= np.iinfo(t).max)
 
 
+def _num_planes(num_colors: int, cells: int, u_size: int) -> int:
+    """The bit planes P = max(1, cells // (u_size + 1)) that count a
+    census's top u_size colors exactly, or 0 where the full sweep keeps the
+    one-hot census: past 64 colors, or past 4 planes.
+
+    The saturating add costs about 3P^2 / 4 passes over P planes, against
+    one-hot's single add of M counts and its top-u network. In-process
+    A/B timings of the full sweep on n=4 tables (2-core Xeon, median of
+    3; random tables at m = 4, 5, 6 and three seeds each, constant and
+    two-color tables at m = 4 and 6, k = 2, and a random m=4 table at
+    k = 3) put the planes at 0.11-0.91 of the one-hot time at every P <= 4
+    (a two-color m=6 table at u=4: 202 -> 83 ms), but at 0.66-1.13 at
+    P = 5, slower on five of the eight tables with m <= 5.
+    """
+    planes = max(1, cells // (u_size + 1))
+    return planes if num_colors <= 64 and planes <= 4 else 0
+
+
+def _planes(colors: np.ndarray, num_colors: int, planes: int) -> np.ndarray:
+    """[P, side (columns), side (rows)], each cell's census in bit planes:
+    plane s - 1 holds the colors counted at least s times, in the narrowest
+    unsigned dtype with a bit per color. A cell sets its color's bit in
+    plane 0."""
+    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                 if num_colors <= np.iinfo(t).bits)
+    items = np.zeros((planes, *colors.T.shape), dtype)
+    np.left_shift(dtype(1), colors.T.astype(dtype), out=items[0])
+    return items
+
+
+def _saturating_add(planes: int) -> Callable:
+    """op(a, b, out) adding two bit-plane censuses, counts saturating at
+    planes, for _subset_tree and _full: axis 0 of each operand is planes
+    slices of equal length, broadcast as for a ufunc, and out may be a.
+
+    With y_s = a_s | b_s (either count past s) and x_k = a_k & b_k (both
+    past k), the sum's plane s is y_s | (x_0 & R), R the plane s - 2 of
+    the sum of a and b each less one: both counts are then at least 1, so
+    the sum passes s exactly when the lowered counts sum past s - 2.
+    Unrolled, plane s is y_s | (x_0 & (y_{s-1} | (x_1 & (... y_{s-d}))))
+    down to d = s // 2, with | x_d innermost for odd s: about 3P^2 / 4
+    passes in all. Planes are written from the highest down, each reading
+    only y at or below it. One plane is plain np.bitwise_or.
+    """
+    if planes == 1:
+        return np.bitwise_or
+    # one reused buffer spares an allocation (and its page faults) per call
+    spare = np.empty(0, np.uint8)
+
+    def add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        nonlocal spare
+        a, b, out = (x.reshape(planes, -1, *x.shape[1:]) for x in (a, b, out))
+        shape, size = out.shape[1:], out[0].nbytes
+        if spare.nbytes < (planes // 2 + 1) * size:
+            spare = np.empty((planes // 2 + 1) * size, np.uint8)
+        tmp, *both = (spare[i * size : (i + 1) * size].view(out.dtype).reshape(shape)
+                      for i in range(planes // 2 + 1))
+        for k, x in enumerate(both):
+            np.bitwise_and(a[k], b[k], out=x)
+        np.bitwise_or(a, b, out=out)
+        for s in range(planes - 1, 0, -1):
+            d = s // 2
+            if s % 2:
+                inner = np.bitwise_or(out[s - d], both[d], out=out[s] if d == 0 else tmp)
+            else:
+                inner = out[s - d]
+            for d in range(d - 1, -1, -1):
+                np.bitwise_and(both[d], inner, out=tmp)
+                inner = np.bitwise_or(out[s - d], tmp, out=out[s] if d == 0 else tmp)
+
+    return add
+
+
+def _overflow(census: np.ndarray, u_size: int, dtype: type) -> np.ndarray:
+    """sum_s max(0, N_s - u_size) over a bit-plane census [P, ...], N_s
+    the colors in plane s - 1, in dtype.
+
+    The top u_size colors hold min(N_s, u_size) of the cells counted in
+    plane s - 1's layer, so a census's cells less this sum are its top
+    u_size count, exactly when N_s <= u_size past plane P: a color counted
+    s times takes s cells, so N_s <= cells // s, which is at most u_size
+    for every s > cells // (u_size + 1). The sum can only grow as columns
+    are added; at u_size 0 it is the distinct colors.
+    """
+    total = np.zeros(census.shape[1:], dtype)
+    # np.maximum against a scalar ran 20x slower than against an array of
+    # zeros (numpy 2.4, int8)
+    zero = np.zeros(census.shape[1:], np.int8)
+    for plane in census:
+        if plane.dtype == np.uint16:
+            # numpy 2.4 counts uint16 4x slower than uint8: count the
+            # bytes; the high byte of 257 x (low | high << 8) is low + high
+            pairs = np.bitwise_count(plane.view(np.uint8)).view(np.uint16)
+            pairs *= 257
+            pairs >>= 8
+            excess = pairs.astype(np.int8)
+        else:
+            # at most 64 colors, so the uint8 popcount reads the same as int8
+            excess = np.bitwise_count(plane).view(np.int8)
+        if u_size:
+            excess -= u_size
+            np.maximum(excess, zero, out=excess)
+        total += excess
+    return total
+
+
 def _block_size(row_cost: int, values: int = 1 << 23) -> int:
     """Row sets per block when each one expands into row_cost values.
 
     The block size depends only on the problem dimensions: row_cost is
     how many values the caller expands each row set into (the column
-    tree's working set for the full and bitset sweeps, side x M for
-    rainbow, side x max(M, #color sets) for the decomposed one), so a
-    block's working set stays near the given number of values. The
+    tree's working set in bytes for the full and bitset sweeps, side x M
+    counts for rainbow, side x max(M, #color sets) for the decomposed
+    one), so a block's working set stays near the given number. The
     almost-balance witness's logical blocks are priced at column sets x
     M, the censuses the full sweep's witness step forms per row set; they
     fix which maximal row sets the witness is drawn from, and so bound
@@ -239,7 +383,7 @@ def _block_size(row_cost: int, values: int = 1 << 23) -> int:
 
 def _per_row_set(
     items: np.ndarray, rect: int, block: int,
-    score: Callable[[np.ndarray], np.ndarray], op: np.ufunc = np.add,
+    score: Callable[[np.ndarray], np.ndarray], op: Callable = np.add,
 ) -> np.ndarray:
     """score(strip) for every rect-row set, in order, block row sets at a
     time. items is [M, side (columns), side (rows)], and a row set's strip
@@ -254,13 +398,14 @@ def _per_row_set(
 
 def _full(
     items: np.ndarray, rect: int, score: Callable[[np.ndarray], np.ndarray],
-    op: np.ufunc = np.add, values: int = 1 << 25, slack: Optional[int] = None,
+    op: Callable = np.add, nbytes: int = 1 << 25, slack: Optional[int] = None,
 ) -> np.ndarray:
     """The full sweep: for every rect-row set, the most score(census)
     over its rectangles, exact wherever it is the maximum over all
     rectangles and strictly below that maximum everywhere else. items and
-    op are as for _per_row_set; score maps censuses [M, ...] to one value
-    per census, [...].
+    op are as for _per_row_set, with one-hot counts or bit planes as the
+    lead axis; score maps censuses [lead, ...] to one value per census,
+    [...].
 
     With slack None every column set's census is scored. Otherwise slack
     bounds what one more column can add to a score, and the sweep is a
@@ -271,24 +416,28 @@ def _full(
     at a time, best first. The threshold T is the best extension so far,
     a real rectangle's score, and carries over to later blocks; a level s
     with s + slack < T cannot reach T, so it and every level below it are
-    skipped, and their pairs stand as s + slack < T in the result. Once a
-    block's levels would extend more than a quarter of its rectangles
-    (many tied prefixes), it and every later block are swept densely.
+    skipped, and their pairs stand as s + slack < T in the result. When a
+    block's first level alone would extend more than a quarter of its
+    rectangles (many tied prefixes), the block forms the column tree's
+    last level from its prefixes instead; when its levels together extend
+    more than a quarter, every later block is swept densely. A block thus
+    never forms more censuses than the dense sweep does.
 
     A block's column tree holds a level below rect and one last-level
-    chunk, each at most C(side - 1, rect - 1) censuses per M-slice and
-    row set; blocks keep that working set near the given values.
+    chunk, each at most C(side - 1, rect - 1) censuses per lead slice and
+    row set; blocks keep that working set near nbytes.
     """
     side = items.shape[1]
     num_sets, num_prefixes = math.comb(side, rect), math.comb(side - 1, rect - 1)
-    # On sweep-colors' m=6 u=4 job (2-core Xeon) these blocks of 576 row
-    # sets ran 1.6x faster than blocks of 72 in the dense sweep. The
-    # branch and bound ran 8% faster with 1,152, but their prefix tree
-    # takes 40 MB, more than the dense sweep's 576-row-set tree.
-    block = _block_size(2 * num_prefixes * items.shape[0], values)
+    # On sweep-colors' m=6 u=4 job (2-core Xeon) one-hot blocks of 576 row
+    # sets ran 1.6x faster than blocks of 72 in the dense sweep. Its
+    # three uint64 planes make blocks of 1,536 at the same bytes; 2^22 to
+    # 2^26 bytes ran within 20% of each other there, and 2^20 2x slower.
+    block = _block_size(2 * num_prefixes * items.shape[0] * items.itemsize, nbytes)
 
-    def dense(strip: np.ndarray) -> np.ndarray:
-        return np.max([score(c).max(axis=0) for c in _subset_tree(strip, rect, op)], axis=0)
+    def dense(strip: np.ndarray, below: Optional[np.ndarray] = None) -> np.ndarray:
+        chunks = _subset_tree(strip, rect, op, below=below)
+        return np.max([score(c).max(axis=0) for c in chunks], axis=0)
 
     if slack is None:
         return _per_row_set(items, rect, block, dense, op)
@@ -308,6 +457,7 @@ def _full(
     threshold, pruning = -math.inf, True
 
     def pruned(strip: np.ndarray) -> np.ndarray:
+        nonlocal pruning
         if not pruning:
             return dense(strip)
         width = strip.shape[2]
@@ -332,24 +482,18 @@ def _full(
                 best[part] = np.maximum.reduceat(score(ext), starts)
                 threshold = max(threshold, int(best[part].max()))
 
-        spent = 0
-
-        def too_many(extensions: int) -> bool:
-            """Count extensions. Past a quarter of the block's rectangles
-            the dense tree's adds cost less than gathering each extension,
-            and ties this wide tend to recur, so this block and the later
-            ones are swept densely."""
-            nonlocal spent, pruning
-            spent += extensions
-            pruning = 4 * spent <= num_sets * width
-            return not pruning
-
         level = int(scores.max())
         if level + slack < threshold:
             return best.reshape(-1, width).max(axis=0)
         top = scores == level
-        if too_many(int(reach @ top.reshape(num_prefixes, width).sum(axis=1))):
-            return dense(strip)
+        spent = int(reach @ top.reshape(num_prefixes, width).sum(axis=1))
+        if 4 * spent > num_sets * width:
+            # past a quarter of the block's rectangles the tree's last
+            # level costs less than gathering each extension, and ties
+            # this wide tend to recur: it is formed from the prefixes, and
+            # the later blocks are swept densely
+            pruning = False
+            return dense(strip, censuses)
         top = np.flatnonzero(top)
         extend(censuses.reshape(len(censuses), -1), top, top)
         # gather the pairs that can still reach the threshold, so that the
@@ -363,10 +507,12 @@ def _full(
         level -= 1
         while level + slack >= threshold:
             sel = np.flatnonzero(cand_scores == level)
-            if too_many(int(cand_reach[sel].sum())):
-                return dense(strip)
+            spent += int(cand_reach[sel].sum())
             extend(compact, sel, cand[sel])
             level -= 1
+        # the block finishes by extension, which forms each of its
+        # rectangles at most once; past a quarter, later blocks go dense
+        pruning = 4 * spent <= num_sets * width
         return best.reshape(-1, width).max(axis=0)
 
     return _per_row_set(items, rect, block, pruned, op)
@@ -415,10 +561,12 @@ def _plan(
     distinct says the reduction is a distinct-color count over at most
     64 colors: the bitset sweep then runs the OR tree once over rows and
     once per row set over columns, and is priced at exactly the ORs they
-    write. Otherwise the decomposed sweep runs when there are fewer color
-    sets than row sets, and the full sweep is priced at a census per
-    rectangle: the dense sweep, an upper bound on the censuses that the
-    almost-balance branch and bound forms.
+    write, which bounds its branch and bound as well: that writes a
+    prefix tree per row set, the tree's levels below the last, then at
+    most one OR per rectangle. Otherwise the decomposed sweep runs when
+    there are fewer color sets than row sets, and the full sweep is priced
+    at a census per rectangle: the dense sweep, an upper bound on the
+    censuses that the almost-balance branch and bound forms.
     The decomposed estimate prices a dense product per strip and per
     color set, which over-prices the adds of its row and color-set trees;
     weighting each sweep's estimate in seconds is left open.
@@ -525,8 +673,18 @@ def _check_almost(
     def top_cells(census: np.ndarray) -> np.ndarray:
         return _top_sum(census, u_size)
 
+    planes = _num_planes(num_colors, rect * rect, u_size)
     if sweep == "decomposed":
         best = _decomposed(one_hot, rect, [u_size])
+    elif planes:
+        # cells less the overflow only drops as columns are added. Half
+        # the one-hot byte budget (768 row sets a block at n=4, m=6, k=2,
+        # u=4) ran as fast there and peaked 9-13 MB lower.
+        best = _full(
+            _planes(table.colors, num_colors, planes), rect,
+            lambda census: rect * rect - _overflow(census, u_size, counts),
+            _saturating_add(planes), 1 << 24, slack=0,
+        )
     else:
         best = _full(one_hot, rect, top_cells, slack=rect)
     # only the maximal row sets of the witness's logical block are looked at
@@ -637,19 +795,15 @@ def _eps_star(table: TwoSourceTable, k: int, d: int, sweep: str) -> float:
     cells = rect * rect
     threshold = cells * 2.0 ** (-(table.m - d))
     if sweep == "bitset":
-        # each cell is the uint64 bit of its color. 2^19-value blocks hold
-        # 576 row sets on sweep-colors, as the full sweep's do; blocks of
-        # 4,096 were no faster there (2-core Xeon) and peaked 0.5 MB higher.
-        items = np.left_shift(np.uint64(1), table.colors.T.astype(np.uint64))[None]
-        op, values = np.bitwise_or, 1 << 19
-
+        # one bit plane per census; 2^22-byte blocks hold 576 row sets on
+        # sweep-colors' m=6 table, where 2^25 bytes (4,096) ran no faster
         def uncovered(census: np.ndarray) -> np.ndarray:
-            # one mask per rectangle; its popcount, at most 64, reads the
-            # same as int8, so it negates without a widening copy
-            return -np.bitwise_count(census[0]).view(np.int8)
+            return -_overflow(census, 0, _count_dtype(cells))
+
+        items, op = _planes(table.colors, num_colors, 1), _saturating_add(1)
+        nbytes, slack = 1 << 22, 0
     else:
         items = _one_hot(table.colors, num_colors, _count_dtype(cells))
-        op, values = np.add, 1 << 25
         if sweep == "decomposed":
             best = _decomposed(items, rect, range(1, num_colors + 1), threshold)
             return max(0.0, float(best.max())) / cells
@@ -658,13 +812,16 @@ def _eps_star(table: TwoSourceTable, k: int, d: int, sweep: str) -> float:
         # are added, but _full's branch and bound with slack 0 ran 1.2-1.7x
         # slower than the dense sweep at k=2 on n=4 m=6 tables (2-core
         # Xeon), where many prefixes tie, though 3x faster at t <= 4 on an
-        # m=4 table; eps* keeps the dense sweep.
+        # m=4 table; unlike the bitset sweep's, this capped sweep stays
+        # dense.
         cap = min(max(1, int(threshold)), cells)
 
         def uncovered(census: np.ndarray) -> np.ndarray:
             return -np.minimum(census, cap).sum(axis=0, dtype=census.dtype)
 
-    covered = -int(_full(items, rect, uncovered, op, values).max())
+        op, nbytes, slack = np.add, 1 << 25, None
+
+    covered = -int(_full(items, rect, uncovered, op, nbytes, slack=slack).max())
     return (cells - min(threshold, 1.0) * covered) / cells
 
 

@@ -308,21 +308,29 @@ def test_guard_prices_the_bitset_sweep(monkeypatch):
 @pytest.mark.parametrize("n, k", [(2, 0), (2, 1), (3, 2), (3, 3), (4, 2)])
 def test_bitset_guard_prices_the_ors_the_trees_write(monkeypatch, n, k):
     """One OR tree over rows, then one over columns per row set: the
-    guard's estimate is every element those trees write."""
-    written, priced = [], []
-    tree = balance._subset_tree
+    guard's estimate is every element the dense sweep's trees write. The
+    branch and bound writes no more, its extensions included."""
+    priced, written = [], []
+    full = balance._full
 
-    def counting_tree(items, size, op, width=None):
-        def counted(x, y, out):
-            written.append(out.size)
-            return op(x, y, out=out)
+    def counted(x, y, out):
+        written[-1] += out.size
+        return np.bitwise_or(x, y, out=out)
 
-        return tree(items, size, counted, width)
-
-    monkeypatch.setattr(balance, "_subset_tree", counting_tree)
+    monkeypatch.setattr(balance, "_saturating_add", lambda planes: counted)
     monkeypatch.setattr(balance, "_guard", lambda ops, override: priced.append(ops))
-    measure_eps_star(gen_random(n, 6, 1), k, 0)
-    assert priced == [sum(written)]
+    table = gen_random(n, 6, 1)
+    results = []
+    for dense in (True, False):
+        written.append(0)
+        with mock.patch.object(
+            balance, "_full",
+            lambda *args, slack: full(*args, slack=None if dense else slack),
+        ):
+            results.append(measure_eps_star(table, k, 0))
+    assert results[0] == results[1]
+    assert priced[0] == priced[1] == written[0]
+    assert written[1] <= written[0]
 
 
 def test_guard_refuses_n5_decomposed_sweeps():
@@ -846,3 +854,155 @@ def test_eps_star_full_sweep_with_integer_t(table, data):
         got = measure_eps_star(table, k, d)
     assert plans == ["full"]
     assert got == pytest.approx(brute_eps_star(table, k, d), abs=1e-12)
+
+
+# ---------------------------------------------------------- bit planes
+
+
+def _encode(counts, planes, num_colors):
+    """counts [M, ...] as bit planes [P, ...]: bit z of plane s is set
+    when color z counts more than s."""
+    dtype = balance._planes(np.zeros((1, 1), np.int64), num_colors, 1).dtype
+    bits = np.left_shift(1, np.arange(num_colors, dtype=np.uint64)).astype(dtype)
+    bits = bits.reshape(-1, *[1] * (counts.ndim - 1))
+    return np.stack([
+        np.bitwise_or.reduce(np.where(counts > s, bits, dtype.type(0)), axis=0)
+        for s in range(planes)
+    ])
+
+
+def _decode(census, num_colors):
+    z = np.arange(num_colors).reshape(-1, *[1] * (census.ndim - 1))
+    return sum(((plane[None] >> z.astype(plane.dtype)) & 1).astype(np.int64) for plane in census)
+
+
+def test_planes_hold_one_cell_each():
+    colors = np.array([[0, 63], [5, 63]])
+    items = balance._planes(colors, 64, 3)
+    assert items.shape == (3, 2, 2) and items.dtype == np.uint64
+    assert np.array_equal(_decode(items, 64), balance._one_hot(colors, 64, np.int64))
+    for num_colors, dtype in ((1, np.uint8), (8, np.uint8), (16, np.uint16),
+                              (32, np.uint32), (64, np.uint64)):
+        assert balance._planes(colors % num_colors, num_colors, 1).dtype == dtype
+
+
+@pytest.mark.parametrize("num_colors", [2, 8, 16, 32, 64])
+@pytest.mark.parametrize("planes", [1, 2, 3, 4, 5])
+def test_saturating_add_decodes_to_the_capped_sum(num_colors, planes):
+    """Every pair of capped counts, with b broadcast along axis 1 as
+    _subset_tree passes it, into a fresh out and into a itself."""
+    rng = np.random.default_rng(num_colors * 10 + planes)
+    a_counts = rng.integers(0, planes + 1, (num_colors, 3, 7))
+    b_counts = rng.integers(0, planes + 1, (num_colors, 3, 1))
+    a, b = _encode(a_counts, planes, num_colors), _encode(b_counts, planes, num_colors)
+    want = np.minimum(a_counts + b_counts, planes)
+    add = balance._saturating_add(planes)
+    # axis 0 of the operands is planes x 3 lanes, as in the row tree
+    flat = [x.reshape(planes * 3, *x.shape[2:]) for x in (a, b)]
+    out = np.empty_like(flat[0])
+    add(flat[0], flat[1], out=out)
+    assert np.array_equal(_decode(out.reshape(a.shape), num_colors), want)
+    add(flat[0], flat[1], out=flat[0])
+    assert np.array_equal(_decode(a, num_colors), want)
+
+
+@pytest.mark.parametrize("num_colors", [1, 2, 4, 16, 64])
+def test_top_u_count_from_the_overflow(num_colors):
+    """cells less the overflow of the min(count, P) planes is _top_sum's
+    top-u count, P = max(1, cells // (u + 1)), for every cells <= 64,
+    also where cells // (u + 1) is 0. Past u = 32 every such P is 1, so
+    64 colors skip most u there."""
+    rng = np.random.default_rng(num_colors)
+    sizes = sorted({*range(1, min(num_colors, 33) + 1), num_colors - 1, num_colors} - {0})
+    for cells in range(1, 65):
+        # 60 censuses of cells each, many of them heaped on a few colors
+        alpha = np.repeat([0.1, 1.0, 10.0], 20)[:, None] * np.ones(num_colors)
+        counts = np.array([rng.multinomial(cells, rng.dirichlet(a)) for a in alpha]).T
+        dtype = balance._count_dtype(cells)
+        # plane s does not depend on how many planes follow it
+        census = _encode(counts, cells, num_colors)
+        for u_size in sizes:
+            planes = max(1, cells // (u_size + 1))
+            got = cells - balance._overflow(census[:planes], u_size, dtype)
+            assert got.dtype == dtype
+            assert np.array_equal(got, balance._top_sum(counts.astype(dtype), u_size))
+
+
+def test_overflow_is_summed_in_the_count_dtype():
+    """The overflow of five full planes, 320, needs int16; _check_almost
+    sums it in _count_dtype(4^k) at every k."""
+    full = np.full((5, 2), np.uint64(2**64 - 1))
+    assert balance._overflow(full, 0, np.int16).tolist() == [320, 320]
+    assert balance._overflow(full, 60, np.int8).tolist() == [20, 20]
+    dtypes = []
+    overflow = balance._overflow
+
+    def spy(census, u_size, dtype):
+        dtypes.append(dtype)
+        return overflow(census, u_size, dtype)
+
+    with mock.patch.object(balance, "_overflow", spy):
+        for k in range(5):
+            u_size = max(1, 4**k // 5)
+            balance._check_almost(gen_random(k, 6, 1), k, 0, 0.0, u_size, "full")
+            assert dtypes and set(dtypes) == {balance._count_dtype(4**k)}
+            dtypes.clear()
+
+
+def test_planes_when_at_most_64_colors_and_4_planes():
+    for num_colors in (1, 2, 16, 64, 128):
+        for cells in (1, 4, 16, 64, 256):
+            for u_size in range(1, num_colors + 1):
+                planes = max(1, cells // (u_size + 1))
+                want = planes if num_colors <= 64 and planes <= 4 else 0
+                assert balance._num_planes(num_colors, cells, u_size) == want
+    seen = []
+    full = balance._full
+
+    def spy(items, *args, **kwargs):
+        seen.append((items.dtype.kind, len(items)))
+        return full(items, *args, **kwargs)
+
+    # P = 16 // (u + 1) at k=2; an m=7 table has 128 colors
+    cases = [(gen_random(3, 6, 2), 3, ("u", 4)), (gen_random(3, 6, 2), 2, ("i", 64)),
+             (gen_random(3, 1, 2), 1, ("i", 2)), (gen_random(2, 7, 2), 64, ("i", 128))]
+    with mock.patch.object(balance, "_full", spy):
+        for table, u_size, want in cases:
+            balance._check_almost(table, 2, 0, 0.0, u_size, "full")
+            assert seen.pop() == want
+
+
+@st.composite
+def two_color_tables(draw):
+    n = draw(st.integers(0, 3))
+    m = draw(st.integers(1, 6))
+    pair = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=2, max_size=2, unique=True))
+    side = 1 << n
+    cells = draw(st.lists(st.sampled_from(pair), min_size=side * side, max_size=side * side))
+    return TwoSourceTable(n, m, np.array(cells).reshape(side, side))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(many_color_tables(), constant_tables(), two_color_tables()), st.data())
+def test_plane_sweep_reports_match_the_one_hot_sweep(table, data):
+    """Wherever the full sweep takes the planes, its reports and witnesses
+    are the one-hot sweep's, for any physical block."""
+    num_colors = table.num_colors
+    k = data.draw(
+        st.integers(0, max(k for k in range(table.n + 1) if 4**k // 5 <= num_colors)),
+        label="k",
+    )
+    cells = 4**k
+    u_size = data.draw(st.integers(max(1, cells // 5), num_colors), label="u_size")
+    assert balance._num_planes(num_colors, cells, u_size)
+    physical = data.draw(st.integers(1, 9), label="physical")
+    logical = balance._block_size
+
+    def block_size(row_cost, values=1 << 23):
+        return logical(row_cost) if values == 1 << 23 else physical
+
+    with mock.patch.object(balance, "_block_size", block_size):
+        got = balance._check_almost(table, k, 0, 0.0, u_size, "full")
+        with mock.patch.object(balance, "_num_planes", lambda *args: 0):
+            want = balance._check_almost(table, k, 0, 0.0, u_size, "full")
+    assert got == want
