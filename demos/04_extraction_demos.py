@@ -9,7 +9,8 @@ The punchline is the prefix demo: conditioning on the pair oracle costs
 an alpha that the output's own complexity does not pay back, so the
 floor certifies a deficiency. Run with --separation to reproduce the
 seed-740 random-vs-constant split as well (about 2 s on a 2-core host;
-its m=6 eps* has t = 1, so it runs on the bitset distinct-color sweep).
+its m=6 eps* has t = 1, so it runs on one bit plane, a distinct-color
+count).
 
 Every oracle below is built live, so this script has no stored numbers
 to go stale.

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from itertools import combinations
 
 import numpy as np
+import pytest
 from reference import brute_rainbow_worst_tuples
 
 from kextract import calibration
@@ -121,9 +122,15 @@ def test_acceptance_04_inner_product_balance(capsys):
 def test_acceptance_05_prefix_floor(capsys):
     with criterion(capsys, 5, "popular prefix floors, n=2..5"):
         t0 = time.time()
-        pair_oracles = {
-            n: build_complexity_table(2 * n, [EMPTY]) for n in range(2, 6)
-        }
+        # the default l_max 2n + 6 is below 2 * 2n at n = 4 and 5
+        with pytest.warns(UserWarning, match="expect NOT_FOUND") as caught:
+            pair_oracles = {
+                n: build_complexity_table(2 * n, [EMPTY]) for n in range(2, 6)
+            }
+        assert [str(w.message) for w in caught] == [
+            f"l_max={l_max} < 2n={2 * n}: expect NOT_FOUND entries"
+            for l_max, n in ((14, 8), (16, 10))
+        ]
         tables = [gen_inner_product(4)]
         for n in range(2, 6):
             m = min(n, 3)

@@ -49,6 +49,22 @@ SMALL_TABLES = [
 ]
 
 
+def _almost_full(table, k, u_size):
+    """The census form _num_planes gives almost balance's full sweep."""
+    planes = max(1, 4**k // (u_size + 1))
+    return "planes" if balance._num_planes(table.num_colors, planes) else "one-hot"
+
+
+def _eps_cap(k, m, d):
+    """eps*'s counts are capped at min(max(1, t), 4^k), t = 2^(2k + d - m)."""
+    return min(max(1, 2 ** (2 * k + d - m)), 4**k)
+
+
+def _eps_planes(table, k, d):
+    """Whether _num_planes puts eps*'s full sweep on planes."""
+    return bool(balance._num_planes(table.num_colors, _eps_cap(k, table.m, d)))
+
+
 # ------------------------------------------------- almost-balance sweep
 
 
@@ -172,8 +188,8 @@ def test_color_63_bitset_eps_star():
     checked = 0
     for k in range(4):
         for d in range(6 - 2 * k + 1):
-            got = balance._eps_star(table, k, d, sweep="bitset")
-            assert got == balance._eps_star(table, k, d, sweep="full")
+            got = balance._eps_star(table, k, d, sweep="planes")
+            assert got == balance._eps_star(table, k, d, sweep="one-hot")
             assert got == measure_eps_star(table, k, d)
             assert got == pytest.approx(brute_eps_star(table, k, d), abs=1e-12)
             checked += 1
@@ -189,8 +205,8 @@ def test_counts_past_int16():
     assert rep.worst_cells == 65_536
     assert rep.worst_colors == (3,)
     assert rep.worst_fraction == 1.0
-    # t = 65,536 / 4 > 1 keeps eps* off the bitset sweep, on the integer
-    # subset tree
+    # t = 65,536 / 4 caps the one-hot counts on the integer subset tree,
+    # far past the 4 planes
     assert measure_eps_star(table, 8, 0) == 0.75
     assert measure_eps_star(table, 8, 1) == 0.5
 
@@ -203,7 +219,7 @@ def test_counts_past_int8():
     assert rep.worst_colors == (1,)
     assert balance._check_almost(table, 4, 0, 0.0, 1, sweep="decomposed") == rep
     # eps* reads the decomposed sweep's top-u sums directly: (256 - 64) / 256
-    for sweep in ("full", "decomposed"):
+    for sweep in ("one-hot", "decomposed"):
         assert balance._eps_star(table, 4, 0, sweep) == 0.75
     # one row set of all 128 rows: every column counts 128 cells of the
     # table's color, and the best 128 columns hold 16,384
@@ -296,8 +312,8 @@ def test_guard_prices_the_decomposed_sweep(monkeypatch):
 
 def test_guard_prices_the_bitset_sweep(monkeypatch):
     # the seed-740 m=6 table at k=3: the full census would cost
-    # 12,870^2 * 64 ~ 1.06e10 ops, past OPS_LIMIT; t = 1 puts eps* on the
-    # bitset sweep, priced at (12,870 + 16) * 24,300 ~ 3.13e8 ORs
+    # 12,870^2 * 64 ~ 1.06e10 ops, past OPS_LIMIT; t = 1 puts eps* on one
+    # plane first, priced at (12,870 + 16) * 24,300 ~ 3.13e8 ORs
     table = gen_random(4, SEPARATION_M, SEPARATION_SEED)
     assert measure_eps_star(table, 3, 0) == SEPARATION_EPS_STAR
     monkeypatch.setattr(balance, "OPS_LIMIT", 10**8)
@@ -354,9 +370,12 @@ def test_rainbow_guard_prices_the_strip_products(monkeypatch):
 
 def test_decomposed_only_when_color_sets_are_fewer():
     # C(16, 4) = 1,820 row sets
-    assert balance._plan(16, 4, 16, 1819, override=False) == "decomposed"
-    assert balance._plan(16, 4, 16, 1820, override=False) == "full"
-    assert balance._plan(16, 4, 16, 1819, False, distinct=True) == "bitset"
+    assert balance._plan(16, 4, 16, 1819, 4, override=False) == "decomposed"
+    assert balance._plan(16, 4, 16, 1820, 4, override=False) == "planes"
+    assert balance._plan(16, 4, 16, 1820, 0, override=False) == "one-hot"
+    # eps*'s single plane runs first; more planes keep the order
+    assert balance._plan(16, 4, 16, 1819, 1, False, one_plane_first=True) == "planes"
+    assert balance._plan(16, 4, 16, 1819, 2, False, one_plane_first=True) == "decomposed"
 
 
 # ------------------------------------------- decomposed vs full sweep
@@ -380,13 +399,13 @@ def test_decomposed_only_when_color_sets_are_fewer():
 def test_decomposed_sweeps_equal_full_sweeps(table, k):
     for u_size in range(1, table.num_colors + 1):
         decomposed = balance._check_almost(table, k, 0, 0.0, u_size, sweep="decomposed")
-        full = balance._check_almost(table, k, 0, 0.0, u_size, sweep="full")
+        full = balance._check_almost(table, k, 0, 0.0, u_size, _almost_full(table, k, u_size))
         assert decomposed == full
     for d in range(table.m + 2):
-        full = balance._eps_star(table, k, d, sweep="full")
+        full = balance._eps_star(table, k, d, sweep="one-hot")
         assert balance._eps_star(table, k, d, sweep="decomposed") == full
-        if 2 * k + d <= table.m:
-            assert balance._eps_star(table, k, d, sweep="bitset") == full
+        if _eps_planes(table, k, d):
+            assert balance._eps_star(table, k, d, sweep="planes") == full
 
 
 def _witness(table, k, u_size, block):
@@ -412,7 +431,7 @@ def test_decomposed_witness_with_small_blocks(monkeypatch, block):
                   gen_constant(3, 2, 1), parity):
         for u_size in sorted({1, 2, table.num_colors}):
             want = _witness(table, 2, u_size, block)
-            for sweep in ("full", "decomposed"):
+            for sweep in (_almost_full(table, 2, u_size), "decomposed"):
                 rep = balance._check_almost(table, 2, 0, 0.0, u_size, sweep)
                 assert _report_witness(rep) == want
 
@@ -450,7 +469,7 @@ def test_witness_does_not_depend_on_the_physical_block(table, data):
 
     want = _witness(table, k, u_size, logical)
     with mock.patch.object(balance, "_block_size", block_size):
-        for sweep in ("full", "decomposed"):
+        for sweep in (_almost_full(table, k, u_size), "decomposed"):
             rep = balance._check_almost(table, k, 0, 0.0, u_size, sweep)
             assert _report_witness(rep) == want
 
@@ -473,15 +492,15 @@ def test_sweeps_at_the_largest_rectangles(table, k):
     brute = math.comb(side, rect) <= 70
     block = balance._block_size(math.comb(side, rect) * table.num_colors)
     for u_size in range(1, table.num_colors + 1):
-        full = balance._check_almost(table, k, 0, 0.0, u_size, sweep="full")
+        full = balance._check_almost(table, k, 0, 0.0, u_size, _almost_full(table, k, u_size))
         assert balance._check_almost(table, k, 0, 0.0, u_size, sweep="decomposed") == full
         if brute:
             assert _report_witness(full) == _witness(table, k, u_size, block)
     for d in range(table.m + 1):
-        full = balance._eps_star(table, k, d, sweep="full")
+        full = balance._eps_star(table, k, d, sweep="one-hot")
         assert balance._eps_star(table, k, d, sweep="decomposed") == full
-        if 2 * k + d <= table.m:
-            assert balance._eps_star(table, k, d, sweep="bitset") == full
+        if _eps_planes(table, k, d):
+            assert balance._eps_star(table, k, d, sweep="planes") == full
         if brute:
             assert full == pytest.approx(brute_eps_star(table, k, d), abs=1e-12)
 
@@ -654,15 +673,18 @@ def test_sweeps_match_brute_force_on_random_tables(table, data):
     u_size = data.draw(st.integers(1, table.num_colors), label="u_size")
     d = data.draw(st.integers(0, table.m + 1), label="d")
     rep = balance_check_almost(table, k, d, 0.0, u_size)
-    assert rep == balance._check_almost(table, k, d, 0.0, u_size, sweep="full")
+    assert rep == balance._check_almost(table, k, d, 0.0, u_size, _almost_full(table, k, u_size))
     assert rep.worst_cells == brute_balance_worst(table, k, u_size)
     counts = rect_census(
         table.colors, rep.worst_rectangle.rows, rep.worst_rectangle.cols, table.num_colors
     )
     assert sum(counts[z] for z in rep.worst_colors) == rep.worst_cells
     got = measure_eps_star(table, k, d)
-    assert got == balance._eps_star(table, k, d, sweep="full")
     assert got == pytest.approx(brute_eps_star(table, k, d), abs=1e-12)
+    # the decomposed sweep tries color sets of at most 4^k // (floor(t) + 1)
+    # colors; the other sweeps need no such argument
+    for sweep in ("one-hot", "decomposed"):
+        assert got == balance._eps_star(table, k, d, sweep)
 
     rect_side, divisor = data.draw(st.sampled_from(_rainbow_pairs(table)), label="rainbow")
     rb = rainbow_check(table, rect_side, divisor)
@@ -710,13 +732,16 @@ def many_color_tables(draw):
 @settings(max_examples=60, deadline=None)
 @given(many_color_tables(), st.data())
 def test_eps_star_sweeps_match_brute_force_with_many_colors(table, data):
+    """t = 2^(2k + d - m) in {<= 1, 2, 4}: the plane sweep, on one, two or
+    four planes, equals the one-hot sweep and the brute force."""
     k = data.draw(st.integers(0, min(2, table.n)), label="k")
-    d = data.draw(st.integers(0, table.m - 2 * k), label="d")
+    d = data.draw(st.integers(0, min(table.m, table.m - 2 * k + 2)), label="d")
+    assert _eps_cap(k, table.m, d) in (1, 2, 4)
     want = brute_eps_star(table, k, d)
     got = measure_eps_star(table, k, d)
     assert got == pytest.approx(want, abs=1e-12)
-    assert got == balance._eps_star(table, k, d, sweep="bitset")
-    assert got == balance._eps_star(table, k, d, sweep="full")
+    assert got == balance._eps_star(table, k, d, sweep="planes")
+    assert got == balance._eps_star(table, k, d, sweep="one-hot")
     # 2^16 - 1 color sets: the decomposed sweep is quick only at n <= 2
     if table.m == 4 and table.n <= 2:
         assert got == balance._eps_star(table, k, d, sweep="decomposed")
@@ -829,9 +854,9 @@ def test_full_eps_star_with_a_cap_past_the_counts():
     """d > m makes t = 2^(2k + d - m) exceed every count; at k=3 t = 128
     no longer fits the int8 counts, which must not matter."""
     table = gen_random(3, 2, 5)
-    assert balance._eps_star(table, 3, 3, "full") == 0.0
+    assert balance._eps_star(table, 3, 3, "one-hot") == 0.0
     for d in range(table.m + 2):
-        assert balance._eps_star(table, 3, d, "full") == balance._eps_star(
+        assert balance._eps_star(table, 3, d, "one-hot") == balance._eps_star(
             table, 3, d, "decomposed"
         )
 
@@ -840,7 +865,7 @@ def test_full_eps_star_with_a_cap_past_the_counts():
 @given(many_color_tables().filter(lambda table: table.n >= 1), st.data())
 def test_eps_star_full_sweep_with_integer_t(table, data):
     """t = 2^(2k + d - m) > 1 and more color sets than row sets: eps* runs
-    the full sweep with counts capped at t."""
+    the full sweep with counts capped at t, on planes up to t = 4."""
     k = data.draw(st.integers(1, min(2, table.n)), label="k")
     d = data.draw(st.integers(max(0, table.m - 2 * k + 1), table.m), label="d")
     plans = []
@@ -852,7 +877,7 @@ def test_eps_star_full_sweep_with_integer_t(table, data):
 
     with mock.patch.object(balance, "_plan", spy):
         got = measure_eps_star(table, k, d)
-    assert plans == ["full"]
+    assert plans == ["planes" if _eps_planes(table, k, d) else "one-hot"]
     assert got == pytest.approx(brute_eps_star(table, k, d), abs=1e-12)
 
 
@@ -944,18 +969,16 @@ def test_overflow_is_summed_in_the_count_dtype():
     with mock.patch.object(balance, "_overflow", spy):
         for k in range(5):
             u_size = max(1, 4**k // 5)
-            balance._check_almost(gen_random(k, 6, 1), k, 0, 0.0, u_size, "full")
+            balance._check_almost(gen_random(k, 6, 1), k, 0, 0.0, u_size, "planes")
             assert dtypes and set(dtypes) == {balance._count_dtype(4**k)}
             dtypes.clear()
 
 
 def test_planes_when_at_most_64_colors_and_4_planes():
-    for num_colors in (1, 2, 16, 64, 128):
-        for cells in (1, 4, 16, 64, 256):
-            for u_size in range(1, num_colors + 1):
-                planes = max(1, cells // (u_size + 1))
-                want = planes if num_colors <= 64 and planes <= 4 else 0
-                assert balance._num_planes(num_colors, cells, u_size) == want
+    for num_colors in (1, 2, 16, 64, 65, 128):
+        for planes in range(1, 9):
+            want = planes if num_colors <= 64 and planes <= 4 else 0
+            assert balance._num_planes(num_colors, planes) == want
     seen = []
     full = balance._full
 
@@ -963,13 +986,78 @@ def test_planes_when_at_most_64_colors_and_4_planes():
         seen.append((items.dtype.kind, len(items)))
         return full(items, *args, **kwargs)
 
-    # P = 16 // (u + 1) at k=2; an m=7 table has 128 colors
-    cases = [(gen_random(3, 6, 2), 3, ("u", 4)), (gen_random(3, 6, 2), 2, ("i", 64)),
-             (gen_random(3, 1, 2), 1, ("i", 2)), (gen_random(2, 7, 2), 64, ("i", 128))]
+    # the full sweeps at k=2: P = 16 // (u + 1) for almost balance, t for
+    # eps*; an m=7 table has 128 colors
+    m6, m1, m7 = gen_random(3, 6, 2), gen_random(2, 1, 2), gen_random(2, 7, 2)
+    cases = [
+        (lambda: balance_check_almost(m6, 2, 0, 0.0, 3), ("u", 4)),
+        (lambda: balance_check_almost(m6, 2, 0, 0.0, 2), ("i", 64)),
+        (lambda: balance_check_almost(m1, 2, 0, 0.0, 1), ("i", 2)),
+        (lambda: balance_check_almost(m7, 2, 0, 0.0, 64), ("i", 128)),
+        (lambda: measure_eps_star(m6, 2, 0), ("u", 1)),
+        (lambda: measure_eps_star(m6, 2, 4), ("u", 4)),
+        (lambda: measure_eps_star(m6, 2, 5), ("i", 64)),
+        (lambda: measure_eps_star(m7, 2, 0), ("i", 128)),
+    ]
     with mock.patch.object(balance, "_full", spy):
-        for table, u_size, want in cases:
-            balance._check_almost(table, 2, 0, 0.0, u_size, "full")
+        for check, want in cases:
+            check()
             assert seen.pop() == want
+
+
+def _parent_plan(side, rect, num_colors, num_color_sets, distinct):
+    """_plan as it was before eps*'s bitset sweep became its one plane:
+    the sweep family and the estimate it guarded."""
+    num_sets = math.comb(side, rect)
+    if distinct:
+        ors = math.comb(side + 1, rect) - side + rect - 2
+        return "bitset", (num_sets + side) * ors
+    if num_color_sets < num_sets:
+        return "decomposed", num_sets * side * num_colors * (side + num_color_sets)
+    return "full", num_sets * num_sets * num_colors
+
+
+def test_plan_keeps_every_estimate_and_verdict(monkeypatch):
+    """Every n <= 6, m <= 7, k, d <= m and u_size: each check plans the
+    sweep and guards the estimate of the parent formulas. The bitset
+    sweep is now the one plane, and a full sweep takes planes exactly when
+    at most 64 colors need at most 4 of them."""
+    priced = []
+    monkeypatch.setattr(balance, "_guard", lambda ops, override: priced.append(ops))
+    monkeypatch.setattr(balance, "_check_almost", lambda table, *args: args[-1])
+    monkeypatch.setattr(balance, "_eps_star", lambda table, *args: args[-1])
+
+    def named(family, num_colors, planes):
+        if family == "full":
+            return "planes" if num_colors <= 64 and planes <= 4 else "one-hot"
+        return {"bitset": "planes"}.get(family, family)
+
+    checked = 0
+    for n in range(7):
+        side = 1 << n
+        for m in range(8):
+            table = gen_constant(n, m, 0)
+            num_colors = 1 << m
+            for k in range(n + 1):
+                rect, cells = 1 << k, 4**k
+                for u_size in range(1, num_colors + 1):
+                    family, ops = _parent_plan(
+                        side, rect, num_colors, math.comb(num_colors, u_size), False
+                    )
+                    want = named(family, num_colors, max(1, cells // (u_size + 1)))
+                    assert balance_check_almost(table, k, 0, 0.0, u_size) == want
+                    assert priced.pop() == ops
+                    checked += 1
+                for d in range(m + 1):
+                    family, ops = _parent_plan(
+                        side, rect, num_colors, 2**num_colors - 1, 2 * k + d <= m <= 6
+                    )
+                    want = named(family, num_colors, 2 ** max(0, 2 * k + d - m))
+                    assert measure_eps_star(table, k, d) == want
+                    assert priced.pop() == ops
+                    checked += 1
+    # 28 (n, k) pairs
+    assert checked == 28 * sum(2**m + m + 1 for m in range(8))
 
 
 @st.composite
@@ -994,7 +1082,7 @@ def test_plane_sweep_reports_match_the_one_hot_sweep(table, data):
     )
     cells = 4**k
     u_size = data.draw(st.integers(max(1, cells // 5), num_colors), label="u_size")
-    assert balance._num_planes(num_colors, cells, u_size)
+    assert balance._num_planes(num_colors, max(1, cells // (u_size + 1)))
     physical = data.draw(st.integers(1, 9), label="physical")
     logical = balance._block_size
 
@@ -1002,7 +1090,6 @@ def test_plane_sweep_reports_match_the_one_hot_sweep(table, data):
         return logical(row_cost) if values == 1 << 23 else physical
 
     with mock.patch.object(balance, "_block_size", block_size):
-        got = balance._check_almost(table, k, 0, 0.0, u_size, "full")
-        with mock.patch.object(balance, "_num_planes", lambda *args: 0):
-            want = balance._check_almost(table, k, 0, 0.0, u_size, "full")
+        got = balance._check_almost(table, k, 0, 0.0, u_size, "planes")
+        want = balance._check_almost(table, k, 0, 0.0, u_size, "one-hot")
     assert got == want

@@ -10,6 +10,7 @@ import pytest
 import kextract
 from kextract import balance, cli
 from kextract.cli import GUARDED, build_parser, dispatch, main
+from kextract.oracle import load_table
 from kextract.reports import load_report
 from kextract.tables import read_table
 
@@ -498,7 +499,7 @@ def test_exp_dep_census(workdir, tmp_path):
     csv_path = str(tmp_path / "census.csv")
     assert dispatch(["exp", "dep-census", "--oracle", workdir["o2all"],
                      "--alpha", "0", "--csv", csv_path, "--out", out]) == 0
-    assert open(csv_path, encoding="utf-8").readline().startswith("x_hex,")
+    assert Path(csv_path).read_text(encoding="utf-8").startswith("x_hex,")
     rep = load_report(out)
     assert rep["data"]["max_fitted_c"] == 1.0
     # committed gate failure flips the exit code
@@ -555,20 +556,80 @@ def test_reports_reproducible_from_params(workdir, tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert dispatch(argv + ["--out", a]) == 0
     assert dispatch(argv + ["--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
     # the params block alone is enough to rebuild the invocation
     params = load_report(a)["params"]
     rebuilt = ["table", "eps-star", "--table", params["table"],
                "--k", str(params["k"]), "--d", str(params["d"])]
     c = str(tmp_path / "c.json")
     assert dispatch(rebuilt + ["--out", c]) == 0
-    assert open(c, "rb").read() == open(a, "rb").read()
+    assert Path(c).read_bytes() == Path(a).read_bytes()
 
 
 def test_report_json_is_canonical(workdir, tmp_path):
     out = str(tmp_path / "r.json")
     dispatch(["oracle", "query", "--table", workdir["o2all"], "--target", "11",
               "--out", out])
-    blob = open(out, "rb").read()
+    blob = Path(out).read_bytes()
     doc = json.loads(blob)
     assert blob == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+# ------------------------------------------- n4 assertions that can fail
+#
+# One row per assertion of the standard n4 pipeline: the input (a seeded
+# or constant table) and the exit code it gives with that step's
+# arguments. rainbow_pass at D = 2 and extracts_within_d=0 at m = 2 hold
+# for every table, so their rows are constant tables that pass.
+
+
+def _gen(root, name, kind, *args):
+    path = str(root / f"{name}.kext")
+    assert dispatch(["table", "gen", "--kind", kind, "--n", "4", "--m", "2", *args,
+                     "--out", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize("seed, worst, code", [
+    (1, 40, 0), (2, 39, 0), (3, 41, 0), (4, 39, 0),
+    (5, 45, 1),  # the per-row worst passes 2 * 8^2 / 3 = 42.7 cells
+])
+def test_rainbow_verdict_at_divisor_3_varies(tmp_path, seed, worst, code):
+    table = _gen(tmp_path, "rnd", "random", "--seed", str(seed))
+    out = str(tmp_path / "r.json")
+    assert dispatch(["table", "verify", "--table", table, "--mode", "rainbow",
+                     "--side", "8", "--divisor", "3", "--out", out]) == code
+    rep = load_report(out)
+    sides = (rep["data"]["per_column"], rep["data"]["per_row"])
+    assert max(side["worst_cells"] for side in sides) == worst
+    assert rep["assertions"] == [{"name": "rainbow_pass", "passed": not code, "detail": None}]
+
+
+@pytest.mark.parametrize("side", ["4", "8"])
+def test_rainbow_at_divisor_2_passes_a_constant_table(tmp_path, side):
+    """worst * 2 <= 2K^2 holds for every table, since no rectangle has more
+    than K^2 cells: verify-rnd4-rainbow's and search-rainbow's D = 2."""
+    table = _gen(tmp_path, "const", "constant")
+    out = str(tmp_path / "r.json")
+    assert dispatch(["table", "verify", "--table", table, "--mode", "rainbow",
+                     "--side", side, "--divisor", "2", "--out", out]) == 0
+    assert load_report(out)["data"]["per_column"]["worst_cells"] == int(side) ** 2
+
+
+def test_extracts_within_d0_at_m2_passes_a_constant_table(tmp_path):
+    """extract-check-rnd4's arguments: every 2-bit string costs 4 bits on
+    the output oracle, so every output's deficiency is 2 - 4."""
+    cond, outs = str(tmp_path / "cond.json"), str(tmp_path / "outs.json")
+    assert dispatch(["oracle", "build", "--n", "4", "--conditions", "all", "--l-max", "8",
+                     "--out", cond]) == 0
+    assert dispatch(["oracle", "build", "--n", "2", "--conditions", "lambda", "--l-max", "4",
+                     "--out", outs]) == 0
+    assert load_table(outs).lower_bounds().tolist() == [4, 4, 4, 4]
+    table = _gen(tmp_path, "const", "constant")
+    out = str(tmp_path / "x.json")
+    assert dispatch(["extract", "check", "--table", table, "--cond-oracle", cond,
+                     "--output-oracle", outs, "--k", "3", "--alpha", "2",
+                     "--require-d", "0", "--out", out]) == 0
+    rep = load_report(out)
+    assert rep["data"]["max_deficiency"] == -2
+    assert rep["assertions"][0]["name"] == "extracts_within_d=0"

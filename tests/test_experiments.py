@@ -131,7 +131,7 @@ def test_census_csv(tmp_path, oracle_n2_all):
     sw = dependent_census_sweep(oracle_n2_all, 0)
     path = str(tmp_path / "census.csv")
     write_census_csv(sw.censuses, 2, path)
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = (tmp_path / "census.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "x_hex,alpha,size,fitted_c"
     assert len(lines) == 1 + 4
     assert lines[1] == "00,0,4,1.0"

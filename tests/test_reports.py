@@ -74,7 +74,7 @@ def test_write_load_round_trip(tmp_path):
     back = load_report(path)
     assert back["params"] == {"k": 3}
     assert back["data"] == {"worst": 44}
-    assert open(path, "rb").read() == report_bytes(rep)
+    assert (tmp_path / "r.json").read_bytes() == report_bytes(rep)
 
 
 def test_equal_params_give_identical_files(tmp_path):
@@ -83,7 +83,7 @@ def test_equal_params_give_identical_files(tmp_path):
     write_report(build_report("c", {"x": 1}, {"v": [1, 2]}), paths[0])
     write_report(build_report("c", {"x": 1}, {"v": [1, 2]}), paths[1])
     write_report(build_report("c", {"x": 2}, {"v": [1, 2]}), paths[2])
-    a, b, c = (open(path, "rb").read() for path in paths)
+    a, b, c = ((tmp_path / f"{name}.json").read_bytes() for name in "abc")
     assert a == b
     assert a != c
 

@@ -204,7 +204,7 @@ def test_kext_header_layout(tmp_path):
     t = gen_constant(1, 2, 3)
     path = str(tmp_path / "h.kext")
     write_table(t, path)
-    blob = open(path, "rb").read()
+    blob = (tmp_path / "h.kext").read_bytes()
     assert blob[:4] == b"KEXT"
     assert blob[4] == 1  # version
     assert blob[5:7] == (1).to_bytes(2, "little")  # n
@@ -222,7 +222,7 @@ def test_kext_rejects_garbage(tmp_path):
     t = gen_constant(2, 1, 0)
     good = str(tmp_path / "good.kext")
     write_table(t, good)
-    blob = open(good, "rb").read()
+    blob = (tmp_path / "good.kext").read_bytes()
     with open(path, "wb") as fh:
         fh.write(blob[:4] + b"\x02" + blob[5:])
     with pytest.raises(ValueError):
