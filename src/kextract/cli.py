@@ -314,6 +314,14 @@ def cmd_table_gen(args) -> int:
     return 0
 
 
+def _note_rainbow_divisor(divisor: int) -> None:
+    """The pass bound is worst * D <= 2K^2 and worst <= K^2, so it cannot
+    fail at D <= 2; say so on stderr, which no report records."""
+    if divisor <= 2:
+        print(f"note: at D={divisor} <= 2 rainbow_pass holds for every table",
+              file=sys.stderr)
+
+
 def cmd_table_verify(args) -> int:
     table = _read_table(args.table, TwoSourceTable, "verification")
     if args.mode == "almost":
@@ -343,6 +351,7 @@ def cmd_table_verify(args) -> int:
         args.divisor,
         override=args.override_feasibility,
     )
+    _note_rainbow_divisor(args.divisor)
     print(
         f"[table verify rainbow] K={args.side} D={args.divisor} "
         f"per_column={report.per_column.worst_cells} "
@@ -362,6 +371,7 @@ def cmd_table_search(args) -> int:
         max_trials=args.max_trials,
         override=args.override_feasibility,
     )
+    _note_rainbow_divisor(args.divisor)
     print(
         f"[table search] found={result.found} trials={result.trials} "
         f"seed={result.seed}"

@@ -179,6 +179,23 @@ def test_eps_star_edges():
     assert measure_eps_star(gen_constant(2, 1, 0), 2, 0) == 0.5
 
 
+@pytest.mark.parametrize("table", SMALL_TABLES + [gen_random(3, 2, 9), gen_constant(3, 3, 5)],
+                         ids=lambda t: f"n{t.n}m{t.m}")
+def test_eps_star_at_d_equal_m_is_zero_on_every_sweep(table, monkeypatch):
+    """At d = m, t = 4^k and no color fills more than 4^k cells, so every
+    sweep measures 0; measure_eps_star returns it without one, so the
+    guard has nothing to price."""
+    d = table.m
+    for k in range(table.n + 1):
+        for sweep in ("planes", "one-hot", "decomposed"):
+            assert balance._eps_star(table, k, d, sweep) == 0.0
+        assert brute_eps_star(table, k, d) == 0.0
+    monkeypatch.setattr(balance, "OPS_LIMIT", 0)
+    assert all(measure_eps_star(table, k, d) == 0.0 for k in range(table.n + 1))
+    with pytest.raises(FeasibilityError):
+        measure_eps_star(table, 1, d - 1)
+
+
 def test_color_63_bitset_eps_star():
     # all 64 colors, with color 63 (bit 63 of the mask) filling the 4 x 4
     # corner: a mask that loses bit 63 counts 0 colors there, not 1
@@ -633,6 +650,130 @@ def test_search_rainbow_exhausted():
         search_rainbow(2, 2, 1, 4, seed=0, max_trials=0)
 
 
+# ---------------------------------------------------- rainbow early stop
+
+
+def _whole_sweep(per_row_set):
+    """_per_row_set with its bound dropped, so it scores every block."""
+
+    def sweep(*args, bound=None, **kwargs):
+        return per_row_set(*args, **kwargs)
+
+    return sweep
+
+
+def _stopped_and_whole(table, rect_side, divisor, physical):
+    """rainbow_check on blocks of `physical` row sets, with the stop and
+    without it."""
+    with mock.patch.object(balance, "_block_size", lambda row_cost, values=0: physical):
+        stopped = rainbow_check(table, rect_side, divisor)
+        with mock.patch.object(balance, "_per_row_set", _whole_sweep(balance._per_row_set)):
+            whole = rainbow_check(table, rect_side, divisor)
+    return stopped, whole
+
+
+def _late_cell_bound_table():
+    """n=3, m=3: rows 0-5 are distinct cyclic shifts of the 8 colors, so
+    two of them agree in no column and each holds color 0 once; rows 6
+    and 7 are all color 0. The only 2-row set that fills a 2 x 2
+    rectangle with one color per column is the last, {6, 7}."""
+    colors = (np.arange(8) + np.arange(8).reshape(-1, 1)) % 8
+    colors[6:] = 0
+    return TwoSourceTable(3, 3, colors)
+
+
+def _first_at(values, bound):
+    return int(np.argmax(values >= bound)) if values.max() >= bound else None
+
+
+def test_per_row_set_stops_after_the_first_block_at_the_bound():
+    """The scores come back up to the end of the block (a _subset_tree
+    chunk) that holds the first score at the bound, or all of them."""
+    table = _late_cell_bound_table()
+    items = balance._one_hot(table.colors, table.num_colors, np.int8)
+    sizes = []
+
+    def score(strip):
+        sizes.append(strip.shape[-1])
+        return balance._top_sum(balance._top_sum(strip, 1), 2)
+
+    for block in (1, 2, 3, 5, 27, 28, 100):
+        sizes.clear()
+        whole = balance._per_row_set(items, 2, block, score)
+        ends = np.cumsum(sizes)
+        assert _first_at(whole, 4) == 27
+        for bound in (2, 3, 4, 5):
+            stopped = balance._per_row_set(items, 2, block, score, bound=bound)
+            first = _first_at(whole, bound)
+            stop = len(whole) if first is None else ends[np.searchsorted(ends, first, "right")]
+            assert np.array_equal(stopped, whole[:stop])
+
+
+@pytest.mark.parametrize("divisor", [5, 8])
+def test_rainbow_stop_at_a_late_block(divisor):
+    """Per column only row set 27 of 28 reaches K^2 = 4 cells, in the
+    last block; flipped, columns 6 and 7 fill every row set's rectangle."""
+    table = _late_cell_bound_table()
+    brute = (brute_rainbow_worst_tuples(table, 2, divisor),
+             brute_rainbow_worst_tuples(table.transposed(), 2, divisor))
+    for physical in (1, 3, 4, 7):
+        stopped, whole = _stopped_and_whole(table, 2, divisor, physical)
+        assert stopped == whole
+        assert whole.per_column.rectangle.rows == (6, 7)
+        assert whole.per_row.rectangle.rows == (0, 1)
+        assert (whole.per_column.worst_cells, whole.per_row.worst_cells) == brute == (4, 4)
+
+
+@pytest.mark.parametrize("rect_side, divisor", [(1, 4), (2, 4), (2, 2)])
+def test_rainbow_stop_on_a_constant_table(rect_side, divisor):
+    """A constant table reaches K^2 at row set 0."""
+    table = gen_constant(3, 2, 1)
+    assert brute_rainbow_worst_tuples(table, rect_side, divisor) == rect_side * rect_side
+    for physical in (1, 2, 5):
+        stopped, whole = _stopped_and_whole(table, rect_side, divisor, physical)
+        assert stopped == whole
+        assert whole.per_column.rectangle.rows == tuple(range(rect_side))
+        for one_side in (whole.per_column, whole.per_row):
+            assert one_side.worst_cells == rect_side * rect_side
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_rainbow_stop_never_reached(seed):
+    """Seeded n=2 tables whose best 3 x 3 rectangle holds fewer than 9
+    proper cells: every block is scored, one row set each."""
+    table = gen_random(2, 2, seed)
+    stopped, whole = _stopped_and_whole(table, 3, 4, 1)
+    assert stopped == whole
+    for oriented, one_side in ((table, whole.per_column), (table.transposed(), whole.per_row)):
+        assert one_side.worst_cells < 9
+        assert one_side.worst_cells == brute_rainbow_worst_tuples(oriented, 3, 4)
+
+
+def test_rainbow_scores_only_the_first_block_at_r5_size():
+    """sweep-colors' r5 check, n=5, K=4, D=2: 35,960 row sets, 9 blocks
+    of at most 4,096, and row set 0 already fills a 4 x 4 rectangle, so
+    each orientation scores its first block only."""
+    table = gen_random(5, 2, 1)
+    per_row_set = balance._per_row_set
+    blocks, calls = [], []
+
+    def counted(items, rect, block, score, op=np.add, bound=None):
+        blocks.append(math.ceil(math.comb(items.shape[2], rect) / block))
+
+        def counted_score(strip):
+            calls.append(strip.shape[-1])
+            return score(strip)
+
+        return per_row_set(items, rect, block, counted_score, op, bound=bound)
+
+    with mock.patch.object(balance, "_per_row_set", counted):
+        rep = rainbow_check(table, 4, 2)
+    assert blocks == [9, 9]
+    assert calls == [4096, 4096]
+    assert rep.per_column.worst_cells == rep.per_row.worst_cells == 16
+    assert rep.per_column.rectangle.rows == rep.per_row.rectangle.rows == (0, 1, 2, 3)
+
+
 # ----------------------------------------------------- property checks
 
 # Rainbow's tuple brute force costs C(2^m, set_size)^side assignments per
@@ -690,6 +831,36 @@ def test_sweeps_match_brute_force_on_random_tables(table, data):
     rb = rainbow_check(table, rect_side, divisor)
     for oriented, one_side in ((table, rb.per_column), (table.transposed(), rb.per_row)):
         assert one_side.worst_cells == brute_rainbow_worst_tuples(oriented, rect_side, divisor)
+
+
+@st.composite
+def rainbow_tables(draw):
+    """Random n <= 4 tables whose last rows (none to all) share a color."""
+    n = draw(st.integers(0, 4), label="n")
+    m = draw(st.integers(1, 3), label="m")
+    table = gen_random(n, m, draw(st.integers(0, 2**32), label="seed"))
+    rows = draw(st.integers(0, table.side), label="constant rows")
+    colors = table.colors.copy()
+    colors[table.side - rows :] = draw(st.integers(0, table.num_colors - 1), label="color")
+    return TwoSourceTable(n, m, colors)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rainbow_tables(), st.data())
+def test_rainbow_stop_matches_the_whole_sweep(table, data):
+    """With the stop, every report equals the unstopped sweep's, for any
+    physical block; where affordable, both equal the tuple brute force."""
+    rect_side = data.draw(st.integers(1, min(table.side, 8)), label="rect_side")
+    divisor = data.draw(st.integers(1, table.num_colors * rect_side), label="divisor")
+    physical = data.draw(st.sampled_from([1, 3, 64, 4096]), label="physical")
+    if math.comb(table.side, rect_side) > 64 * physical:
+        physical = 4096  # at most a few hundred blocks per sweep
+    stopped, whole = _stopped_and_whole(table, rect_side, divisor, physical)
+    assert stopped == whole
+    if (rect_side, divisor) in _rainbow_pairs(table):
+        assert whole.per_column.worst_cells == brute_rainbow_worst_tuples(
+            table, rect_side, divisor
+        )
 
 
 @settings(max_examples=300, deadline=None)
@@ -865,7 +1036,8 @@ def test_full_eps_star_with_a_cap_past_the_counts():
 @given(many_color_tables().filter(lambda table: table.n >= 1), st.data())
 def test_eps_star_full_sweep_with_integer_t(table, data):
     """t = 2^(2k + d - m) > 1 and more color sets than row sets: eps* runs
-    the full sweep with counts capped at t, on planes up to t = 4."""
+    the full sweep with counts capped at t, on planes up to t = 4, except
+    at d = m, where it runs no sweep."""
     k = data.draw(st.integers(1, min(2, table.n)), label="k")
     d = data.draw(st.integers(max(0, table.m - 2 * k + 1), table.m), label="d")
     plans = []
@@ -877,7 +1049,10 @@ def test_eps_star_full_sweep_with_integer_t(table, data):
 
     with mock.patch.object(balance, "_plan", spy):
         got = measure_eps_star(table, k, d)
-    assert plans == ["planes" if _eps_planes(table, k, d) else "one-hot"]
+    if d == table.m:
+        assert plans == [] and got == 0.0
+    else:
+        assert plans == ["planes" if _eps_planes(table, k, d) else "one-hot"]
     assert got == pytest.approx(brute_eps_star(table, k, d), abs=1e-12)
 
 
@@ -1019,9 +1194,10 @@ def _parent_plan(side, rect, num_colors, num_color_sets, distinct):
 
 def test_plan_keeps_every_estimate_and_verdict(monkeypatch):
     """Every n <= 6, m <= 7, k, d <= m and u_size: each check plans the
-    sweep and guards the estimate of the parent formulas. The bitset
-    sweep is now the one plane, and a full sweep takes planes exactly when
-    at most 64 colors need at most 4 of them."""
+    sweep and guards the estimate of the parent formulas, but eps* at
+    d = m, which runs no sweep. The bitset sweep is now the one plane,
+    and a full sweep takes planes exactly when at most 64 colors need at
+    most 4 of them."""
     priced = []
     monkeypatch.setattr(balance, "_guard", lambda ops, override: priced.append(ops))
     monkeypatch.setattr(balance, "_check_almost", lambda table, *args: args[-1])
@@ -1049,13 +1225,17 @@ def test_plan_keeps_every_estimate_and_verdict(monkeypatch):
                     assert priced.pop() == ops
                     checked += 1
                 for d in range(m + 1):
+                    checked += 1
+                    if d == m:
+                        # t = 4^k: eps* is 0 without a sweep, and nothing is priced
+                        assert measure_eps_star(table, k, d) == 0.0 and not priced
+                        continue
                     family, ops = _parent_plan(
                         side, rect, num_colors, 2**num_colors - 1, 2 * k + d <= m <= 6
                     )
                     want = named(family, num_colors, 2 ** max(0, 2 * k + d - m))
                     assert measure_eps_star(table, k, d) == want
                     assert priced.pop() == ops
-                    checked += 1
     # 28 (n, k) pairs
     assert checked == 28 * sum(2**m + m + 1 for m in range(8))
 

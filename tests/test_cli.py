@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import kextract
-from kextract import balance, cli
+from kextract import balance, calibration, cli
 from kextract.cli import GUARDED, build_parser, dispatch, main
-from kextract.oracle import load_table
+from kextract.oracle import load_table, save_table
 from kextract.reports import load_report
 from kextract.tables import read_table
 
@@ -578,27 +578,54 @@ def test_report_json_is_canonical(workdir, tmp_path):
 # ------------------------------------------- n4 assertions that can fail
 #
 # One row per assertion of the standard n4 pipeline: the input (a seeded
-# or constant table) and the exit code it gives with that step's
-# arguments. rainbow_pass at D = 2 and extracts_within_d=0 at m = 2 hold
-# for every table, so their rows are constant tables that pass.
+# or constant table, or an oracle) and the exit code it gives with that
+# step's arguments. rainbow_pass at D = 2 and extracts_within_d=0 at m = 2
+# hold for every table, so their rows are constant tables that pass.
 
 
-def _gen(root, name, kind, *args):
+def _gen(root, name, kind, *args, m="2"):
     path = str(root / f"{name}.kext")
-    assert dispatch(["table", "gen", "--kind", kind, "--n", "4", "--m", "2", *args,
+    assert dispatch(["table", "gen", "--kind", kind, "--n", "4", "--m", m, *args,
                      "--out", path]) == 0
     return path
+
+
+def test_balance_pass_fails_a_constant_table(tmp_path):
+    """verify-ip4-almost's arguments: one color fills every 8 x 8
+    rectangle, 64 cells against the bound 2^-1 + 0.25 of them."""
+    table = _gen(tmp_path, "const", "constant", m="1")
+    out = str(tmp_path / "a.json")
+    assert dispatch(["table", "verify", "--table", table, "--mode", "almost", "--k", "3",
+                     "--d", "0", "--eps", "0.25", "--u-size", "1", "--out", out]) == 1
+    rep = load_report(out)
+    assert rep["data"]["worst_cells"] == 64
+    assert rep["assertions"] == [{"name": "balance_pass", "passed": False, "detail": 1.0}]
+
+
+def test_within_committed_c_fails_an_n5_oracle(tmp_path, oracle_n5_all):
+    """exp-dep-census's arguments: the n=5 all-conditions oracle fits
+    c = 0.125 (MAX_FITTED_C_N5_ALPHA2) at alpha = 2, past --max-c 0.0."""
+    oracle = str(tmp_path / "o5.json")
+    save_table(oracle_n5_all, oracle)
+    out = str(tmp_path / "c.json")
+    assert dispatch(["exp", "dep-census", "--oracle", oracle, "--alpha", "2",
+                     "--max-c", "0.0", "--out", out]) == 1
+    assert load_report(out)["assertions"] == [{
+        "name": "within_committed_c", "passed": False,
+        "detail": calibration.MAX_FITTED_C_N5_ALPHA2,
+    }]
 
 
 @pytest.mark.parametrize("seed, worst, code", [
     (1, 40, 0), (2, 39, 0), (3, 41, 0), (4, 39, 0),
     (5, 45, 1),  # the per-row worst passes 2 * 8^2 / 3 = 42.7 cells
 ])
-def test_rainbow_verdict_at_divisor_3_varies(tmp_path, seed, worst, code):
+def test_rainbow_verdict_at_divisor_3_varies(tmp_path, capsys, seed, worst, code):
     table = _gen(tmp_path, "rnd", "random", "--seed", str(seed))
     out = str(tmp_path / "r.json")
     assert dispatch(["table", "verify", "--table", table, "--mode", "rainbow",
                      "--side", "8", "--divisor", "3", "--out", out]) == code
+    assert "holds for every table" not in capsys.readouterr().err
     rep = load_report(out)
     sides = (rep["data"]["per_column"], rep["data"]["per_row"])
     assert max(side["worst_cells"] for side in sides) == worst
@@ -606,14 +633,21 @@ def test_rainbow_verdict_at_divisor_3_varies(tmp_path, seed, worst, code):
 
 
 @pytest.mark.parametrize("side", ["4", "8"])
-def test_rainbow_at_divisor_2_passes_a_constant_table(tmp_path, side):
+def test_rainbow_at_divisor_2_passes_a_constant_table(tmp_path, capsys, side):
     """worst * 2 <= 2K^2 holds for every table, since no rectangle has more
-    than K^2 cells: verify-rnd4-rainbow's and search-rainbow's D = 2."""
+    than K^2 cells: verify-rnd4-rainbow's and search-rainbow's D = 2. Both
+    commands say so on stderr."""
     table = _gen(tmp_path, "const", "constant")
     out = str(tmp_path / "r.json")
     assert dispatch(["table", "verify", "--table", table, "--mode", "rainbow",
                      "--side", side, "--divisor", "2", "--out", out]) == 0
     assert load_report(out)["data"]["per_column"]["worst_cells"] == int(side) ** 2
+    assert dispatch(["table", "search", "--n", "2", "--m", "2", "--side", "2",
+                     "--divisor", "1", "--seed", "1", "--max-trials", "1"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "note: at D=2 <= 2 rainbow_pass holds for every table",
+        "note: at D=1 <= 2 rainbow_pass holds for every table",
+    ]
 
 
 def test_extracts_within_d0_at_m2_passes_a_constant_table(tmp_path):

@@ -256,13 +256,16 @@ def test_override_reaches_table_steps(tmp_path, monkeypatch):
 STANDARD_N4_DIGEST = "e2447bb01cc7e4533f607d6627073b5ffb5d3cd875519251003e600d455a9307"
 
 
-def test_standard_n4_artifacts_are_pinned(tmp_path, monkeypatch):
+def test_standard_n4_artifacts_are_pinned(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run_pipeline(None, "n4", "out") == 0
     digests = artifact_digests("out")
     assert len(digests) == 21
     combined = hashlib.sha256(json.dumps(sorted(digests.items())).encode()).hexdigest()
     assert combined == STANDARD_N4_DIGEST
+    # both rainbow steps run at D = 2 and note it on stderr, which no
+    # artifact records
+    assert capsys.readouterr().err.count("rainbow_pass holds for every table") == 2
 
 
 def test_artifact_digests_hash_raw_bytes(tmp_path):
