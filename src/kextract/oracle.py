@@ -20,10 +20,14 @@ prefixes of at most n bits, each op an edge weighted by its encoding: 2
 bits for EMIT, 2 bitlen(L) + 2 bitlen(Q) for COPY and 2 bitlen(L) +
 2 bitlen(R) for REPEAT. Layers of prefixes are relaxed in order of
 length, the distances of the j-bit ones an array [condition x 2^j] and
-each edge out of them one vectorised minimum. EMIT and REPEAT map a
-prefix alike under every condition, COPY per group of equal-length
-conditions; each map is injective in the prefix, so a fancy-index store
-is exact. An op budget below n adds an op-count axis; a larger one never
+each edge out of them one vectorised minimum. An edge appends s bits to
+a j-bit prefix, so it writes layer j + s through a strided view that
+gives the appended bits an axis of their own, and names its cells
+without a per-cell index: EMIT a strided slice, COPY (per group of
+equal-length conditions) one window per condition row, REPEAT one
+offset per value of the bits it repeats. Each map is injective in the
+prefix, so one store never names a cell twice, and the minimum stored
+through the view is exact. An op budget below n adds an op-count axis; a larger one never
 binds. The work is cells times edges, capped by MAX_WORK, and distances
 past l_max become NOT_FOUND.
 
@@ -33,7 +37,8 @@ NOT_FOUND entry certifies C >= l_max + 1, so ComplexityTable.lower_bounds
 gives every entry as a certified floor (the value found, or l_max + 1)
 and from_bound turns a floor back into the Complexity that reports
 carry. tests/test_oracle.py compares the builder with tests/reference.py,
-which runs every program through run_machine.
+which runs every program through run_machine on small tables and
+relaxes with a fancy-index store per edge on larger ones.
 """
 
 from __future__ import annotations
@@ -247,11 +252,22 @@ def _relaxation_work(n: int, cap: int, lengths: Sequence[int], l_max: int) -> in
     return total
 
 
-def _relax(dst: np.ndarray, step: int, rows, targets: np.ndarray, cand: np.ndarray) -> None:
+def _relax(dst: np.ndarray, step: int, rows, targets, cand: np.ndarray) -> None:
     """dst[t + step, rows, targets] = min(itself, cand[t]) for every op
-    count t. An edge maps prefixes to targets injectively, so no cell is
-    written twice and a plain fancy-index store is exact."""
-    dst[step:, rows, targets] = np.minimum(dst[step:, rows, targets], cand)
+    count t, in place. dst is a layer seen through _appended, so an edge
+    names its cells by condition rows and appended bits alone. An edge
+    maps prefixes to targets injectively, so no cell is named twice and
+    the gather, minimum and store are exact."""
+    cells = dst[step:, rows, targets]
+    dst[step:, rows, targets] = np.minimum(cells, cand, out=cells)
+
+
+def _appended(layer: np.ndarray, width: int) -> np.ndarray:
+    """layer [op count, condition, 2^m] viewed as [op count, condition,
+    2^width, 2^(m - width)]: cell [t, c, w, p] is prefix p with the
+    width bits w appended."""
+    counts, conds, size = layer.shape
+    return layer.reshape(counts, conds, size >> width, 1 << width).transpose(0, 1, 3, 2)
 
 
 def _minimal_lengths(
@@ -264,6 +280,13 @@ def _minimal_lengths(
     is 1). Layers are relaxed in order of length, so a layer is final
     before an edge leaves it. No edge ends past cap, the output budget,
     so a budget below n leaves every entry NOT_FOUND.
+
+    Every edge appends s bits, so it writes layer j + s through
+    _appended and needs no index array wider than the condition rows or
+    the 2^a values of a repeated suffix: EMIT a strided slice, COPY one
+    window per condition row, REPEAT one offset per value of the a bits
+    it repeats (prefixes are split into their high j - a bits and that
+    suffix).
     """
     step = int(counts > 1)
     lengths = [y.length for y in conds]
@@ -277,32 +300,41 @@ def _minimal_lengths(
     for j in range(cap):
         room = cap - j
         src, dist[j] = dist[j][: counts - step], None
-        v = np.arange(1 << j, dtype=np.int64)
         # EMIT0, EMIT1 and REPEAT (the last a <= j bits r more times) map
         # a prefix the same way under every condition.
         if l_max >= 2:
+            emit, cand = _appended(dist[j + 1], 1), src + 2
             for b in (0, 1):
-                _relax(dist[j + 1], step, slice(None), (v << 1) | b, src + 2)
+                _relax(emit, step, slice(None), b, cand)
+        # REPEAT turns a prefix hi.lo, lo its last a bits, into hi.lo.lo...
+        # with lo repeated r more times: in layer j + span seen as
+        # [2^(a + span) x 2^(j - a)], hi is the prefix and lo one offset.
         for a, most in _operands(l_max, min(j, room), lambda a: room // a):
-            mask = (1 << a) - 1
+            low = np.arange(1 << a, dtype=np.int64)
             for r in range(1, most + 1):
                 span = a * r
-                targets = (v << span) | ((v & mask) * (((1 << span) - 1) // mask))
+                offsets = (low << span) | (low * (((1 << span) - 1) // ((1 << a) - 1)))
                 cost = 2 * a.bit_length() + 2 * r.bit_length()
-                _relax(dist[j + span], step, slice(None), targets, src + cost)
+                cand = _appended(src + cost, a)
+                _relax(_appended(dist[j + span], a + span), step, slice(None), offsets, cand)
         # COPY a bits from condition position q, per group of equal-length
-        # conditions; windows are cut with Python ints, so long conditions
-        # stay exact.
+        # conditions; windows are cut from int64 values, or from Python
+        # ints where a condition does not fit one, so long conditions stay
+        # exact.
         for length, rows in groups:
-            from_rows, bits = src[:, rows], values[rows]
-            for a, most in _operands(l_max, min(room, length), lambda a: length - a + 1):
-                mask = (1 << a) - 1
+            copies = _operands(l_max, min(room, length), lambda a: length - a + 1)
+            if copies:
+                from_rows = src[:, rows]
+                bits = values[rows].astype(np.int64 if length < 64 else object)
+            for a, most in copies:
+                mask, layer = (1 << a) - 1, _appended(dist[j + a], a)
                 for q in range(1, most + 1):
-                    window = ((bits >> (length - q + 1 - a)) & mask).astype(np.int64)
-                    targets = (v << a) | window[:, None]
+                    window = ((bits >> (length - q + 1 - a)) & mask).astype(np.int64, copy=False)
                     cost = 2 * a.bit_length() + 2 * q.bit_length()
-                    _relax(dist[j + a], step, rows[:, None], targets, from_rows + cost)
-    best = dist[n].min(axis=0)
+                    _relax(layer, step, rows, window, from_rows + cost)
+    # A view of the last layer when there is one op count, so the
+    # matrix is not copied.
+    best = dist[n].min(axis=0) if counts > 1 else dist[n][0]
     best[best > min(l_max, _UNREACHED - 1)] = -1
     return best
 
@@ -476,6 +508,38 @@ def _target_column(entries: list, n: int) -> np.ndarray:
     return np.fromiter(map(value_of.__getitem__, hexes), np.int32, len(hexes))
 
 
+def _conditions(cond_docs: list) -> list[BitString]:
+    """The conditions of an oracle document, checked as table_from_json
+    describes. The whole list is read and checked at once; a list that
+    fails is checked again condition by condition, which raises the
+    first fault's message."""
+    try:
+        lens = [c["len"] for c in cond_docs]
+        hexes = [c["hex"] for c in cond_docs]
+        if (
+            set(map(type, cond_docs)) <= {dict}
+            and set(map(type, lens)) <= {int}
+            and set(map(type, hexes)) <= {str}
+        ):
+            conds = list(map(BitString.unpack_hex, lens, hexes))
+            if len(set(conds)) == len(conds):
+                return conds
+    except (KeyError, TypeError, ValueError):
+        pass
+    conds = [
+        BitString.unpack_hex(
+            _json_count(_field(c, "len", f"condition {i}"), "condition len"),
+            _json_str(_field(c, "hex", f"condition {i}"), "condition hex"),
+        )
+        for i, c in enumerate(cond_docs)
+    ]
+    first: dict[BitString, int] = {}
+    for i, y in enumerate(conds):
+        if first.setdefault(y, i) != i:
+            raise ValueError(f"condition {i} repeats condition {first[y]}")
+    return conds
+
+
 def _table_header(doc: object) -> tuple[int, int, MachineBudget, list[BitString]]:
     """n, l_max, budget and conditions of an oracle document, checked as
     table_from_json describes."""
@@ -489,17 +553,7 @@ def _table_header(doc: object) -> tuple[int, int, MachineBudget, list[BitString]
         raise ValueError(f"l_max {l_max} does not fit an int32 entry")
     cond_docs = _json_list(_field(doc, "conditions", "oracle table"), "conditions")
     check_shape(n, len(cond_docs))
-    conds = [
-        BitString.unpack_hex(
-            _json_count(_field(c, "len", f"condition {i}"), "condition len"),
-            _json_str(_field(c, "hex", f"condition {i}"), "condition hex"),
-        )
-        for i, c in enumerate(cond_docs)
-    ]
-    first: dict[BitString, int] = {}
-    for i, y in enumerate(conds):
-        if first.setdefault(y, i) != i:
-            raise ValueError(f"condition {i} repeats condition {first[y]}")
+    conds = _conditions(cond_docs)
     budget_doc = _field(doc, "budget", "oracle table")
     budget = MachineBudget(
         _json_count(_field(budget_doc, "out", "budget"), "budget out"),
@@ -554,18 +608,19 @@ def table_from_json(doc: dict) -> ComplexityTable:
 # Where an entry's fields lie around its three ":" bytes a: c runs
 # from a[0] + 2 up to a[1] - 18, cond_idx from a[1] + 2 up to a[2] - 20
 # and target_hex from a[2] + 3 for its 2 ceil(n/8) digits (ends
-# exclusive). _FIELD_END is each end's offset from the ":" that
-# _FIELD_END_COLON names.
-_FIELD_START = np.array([2, 2, 3])
-_FIELD_END_COLON = np.array([1, 2, 2])
-_FIELD_END = np.array([-len(',\n      "cond_idx"'), -len(',\n      "target_hex"'), 3])
-# c <= MAX_ENTRY and cond_idx < MAX_CELLS take at most this many digits.
+# exclusive).
+_AFTER_C = len(',\n      "cond_idx"')
+_AFTER_COND_IDX = len(',\n      "target_hex"')
+# c <= MAX_ENTRY and cond_idx < MAX_CELLS take at most this many digits,
+# and this many decimal digits fit an int64.
 _MAX_DIGITS = 10
-# Place value of each digit of a field, last digit first.
-_PLACE = np.array([[10**k, 10**k, 16**k] for k in range(_MAX_DIGITS)])
-# Byte -> value of a hex digit (0 for every other byte).
-_DIGIT = np.zeros(256, dtype=np.int64)
-_DIGIT[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
+# Base -> (byte -> its value as a digit): decimal, and hex in lowercase.
+# Every other byte is 0, so the letters and spaces before a short field
+# read as leading zeros.
+_DIGITS = {}
+for _base in (10, 16):
+    _DIGITS[_base] = np.zeros(256, dtype=np.int64)
+    _DIGITS[_base][np.frombuffer(b"0123456789abcdef"[:_base], np.uint8)] = np.arange(_base)
 # Entries are parsed this many bytes of the file at a time, so the
 # parse's temporaries stay block-sized.
 _PARSE_BYTES = 1 << 18
@@ -575,16 +630,32 @@ _PARSE_BYTES = 1 << 18
 _CANONICAL_MIN_BYTES = 1 << 14
 
 
+def _field_values(data: np.ndarray, ends: np.ndarray, width: int, base: int) -> np.ndarray:
+    """The int64 number each field spells in base, read from the width
+    bytes of data before its end (exclusive): one multiply-add per digit
+    position over every field."""
+    digit, value = _DIGITS[base], np.zeros(len(ends), dtype=np.int64)
+    at = ends - width
+    for _ in range(width):
+        value *= base
+        value += digit[data[at]]
+        at += 1
+    return value
+
+
 def _load_canonical(blob: bytes) -> Optional[ComplexityTable]:
     """The table whose save_table file is blob, or None if blob is not
     such a file; never raises on bad input.
 
     The header goes through json and _table_header. Each entry's three
-    ":" bytes locate its c, cond_idx and target_hex, which are read with
-    numpy a block of the file at a time and range-checked. The table is
+    ":" bytes locate its c, cond_idx and target_hex, which are read a
+    block of the file at a time, one field at a time: each field's
+    digits are accumulated into an int64 value, reading every field of
+    the block as wide as its widest, and range-checked. The table is
     then rendered again and compared with blob byte for byte, so it is
     returned only when blob is exactly save_table's output for it, and
-    then it equals table_from_json(json.loads(blob)).
+    then it equals table_from_json(json.loads(blob)); a byte that is
+    not a digit of its field reads as 0 and fails that comparison.
     """
     opened = blob.find(_ENTRIES_OPEN.encode("ascii"))
     closed = blob.rfind(b"]")  # l_max, n and version follow the entries
@@ -608,23 +679,24 @@ def _load_canonical(blob: bytes) -> Optional[ComplexityTable]:
         at, carry = colons[:whole].reshape(-1, 3), colons[whole:]
         if not len(at):
             continue
-        starts = at + _FIELD_START
-        ends = at[:, _FIELD_END_COLON] + _FIELD_END
-        ends[:, 2] += hex_digits
-        lengths = ends - starts
-        width = int(lengths.max())
-        if lengths[:, :2].min() < 1 or width > _MAX_DIGITS or ends[-1, 2] > len(blob):
+        c_colon, idx_colon, hex_colon = at.T
+        c_end, idx_end = idx_colon - _AFTER_C, hex_colon - _AFTER_COND_IDX
+        hex_end = hex_colon + 3 + hex_digits
+        c_len, idx_len = c_end - c_colon - 2, idx_end - idx_colon - 2
+        c_width, idx_width = int(c_len.max()), int(idx_len.max())
+        # Every field but target_hex is nonempty, so the bytes a short
+        # field is read with lie inside the file.
+        if (
+            min(c_len.min(), idx_len.min()) < 1
+            or max(c_width, idx_width) > _MAX_DIGITS
+            or hex_end[-1] > len(blob)
+        ):
             return None
-        # Digit k of each field, counted from its last. A field shorter
-        # than width gives the bytes before it place value 0; they lie
-        # inside the file, as every field but target_hex is nonempty.
-        places = np.arange(width)[:, None, None]
-        digits = _DIGIT[data[ends - 1 - places]]
-        digits *= np.where(places < lengths, _PLACE[:width, None], 0)
-        c, cond_idx, packed = digits.sum(0).T  # each nonnegative
+        c = _field_values(data, c_end, c_width, 10)
+        cond_idx = _field_values(data, idx_end, idx_width, 10)
         if c.max() > l_max or cond_idx.max() >= len(conds):
             return None
-        matrix[cond_idx, packed >> pad] = c
+        matrix[cond_idx, _field_values(data, hex_end, hex_digits, 16) >> pad] = c
     if len(carry):
         return None
     table = ComplexityTable(

@@ -47,6 +47,66 @@ def brute_complexity_map(
     return found
 
 
+def fancy_index_matrix(
+    n: int, conds: list[BitString], l_max: int, budget: MachineBudget = DEFAULT_BUDGET
+) -> np.ndarray:
+    """The builder's int32 [condition x target] matrix by the layered
+    relaxation with a fancy-index store per edge: every edge forms the
+    int64 target of each prefix (each condition row's, for COPY) and
+    gathers, compares and stores through those indices.
+
+    Reaches sizes brute_complexity_map cannot (n up to 7, conditions of
+    any length), so the builder's strided layer views are compared
+    against it on whole matrices.
+    """
+    unreached = 1 << 30
+
+    def operands(a_top, b_top):
+        out = []
+        for a in range(1, a_top + 1):
+            top = b_top(a)
+            fits = max(0, (l_max - 2 * a.bit_length()) // 2)
+            out.append((a, min(top, (1 << min(fits, top.bit_length())) - 1)))
+        return out
+
+    def relax(dst, rows, targets, cand):
+        dst[step:, rows, targets] = np.minimum(dst[step:, rows, targets], cand)
+
+    counts = budget.max_opcodes + 1 if budget.max_opcodes < n else 1
+    cap, step = min(n, budget.max_output_bits), int(counts > 1)
+    lengths = [y.length for y in conds]
+    values = np.array([y.value for y in conds], dtype=object)
+    groups = [(length, np.flatnonzero(np.equal(lengths, length))) for length in set(lengths)]
+    dist = [np.full((counts, len(conds), 1 << j), unreached, np.int32) for j in range(n + 1)]
+    dist[0][0, :, 0] = 0
+    for j in range(cap):
+        room = cap - j
+        src = dist[j][: counts - step]
+        v = np.arange(1 << j, dtype=np.int64)
+        if l_max >= 2:
+            for b in (0, 1):
+                relax(dist[j + 1], slice(None), (v << 1) | b, src + 2)
+        for a, most in operands(min(j, room), lambda a: room // a):
+            mask = (1 << a) - 1
+            for r in range(1, most + 1):
+                span = a * r
+                targets = (v << span) | ((v & mask) * (((1 << span) - 1) // mask))
+                cost = 2 * a.bit_length() + 2 * r.bit_length()
+                relax(dist[j + span], slice(None), targets, src + cost)
+        for length, rows in groups:
+            from_rows, bits = src[:, rows], values[rows]
+            for a, most in operands(min(room, length), lambda a: length - a + 1):
+                mask = (1 << a) - 1
+                for q in range(1, most + 1):
+                    window = ((bits >> (length - q + 1 - a)) & mask).astype(np.int64)
+                    targets = (v << a) | window[:, None]
+                    cost = 2 * a.bit_length() + 2 * q.bit_length()
+                    relax(dist[j + a], rows[:, None], targets, from_rows + cost)
+    best = dist[n].min(axis=0)
+    best[best > min(l_max, unreached - 1)] = -1
+    return best
+
+
 def brute_table_from_json(doc: dict) -> ComplexityTable:
     """Oracle JSON loader that checks and stores one entry at a time.
 

@@ -5,9 +5,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference import brute_complexity_map, brute_table_from_json
+from reference import brute_complexity_map, brute_table_from_json, fancy_index_matrix
 
 from kextract import calibration, oracle
 from kextract.bits import EMPTY, BitString, all_strings
@@ -83,6 +83,46 @@ def test_pruned_builder_matches_running_every_program(n, l_max, max_out, max_ops
         expect = brute_complexity_map(n, y, l_max, budget)
         got = table.entries(y)
         assert {x: int(got[x]) for x in np.flatnonzero(got >= 0)} == expect, y
+
+
+def condition_lists(lengths):
+    """Lists of conditions whose lengths come from lengths; a repeat
+    collapses in the build."""
+    return st.lists(
+        st.sampled_from(lengths).flatmap(
+            lambda k: st.builds(BitString, st.just(k), st.integers(0, (1 << k) - 1))
+        ),
+        min_size=1,
+        max_size=6,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(0, 7),
+    l_max=st.integers(0, 22),
+    max_out=st.integers(1, 9),
+    max_ops=st.integers(1, 9),
+    conds=condition_lists([0, 1, 2, 3, 5, 7, 8, 63, 64, 70, 80]),
+)
+@example(n=7, l_max=18, max_out=9, max_ops=4, conds=[EMPTY, BitString(7, 5), BitString(7, 99)])
+@example(n=7, l_max=20, max_out=5, max_ops=9, conds=[BitString(3, 6), BitString(3, 1)])
+@example(
+    n=6,
+    l_max=16,
+    max_out=9,
+    max_ops=9,
+    conds=[BitString(70, 0b101101 << 64 | 3), BitString(64, (1 << 64) - 1), BitString(70, 1)],
+)
+def test_view_relaxation_matches_the_fancy_index_reference(n, l_max, max_out, max_ops, conds):
+    """Whole matrices against reference.fancy_index_matrix, the
+    fancy-index store per edge, past brute_complexity_map's reach: op
+    budgets below n (the op-count axis), output caps below n, conditions
+    past 63 bits, and several conditions of one length."""
+    budget = MachineBudget(max_output_bits=max_out, max_opcodes=max_ops)
+    table = build_quiet(n, conds, l_max=l_max, budget=budget)
+    expect = fancy_index_matrix(n, list(table.conditions), l_max, budget)
+    assert table._matrix.dtype == expect.dtype and np.array_equal(table._matrix, expect)
 
 
 def test_long_conditions_stay_exact():
@@ -586,6 +626,12 @@ NEAR_CANONICAL = {
     "trailing-space": (lambda b: b + b" ", True),
     "utf8-bom": (lambda b: b"\xef\xbb\xbf" + b, False),
     "entries-out-of-order": (swap_first_entries, True),
+    "letter-in-c": (lambda b: b.replace(b'"c": ', b'"c": 1a', 1), False),
+    "ten-digit-cond-idx": (
+        lambda b: b.replace(b'"cond_idx": ', b'"cond_idx": 100000000', 1),
+        False,
+    ),
+    "eleven-digit-c": (lambda b: b.replace(b'"c": ', b'"c": 1000000000', 1), False),
 }
 
 
