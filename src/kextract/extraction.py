@@ -50,19 +50,45 @@ def dependency(
     return max(c_x - c_xy, c_y - c_yx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourcePairClass:
-    """All pairs with complexity floor k and dependency at most alpha."""
+    """All pairs with complexity floor k and dependency at most alpha.
+
+    `index` holds the members as a read-only [size, 2] intp array of
+    (x, y) rows in class order; `pairs` builds the same members as a
+    tuple of tuples when read. An array field cannot take part in a
+    generated __eq__ or __hash__, so classes compare by identity.
+    """
 
     n: int
     k: int
     alpha: int
-    pairs: tuple[tuple[int, int], ...]
+    index: np.ndarray
     indeterminate: int
+
+    def __post_init__(self) -> None:
+        index = self.index
+        if not (
+            isinstance(index, np.ndarray)
+            and index.dtype.kind in "iu"
+            and index.ndim == 2
+            and index.shape[1] == 2
+        ):
+            raise ValueError("class index must be an integer [size, 2] array")
+        if index.size and (index.min() < 0 or index.max() >= 1 << self.n):
+            raise ValueError(f"class index has a member outside [0, 2^{self.n})")
+        # The class holds its own read-only copy, so no caller can change it.
+        index = index.astype(np.intp)
+        index.flags.writeable = False
+        object.__setattr__(self, "index", index)
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.index.tolist()))
 
     @property
     def size(self) -> int:
-        return len(self.pairs)
+        return len(self.index)
 
 
 def enumerate_class(
@@ -84,12 +110,11 @@ def enumerate_class(
     given = table.rows(BitString(n, x) for x in ok.tolist())[:, ok].astype(np.int64)
     unknown = (c[:, None] < 0) | (c[None, :] < 0) | (given < 0) | (given.T < 0)
     dep = np.maximum(c[:, None] - given.T, c[None, :] - given)
-    xs, ys = np.nonzero(~unknown & (dep <= alpha))
     return SourcePairClass(
         n=n,
         k=k,
         alpha=alpha,
-        pairs=tuple(zip(ok[xs].tolist(), ok[ys].tolist())),
+        index=ok[np.argwhere(~unknown & (dep <= alpha))],
         indeterminate=int(unknown.sum()),
     )
 
@@ -127,12 +152,12 @@ class DeficiencyReport:
 def class_outputs(
     table: TwoSourceTable, cls: SourcePairClass
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The class pairs as a [size, 2] array, in class order, and the
-    table's output on each."""
+    """The class index itself, a read-only [size, 2] array in class
+    order, and the table's output on each pair."""
     if table.n != cls.n:
         raise ValueError("table and class disagree on n")
-    pairs = np.array(cls.pairs, dtype=np.intp).reshape(-1, 2)
-    return pairs, table.colors[pairs[:, 0], pairs[:, 1]]
+    xs, ys = cls.index.T
+    return cls.index, table.colors[xs, ys]
 
 
 def extraction_check(

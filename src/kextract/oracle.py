@@ -133,7 +133,7 @@ class ComplexityTable:
         """C_T(x | y), or NOT_FOUND if no program of length <= l_max works."""
         if x.length != self.n:
             raise ValueError(f"target length {x.length} != table n {self.n}")
-        raw = int(self._matrix[self.condition_index(y), x.value])
+        raw = self._matrix.item(self.condition_index(y), x.value)
         return NOT_FOUND if raw < 0 else raw
 
     def complexity_of_value(self, x_value: int, y: BitString = EMPTY) -> Complexity:
@@ -742,6 +742,11 @@ class SymmetryReport:
     pairs_skipped: int
 
 
+# symmetry_report reduces this many (x, y) cells at a time, so its
+# temporaries stay a few MB at any n.
+_SYMMETRY_BLOCK_CELLS = 1 << 20
+
+
 def symmetry_report(
     singles: ComplexityTable, pairs: ComplexityTable
 ) -> SymmetryReport:
@@ -749,22 +754,34 @@ def symmetry_report(
 
     `singles` must cover every n-bit condition plus lambda; `pairs` must
     target 2n-bit strings under lambda. Pairs with any NOT_FOUND entry
-    are skipped and counted, never mixed into the histogram.
+    are skipped and counted, never mixed into the histogram. The census
+    runs over blocks of x rows and merges their histograms.
     """
     n = singles.n
     if pairs.n != 2 * n:
         raise ValueError("pair table must target strings of length 2n")
     side = 1 << n
     c_x = singles.entries(EMPTY).astype(np.int64)[:, None]
-    c_yx = singles.rows(BitString(n, x) for x in range(side)).astype(np.int64)
     # Row x, column y of the pair row is the target x||y.
-    c_pair = pairs.entries(EMPTY).astype(np.int64).reshape(side, side)
-    known = (c_x >= 0) & (c_yx >= 0) & (c_pair >= 0)
-    devs, counts = np.unique(np.abs(c_pair - (c_x + c_yx))[known], return_counts=True)
+    c_pair = pairs.entries(EMPTY).reshape(side, side)
+    block = max(1, _SYMMETRY_BLOCK_CELLS >> n)
+    histogram: dict[int, int] = {}
+    skipped = 0
+    for x0 in range(0, side, block):
+        x1 = min(x0 + block, side)
+        # dev starts as C(y|x) over the block's rows and ends as the deviation.
+        dev = singles.rows(BitString(n, x) for x in range(x0, x1)).astype(np.int64)
+        known = (c_x[x0:x1] >= 0) & (dev >= 0) & (c_pair[x0:x1] >= 0)
+        dev += c_x[x0:x1]
+        np.subtract(c_pair[x0:x1], dev, out=dev)
+        devs, counts = np.unique(np.abs(dev[known]), return_counts=True)
+        for d, count in zip(devs.tolist(), counts.tolist()):
+            histogram[d] = histogram.get(d, 0) + count
+        skipped += known.size - int(np.count_nonzero(known))
     return SymmetryReport(
         n=n,
-        max_deviation=int(devs[-1]) if devs.size else 0,
-        histogram=dict(zip(devs.tolist(), counts.tolist())),
+        max_deviation=max(histogram, default=0),
+        histogram=dict(sorted(histogram.items())),
         pairs_total=side * side,
-        pairs_skipped=int((~known).sum()),
+        pairs_skipped=skipped,
     )

@@ -22,7 +22,7 @@ from kextract.extraction import (
     RangeProcedureReport,
 )
 from kextract.machine import DEFAULT_BUDGET, FAIL, MachineBudget, run_machine
-from kextract.oracle import NOT_FOUND, ComplexityTable, check_shape
+from kextract.oracle import NOT_FOUND, ComplexityTable, SymmetryReport, check_shape
 
 
 def brute_complexity_map(
@@ -192,6 +192,32 @@ def brute_class(table, k: int, alpha: int) -> tuple[list[tuple[int, int]], int]:
             elif max(c_x - c_xy, c_y - c_yx) <= alpha:
                 members.append((x, y))
     return members, indeterminate
+
+
+def brute_symmetry(singles, pairs) -> SymmetryReport:
+    """symmetry_report pair by pair: |C(x||y) - (C(x) + C(y|x))| for
+    every (x, y) whose three entries are found, the rest skipped."""
+    n = singles.n
+    if pairs.n != 2 * n:
+        raise ValueError("pair table must target strings of length 2n")
+    hist: dict[int, int] = {}
+    skipped = 0
+    for x in range(1 << n):
+        for y in range(1 << n):
+            c_x, c_yx = _lookup(singles, x), _lookup(singles, y, x)
+            c_pair = _lookup(pairs, (x << n) | y)
+            if None in (c_x, c_yx, c_pair):
+                skipped += 1
+            else:
+                dev = abs(c_pair - (c_x + c_yx))
+                hist[dev] = hist.get(dev, 0) + 1
+    return SymmetryReport(
+        n=n,
+        max_deviation=max(hist, default=0),
+        histogram=dict(sorted(hist.items())),
+        pairs_total=1 << 2 * n,
+        pairs_skipped=skipped,
+    )
 
 
 def brute_census(table, x: int, alpha: int) -> tuple[list[int], int]:

@@ -143,8 +143,10 @@ def test_class_consumers_match_reference_on_ties(data):
     side = 1 << n
     table = TwoSourceTable(n, m, colors(data.draw, (side, side), m))
     pair = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
-    pairs = tuple(data.draw(st.lists(pair, max_size=20)))
-    cls = SourcePairClass(n=n, k=0, alpha=0, pairs=pairs, indeterminate=0)
+    pairs = data.draw(st.lists(pair, max_size=20))
+    index = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    cls = SourcePairClass(n=n, k=0, alpha=0, index=index, indeterminate=0)
+    assert cls.pairs == tuple(pairs)
     out = data.draw(oracles(m, [EMPTY]))
     assert extraction_check(table, cls, out) == brute_extraction_check(table, cls, out)
     targets = data.draw(st.lists(st.integers(0, (1 << m) - 1), max_size=4))

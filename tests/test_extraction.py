@@ -8,6 +8,8 @@ from kextract.bits import EMPTY, BitString
 from kextract.cli import dispatch
 from kextract.extraction import (
     DELTA_MARGIN,
+    SourcePairClass,
+    class_outputs,
     compute_range,
     dependency,
     enumerate_class,
@@ -87,6 +89,52 @@ def test_class_matches_brute_force(mixed_oracles):
                 pairs, indeterminate = brute_class(table, k, alpha)
                 assert cls.pairs == tuple(pairs), (name, k, alpha)
                 assert cls.indeterminate == indeterminate, (name, k, alpha)
+
+
+def test_class_index_is_a_read_only_intp_array(oracle_n4_all):
+    for k, size in ((8, 256), (9, 0)):
+        cls = enumerate_class(oracle_n4_all, k, 0)
+        assert cls.index.dtype == np.intp
+        assert cls.index.shape == (size, 2)
+        assert not cls.index.flags.writeable
+        assert cls.size == size
+        with pytest.raises(ValueError):
+            cls.index[...] = 0
+
+
+def test_class_outputs_return_the_index_itself(oracle_n4_all):
+    cls = enumerate_class(oracle_n4_all, 3, 2)
+    table = gen_random(4, 2, 1)
+    pairs, outs = class_outputs(table, cls)
+    assert pairs is cls.index and np.shares_memory(pairs, cls.index)
+    assert outs.tolist() == [table.color(x, y) for x, y in cls.pairs]
+
+
+def test_class_holds_a_read_only_copy_of_its_index():
+    given = np.array([[1, 2], [3, 0]], dtype=np.uint8)
+    cls = SourcePairClass(n=2, k=0, alpha=0, index=given, indeterminate=0)
+    assert cls.index.dtype == np.intp and not cls.index.flags.writeable
+    given[0, 0] = 0
+    assert given.flags.writeable and cls.pairs == ((1, 2), (3, 0))
+
+
+@pytest.mark.parametrize(
+    "index",
+    [
+        np.zeros((3, 3), dtype=np.intp),
+        np.zeros(4, dtype=np.intp),
+        np.zeros((2, 2)),  # float
+        np.zeros((2, 2), dtype=bool),
+        np.array([]),  # an empty list is 1-d float, not [0, 2]
+        [[0, 1]],  # not an array
+        np.array([[0, 4]]),
+        np.array([[-1, 0]]),
+        np.array([[0, 1], [2, 1 << 40]]),
+    ],
+)
+def test_class_index_validation(index):
+    with pytest.raises(ValueError):
+        SourcePairClass(n=2, k=0, alpha=0, index=index, indeterminate=0)
 
 
 def test_class_monotone_in_k_and_alpha(oracle_n4_all, oracle_n5_all):

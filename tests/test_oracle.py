@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference import brute_complexity_map, brute_table_from_json, fancy_index_matrix
+from reference import (
+    brute_complexity_map,
+    brute_symmetry,
+    brute_table_from_json,
+    fancy_index_matrix,
+)
 
 from kextract import calibration, oracle
 from kextract.bits import EMPTY, BitString, all_strings
@@ -733,6 +738,41 @@ def test_symmetry_constants(n, constant, histogram):
     report = symmetry_report(singles, pairs)
     assert (report.max_deviation, report.pairs_skipped) == (constant, 0)
     assert report.histogram == histogram
+
+
+@st.composite
+def symmetry_inputs(draw):
+    """Singles over lambda and every n-bit condition, in a drawn order,
+    and a 2n-bit pair table, both with NOT_FOUND entries among small
+    values so that deviations tie and pairs get skipped."""
+    n = draw(st.integers(0, 3))
+    conds = draw(st.permutations([EMPTY] + all_strings(n)))
+
+    def table(bits, conds):
+        l_max = draw(st.integers(0, 6))
+        cells = len(conds) << bits
+        values = draw(st.lists(st.integers(-1, l_max), min_size=cells, max_size=cells))
+        return ComplexityTable(
+            n=bits,
+            l_max=l_max,
+            budget=MachineBudget(64, 64),
+            conditions=tuple(conds),
+            _matrix=np.array(values, np.int32).reshape(len(conds), 1 << bits),
+        )
+
+    return table(n, conds), table(2 * n, [EMPTY])
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=symmetry_inputs(), block_cells=st.integers(1, 80))
+def test_symmetry_matches_reference(inputs, block_cells):
+    """Any block size, down to one x row per block, gives the pair-by-pair
+    census, histogram keys in increasing order."""
+    singles, pairs = inputs
+    with mock.patch.object(oracle, "_SYMMETRY_BLOCK_CELLS", block_cells):
+        report = symmetry_report(singles, pairs)
+    assert report == brute_symmetry(singles, pairs)
+    assert list(report.histogram) == sorted(report.histogram)
 
 
 def test_symmetry_requires_pair_table(oracle_n4_all, oracle_n2_all):
