@@ -53,7 +53,8 @@ class BitString:
 
     def pack_hex(self) -> str:
         """Bits packed MSB-first into bytes, zero-padded on the right."""
-        return pack_hex_value(self.length, self.value)
+        nbytes = (self.length + 7) // 8
+        return (self.value << (8 * nbytes - self.length)).to_bytes(nbytes, "big").hex()
 
     @classmethod
     def unpack_hex(cls, length: int, hex_str: str) -> "BitString":
@@ -78,13 +79,6 @@ class BitString:
 
 
 EMPTY = BitString(0, 0)
-
-
-def pack_hex_value(length: int, value: int) -> str:
-    """BitString(length, value).pack_hex() without building the string;
-    value must fit in length bits."""
-    nbytes = (length + 7) // 8
-    return (value << (8 * nbytes - length)).to_bytes(nbytes, "big").hex()
 
 
 def all_strings(n: int) -> list[BitString]:

@@ -194,7 +194,7 @@ def hitting_demo(
     # inapplicable, while unfound outputs sit above every found value.
     applies = bool(targets) and max_set is not NOT_FOUND and min_out > max_set
     pairs, outs = class_outputs(table, cls)
-    hits = tuple(map(tuple, pairs[np.isin(outs, targets)].tolist()))
+    hits = tuple(zip(*pairs[np.isin(outs, targets)].T.tolist()))
     return HittingReport(
         class_size=cls.size,
         set_size=len(targets),

@@ -84,7 +84,7 @@ class SourcePairClass:
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(map(tuple, self.index.tolist()))
+        return tuple(zip(*self.index.T.tolist()))
 
     @property
     def size(self) -> int:

@@ -39,11 +39,25 @@ and from_bound turns a floor back into the Complexity that reports
 carry. tests/test_oracle.py compares the builder with tests/reference.py,
 which runs every program through run_machine on small tables and
 relaxes with a fancy-index store per edge on larger ones.
+
+save_table writes json.dumps(table_to_json(table), indent=2,
+sort_keys=True) plus a newline without building that document, and
+load_table reads the same layout back and compares it with a fresh
+rendering, so both run one renderer, _canonical_chunks. An entry is a
+c piece C(c), a cond_idx piece S(i) and a target piece T(x), and the
+entry list C(c_0) S(i_0) T(x_0) C(c_1) ... S(i_m) T(x_m) is regrouped
+as C(c_0) followed by S(i_e) Q_e for every entry e, where
+Q_e = T(x_e) C(c_(e+1)) and the last Q is T(x_m). The regrouping keeps
+every piece and its order, so the bytes are the same. Entries of one
+condition share S(i), so a row is S(i) + S(i).join(its Qs): one bytes
+piece per entry, gathered from the few distinct (x, next c) keys when
+the table has many rows.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -51,7 +65,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .bits import EMPTY, BitString, pack_hex_value
+from .bits import EMPTY, BitString
 from .machine import DEFAULT_BUDGET, MachineBudget
 
 # Target lengths past this would allocate more than a 64 MB row per
@@ -339,20 +353,14 @@ def _minimal_lengths(
     return best
 
 
-def _entry_columns(table: ComplexityTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cond_idx, target and c of every found entry, condition by
-    condition with targets ascending."""
-    cond_idx, targets = np.nonzero(table._matrix >= 0)
-    return cond_idx, targets, table._matrix[cond_idx, targets]
-
-
 def table_to_json(table: ComplexityTable) -> dict:
     """Portable JSON form; bits are hex-packed MSB-first.
 
     Entries run condition by condition, targets ascending within each;
     NOT_FOUND entries are omitted.
     """
-    cond_idx, targets, values = _entry_columns(table)
+    cond_idx, targets = np.nonzero(table._matrix >= 0)
+    values = table._matrix[cond_idx, targets]
     hexes = {x: BitString(table.n, x).pack_hex() for x in np.unique(targets).tolist()}
     return {
         "version": 1,
@@ -375,16 +383,23 @@ def table_to_json(table: ComplexityTable) -> dict:
 # save_table's layout, json.dumps(table_to_json(table), indent=2,
 # sort_keys=True) plus a newline, cut into pieces. Every condition and
 # entry is led by a comma, which the first of each list drops, and a
-# list that is not empty closes on a line of its own. An entry is a
-# piece for each field value.
+# list that is not empty closes on a line of its own. An entry is a c
+# piece, a cond_idx piece and a target piece (its hex digits, then
+# _TARGET_END), rendered as ASCII bytes.
 _HEAD = '{\n  "budget": {\n    "ops": %d,\n    "out": %d\n  },\n  "conditions": [%s%s],\n  '
 _CONDITION = ',\n    {\n      "hex": "%s",\n      "len": %d\n    }'
 _ENTRIES_OPEN = '"entries": ['
-_C_PIECE = ',\n    {\n      "c": %d,\n      "cond_idx": '
-_COND_PIECE = '%d,\n      "target_hex": "'
-_TARGET_PIECE = '%s"\n    }'
+_C_PIECE = b',\n    {\n      "c": %d,\n      "cond_idx": '
+_COND_PIECE = b'%d,\n      "target_hex": "'
+_TARGET_END = b'"\n    }'
 _TAIL = '%s],\n  "l_max": %d,\n  "n": %d,\n  "version": 1\n}\n'
 _ENTRY_BLOCK = 4096
+# save_table buffers this many bytes per write: its pieces are rows of a
+# few KB, and one write call per piece or per default 8 KB buffer costs
+# more than the copy into a larger buffer.
+_WRITE_BYTES = 1 << 18
+# Digit value -> its lowercase hex byte.
+_HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
 def _list_end(items: int) -> str:
@@ -392,54 +407,111 @@ def _list_end(items: int) -> str:
     return "\n  " if items else ""
 
 
-def _canonical_chunks(table: ComplexityTable) -> Iterator[bytes]:
-    """save_table's file as ASCII pieces: the header through the opening
-    of the entry list, the entries _ENTRY_BLOCK at a time, then the rest.
+def _target_pieces(n: int, targets: np.ndarray) -> list[bytes]:
+    """The target piece of each n-bit value: BitString.pack_hex's digits
+    (MSB-first, zero-padded to whole bytes) and _TARGET_END. All pieces
+    are written as the rows of one byte array, then cut apart."""
+    digits = 2 * ((n + 7) // 8)
+    shifts = np.arange(4 * digits - 4, -1, -4)
+    rows = np.empty((len(targets), digits + len(_TARGET_END)), dtype=np.uint8)
+    rows[:, :digits] = _HEX[(targets[:, None] << (-n % 8)) >> shifts & 15]
+    rows[:, digits:] = np.frombuffer(_TARGET_END, dtype=np.uint8)
+    blob, width = rows.tobytes(), rows.shape[1]
+    return [blob[at : at + width] for at in range(0, len(blob), width)]
 
-    Each distinct c, cond_idx and target is rendered once, an entry is
-    three indices into those pieces, and a block is one gather and one
-    join. The distinct values of a column in [0, bound) and each entry's
-    index among them come from a presence mask over that range and its
-    cumulative sum, which on an n=8 table costs a fifth to two thirds of
-    np.unique(..., return_inverse=True). A mask is never wider than the
-    matrix; a wider c range (a large l_max on a small table) takes
-    np.unique.
+
+def _canonical_chunks(table: ComplexityTable) -> Iterator[bytes]:
+    """save_table's file as ASCII pieces: the header through the first
+    entry's c piece, one piece per condition row in each _ENTRY_BLOCK of
+    entries, then the rest.
+
+    With C, S and T an entry's c, cond_idx and target pieces, the
+    entries read
+
+        C(c_0) + S(i_0) + T(x_0) + C(c_1) + ... + S(i_m) + T(x_m)
+          = C(c_0) + sum over e of [S(i_e) + Q_e],
+
+    where Q_e = T(x_e) + C(c_(e+1)) and the last Q is T(x_m) alone: the
+    same pieces in the same order, only grouped differently, so the
+    bytes are exact. A row's entries share S(i), so its part of a block
+    is S(i) + S(i).join(its Qs), one bytes piece per entry.
+
+    C is rendered once per distinct c and Q_e from T(x_e) and C(c_(e+1)).
+    Where the (target, next c) keys range over no more values than there
+    are entries (a table of many rows), Q is rendered once per distinct
+    key and gathered; otherwise (one or a few rows, whose targets seldom
+    repeat) once per entry, a block at a time.
     """
     conds = "".join(_CONDITION % (y.pack_hex(), y.length) for y in table.conditions)
     ops, out = table.budget.max_opcodes, table.budget.max_output_bits
-    head = _HEAD % (ops, out, conds[1:], _list_end(len(table.conditions)))
-    yield (head + _ENTRIES_OPEN).encode("ascii")
-    cond_idx, targets, values = _entry_columns(table)
-    pieces: list[str] = []
-    index = np.empty((len(values), 3), dtype=np.intp)
-    for field, (column, bound, render) in enumerate(
-        (
-            (values, int(values.max(initial=-1)) + 1, _C_PIECE.__mod__),
-            (cond_idx, len(table.conditions), _COND_PIECE.__mod__),
-            (targets, 1 << table.n, lambda x: _TARGET_PIECE % pack_hex_value(table.n, x)),
-        )
-    ):
-        if bound > table._matrix.size:
-            distinct, inverse = np.unique(column, return_inverse=True)
-        else:
-            present = np.zeros(bound, dtype=bool)
-            present[column] = True
-            distinct, inverse = np.flatnonzero(present), np.cumsum(present)[column] - 1
-        index[:, field] = inverse + len(pieces)
-        pieces += map(render, distinct.tolist())
-    gather = np.array(pieces, dtype=object)
-    for start in range(0, len(index), _ENTRY_BLOCK):
-        block = "".join(gather[index[start : start + _ENTRY_BLOCK]].ravel().tolist())
-        yield (block[1:] if start == 0 else block).encode("ascii")
-    yield (_TAIL % (_list_end(len(index)), table.l_max, table.n)).encode("ascii")
+    head = _HEAD % (ops, out, conds[1:], _list_end(len(table.conditions))) + _ENTRIES_OPEN
+    # Entries in file order by their cells' flat indices, and where each
+    # condition's row of them ends.
+    cells = np.flatnonzero(table._matrix >= 0)
+    values = table._matrix.reshape(-1)[cells]
+    ends = np.searchsorted(cells, np.arange(1, len(table.conditions) + 1) << table.n)
+    count = len(values)
+    tail = (_TAIL % (_list_end(count), table.l_max, table.n)).encode("ascii")
+    if not count:
+        yield head.encode("ascii") + tail
+        return
+    # C pieces for every c up to the largest, indexed by c itself, unless
+    # that range is wider than the entry list.
+    top = int(values.max()) + 1
+    if top <= count:
+        c_values, c_index = range(top), values
+    else:
+        c_values, c_index = np.unique(values, return_inverse=True)
+    c_pieces = [_C_PIECE % c for c in c_values] + [b""]
+    yield head.encode("ascii") + c_pieces[c_index[0]][1:]
+    # Key of Q_e: x_e and the index of c_(e+1)'s piece, the empty one
+    # past the last entry.
+    width = len(c_pieces)
+    keys = (cells & ((1 << table.n) - 1)) * width
+    keys[:-1] += c_index[1:]
+    keys[-1] += width - 1
+
+    def render(keys: np.ndarray) -> list[bytes]:
+        nexts = map(c_pieces.__getitem__, (keys % width).tolist())
+        return list(map(operator.add, _target_pieces(table.n, keys // width), nexts))
+
+    bound = width << table.n
+    if bound <= count:
+        # A presence mask over the key range and its cumulative sum give
+        # the keys that occur and each entry's rank among them, at a
+        # fraction of np.unique(..., return_inverse=True).
+        present = np.zeros(bound, dtype=bool)
+        present[keys] = True
+        rendered = np.array(render(np.flatnonzero(present)), dtype=object)
+        ranks = np.cumsum(present)[keys] - 1
+
+        def block(lo: int, hi: int) -> list[bytes]:
+            return rendered[ranks[lo:hi]].tolist()
+
+    else:
+
+        def block(lo: int, hi: int) -> list[bytes]:
+            return render(keys[lo:hi])
+
+    # qs holds the Qs of the entry block that starts at entry base.
+    qs, base, start = [], 0, 0
+    for i, end in enumerate(ends.tolist()):
+        s = _COND_PIECE % i
+        while start < end:
+            if start == base + len(qs):
+                base, qs = start, block(start, min(start + _ENTRY_BLOCK, count))
+            stop = min(end, base + len(qs))
+            yield s + s.join(qs[start - base : stop - base])
+            start = stop
+    yield tail
 
 
 def save_table(table: ComplexityTable, path: str) -> None:
     """Write json.dumps(table_to_json(table), indent=2, sort_keys=True)
     plus a newline, byte for byte, without building an entry dict: the
-    entries are rendered from the matrix a block at a time (see
+    entries are rendered from the matrix a row at a time (see
     _canonical_chunks). load_table reads this layout directly."""
-    with open(path, "wb") as fh:
+    with open(path, "wb", buffering=_WRITE_BYTES) as fh:
         fh.writelines(_canonical_chunks(table))
 
 
@@ -620,7 +692,7 @@ _MAX_DIGITS = 10
 _DIGITS = {}
 for _base in (10, 16):
     _DIGITS[_base] = np.zeros(256, dtype=np.int64)
-    _DIGITS[_base][np.frombuffer(b"0123456789abcdef"[:_base], np.uint8)] = np.arange(_base)
+    _DIGITS[_base][_HEX[:_base]] = np.arange(_base)
 # Entries are parsed this many bytes of the file at a time, so the
 # parse's temporaries stay block-sized.
 _PARSE_BYTES = 1 << 18
@@ -652,10 +724,11 @@ def _load_canonical(blob: bytes) -> Optional[ComplexityTable]:
     block of the file at a time, one field at a time: each field's
     digits are accumulated into an int64 value, reading every field of
     the block as wide as its widest, and range-checked. The table is
-    then rendered again and compared with blob byte for byte, so it is
-    returned only when blob is exactly save_table's output for it, and
-    then it equals table_from_json(json.loads(blob)); a byte that is
-    not a digit of its field reads as 0 and fails that comparison.
+    then rendered again and each rendered piece compared with blob in
+    place at its offset, so it is returned only when every byte of blob
+    is save_table's output for it, and then it equals
+    table_from_json(json.loads(blob)); a byte that is not a digit of its
+    field reads as 0 and fails that comparison.
     """
     opened = blob.find(_ENTRIES_OPEN.encode("ascii"))
     closed = blob.rfind(b"]")  # l_max, n and version follow the entries
@@ -704,7 +777,7 @@ def _load_canonical(blob: bytes) -> Optional[ComplexityTable]:
     )
     pos = 0
     for chunk in _canonical_chunks(table):
-        if blob[pos : pos + len(chunk)] != chunk:
+        if not blob.startswith(chunk, pos):
             return None
         pos += len(chunk)
     return table if pos == len(blob) else None

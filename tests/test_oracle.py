@@ -530,6 +530,60 @@ def test_save_writes_the_canonical_dump(tmp_path_factory, table):
     assert (loaded._matrix == table._matrix).all()
 
 
+@st.composite
+def row_tables(draw):
+    """Tables of up to 12 conditions, so cond_idx takes one or two
+    digits, with rows left empty and c on both sides of 9/10; one
+    condition often, where the (target, next c) key range passes the
+    matrix."""
+    n = draw(st.integers(0, 4))
+    rows = draw(st.one_of(st.just(1), st.integers(1, 12)))
+    l_max = draw(st.integers(11, 40))
+    values = draw(
+        st.sampled_from(
+            [st.sampled_from([-1, 0, 9, 10]), st.integers(8, 11), st.integers(-1, l_max)]
+        )
+    )
+    matrix = np.full((rows, 1 << n), -1, dtype=np.int32)
+    for row in matrix:
+        if draw(st.booleans()):
+            row[:] = draw(st.lists(values, min_size=1 << n, max_size=1 << n))
+    return ComplexityTable(
+        n=n,
+        l_max=l_max,
+        budget=MachineBudget(16, 16),
+        conditions=tuple(BitString(i, 0) for i in range(rows)),
+        _matrix=matrix,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=row_tables(), block=st.integers(1, 7))
+def test_save_splits_rows_across_entry_blocks(tmp_path_factory, table, block):
+    """Entry blocks of 1 to 7 entries, so rows are split between blocks:
+    save_table still writes json.dumps's bytes, and the fast path reads
+    them back."""
+    path = tmp_path_factory.mktemp("blocks") / "t.json"
+    with mock.patch.object(oracle, "_ENTRY_BLOCK", block):
+        save_table(table, str(path))
+        blob = path.read_bytes()
+        assert blob == canonical_bytes(table)
+        loaded = oracle._load_canonical(blob)
+    assert loaded is not None
+    assert (loaded.l_max, loaded.conditions) == (table.l_max, table.conditions)
+    assert (loaded._matrix == table._matrix).all()
+
+
+def test_target_pieces_spell_pack_hex():
+    """The renderer's target pieces, written as one byte array, against
+    BitString.pack_hex at every target length, padded widths included."""
+    for n in range(MAX_N + 1):
+        xs = sorted({0, ((1 << n) - 1) // 3, (1 << n) - 1})
+        assert oracle._target_pieces(n, np.array(xs)) == [
+            f'{BitString(n, x).pack_hex()}"\n    }}'.encode() for x in xs
+        ]
+
+
 def load_outcome(loader, doc):
     """What a loader makes of doc: the table's contents or its message."""
     try:
@@ -613,11 +667,19 @@ def test_file_loader_matches_dict_loader(tmp_path_factory, table, fault, data):
     assert (oracle._load_canonical(blob) is None) == (fault is not None)
 
 
-def swap_first_entries(blob):
-    """blob with its first two entries in the other order."""
+def swap_entries(blob, i):
+    """blob with entries i and i + 1 (not the last) in the other order."""
     head, entries = blob.split(b'"entries": [')
-    first, second, rest = entries.split(b"},", 2)
-    return head + b'"entries": [' + second + b"}," + first + b"}," + rest
+    items = entries.split(b"},")
+    items[i], items[i + 1] = items[i + 1], items[i]
+    return head + b'"entries": [' + b"},".join(items)
+
+
+def swap_across_rows(blob):
+    """blob with the last entry of condition 0 and the first of
+    condition 1 in the other order."""
+    entries = json.loads(blob)["entries"]
+    return swap_entries(blob, sum(e["cond_idx"] == 0 for e in entries) - 1)
 
 
 # Files one edit away from save_table's output, and whether they are
@@ -630,7 +692,8 @@ NEAR_CANONICAL = {
     "no-trailing-newline": (lambda b: b[:-1], True),
     "trailing-space": (lambda b: b + b" ", True),
     "utf8-bom": (lambda b: b"\xef\xbb\xbf" + b, False),
-    "entries-out-of-order": (swap_first_entries, True),
+    "entries-out-of-order": (lambda b: swap_entries(b, 0), True),
+    "rows-out-of-order": (swap_across_rows, True),
     "letter-in-c": (lambda b: b.replace(b'"c": ', b'"c": 1a', 1), False),
     "ten-digit-cond-idx": (
         lambda b: b.replace(b'"cond_idx": ', b'"cond_idx": 100000000', 1),
