@@ -542,74 +542,18 @@ def _json_count(value: object, name: str) -> int:
     return value
 
 
-def _column(entries: list, key: str) -> list:
-    """Every entry's value for key, in entry order."""
-    try:
-        return [e[key] for e in entries]
-    except (KeyError, TypeError):
-        for i, e in enumerate(entries):
-            _field(e, key, f"entry {i}")
-        raise
-
-
-def _int_column(
-    entries: list, key: str, lo: int, hi: int, message: str
-) -> np.ndarray:
-    """Every entry's value for key as an int32 array; ValueError(message
-    % v) for the first v that is not an int (bools excluded) in [lo, hi].
-    All-valid columns take one pass of C-level builtins."""
-
-    def ok(vs: list) -> bool:
-        return not vs or (
-            set(map(type, vs)) <= {int} and lo <= min(vs) and max(vs) <= hi
-        )
-
-    values = _column(entries, key)
-    if not ok(values):
-        raise ValueError(message % (next(v for v in values if not ok([v])),))
-    return np.array(values, dtype=np.int32)
-
-
-def _target_column(entries: list, n: int) -> np.ndarray:
-    """Every entry's target_hex unpacked to its n-bit value, int32; each
-    distinct string goes through BitString.unpack_hex once."""
-    hexes = _column(entries, "target_hex")
-    if not set(map(type, hexes)) <= {str}:
-        _json_str(next(h for h in hexes if type(h) is not str), "entry target_hex")
-    value_of = {h: BitString.unpack_hex(n, h).value for h in dict.fromkeys(hexes)}
-    return np.fromiter(map(value_of.__getitem__, hexes), np.int32, len(hexes))
-
-
 def _conditions(cond_docs: list) -> list[BitString]:
-    """The conditions of an oracle document, checked as table_from_json
-    describes. The whole list is read and checked at once; a list that
-    fails is checked again condition by condition, which raises the
-    first fault's message."""
-    try:
-        lens = [c["len"] for c in cond_docs]
-        hexes = [c["hex"] for c in cond_docs]
-        if (
-            set(map(type, cond_docs)) <= {dict}
-            and set(map(type, lens)) <= {int}
-            and set(map(type, hexes)) <= {str}
-        ):
-            conds = list(map(BitString.unpack_hex, lens, hexes))
-            if len(set(conds)) == len(conds):
-                return conds
-    except (KeyError, TypeError, ValueError):
-        pass
-    conds = [
-        BitString.unpack_hex(
+    """The conditions of an oracle document, checked one at a time in
+    list order as table_from_json describes."""
+    first: dict[BitString, int] = {}
+    for i, c in enumerate(cond_docs):
+        y = BitString.unpack_hex(
             _json_count(_field(c, "len", f"condition {i}"), "condition len"),
             _json_str(_field(c, "hex", f"condition {i}"), "condition hex"),
         )
-        for i, c in enumerate(cond_docs)
-    ]
-    first: dict[BitString, int] = {}
-    for i, y in enumerate(conds):
         if first.setdefault(y, i) != i:
             raise ValueError(f"condition {i} repeats condition {first[y]}")
-    return conds
+    return list(first)
 
 
 def _table_header(doc: object) -> tuple[int, int, MachineBudget, list[BitString]]:
@@ -648,30 +592,36 @@ def table_from_json(doc: dict) -> ComplexityTable:
     an int in [0, l_max], or whose (cond_idx, target) pair repeats an
     earlier entry.
 
-    Entries are checked a field at a time over the whole list, hex
-    strings are unpacked once each, and the first fault of each kind in
-    entry order is reported; a document with one fault gets that
-    fault's message.
+    A document with several faults gets the message of the first one
+    checked: the header (version, n, l_max, the conditions one by one,
+    budget), then the entries one by one, each as an object with its
+    fields, then its cond_idx, c, target_hex and (cond_idx, target) pair.
     """
     n, l_max, budget, conds = _table_header(doc)
     entries = _json_list(_field(doc, "entries", "oracle table"), "entries")
-    # Cell indices stay below MAX_CELLS, so int32 holds them.
-    cells = _int_column(
-        entries, "cond_idx", 0, len(conds) - 1,
-        f"entry cond_idx %r is not in [0, {len(conds)})",
-    )
-    c = _int_column(entries, "c", 0, l_max, f"entry c %r is not in [0, l_max={l_max}]")
-    cells <<= n
-    cells |= _target_column(entries, n)
-    matrix = np.full((len(conds), 1 << n), -1, dtype=np.int32)
-    matrix.reshape(-1)[cells] = c
-    if np.count_nonzero(matrix >= 0) != len(entries):
-        repeat = np.ones(len(cells), dtype=bool)
-        repeat[np.unique(cells, return_index=True)[1]] = False
-        e = entries[int(np.flatnonzero(repeat)[0])]
-        raise ValueError(
-            f"duplicate entry for cond_idx {e['cond_idx']}, target {e['target_hex']}"
-        )
+    rows = len(conds)
+    matrix = np.full((rows, 1 << n), -1, dtype=np.int32)
+    cells = memoryview(matrix.reshape(-1))  # reads and writes Python ints
+    value_of: dict[str, int] = {}
+    for i, e in enumerate(entries):
+        try:
+            ci, c, h = e["cond_idx"], e["c"], e["target_hex"]
+        except (KeyError, TypeError):
+            # Not an object, or a field is missing: _field names which.
+            for key in ("cond_idx", "c", "target_hex"):
+                _field(e, key, f"entry {i}")
+            raise
+        if type(ci) is not int or not 0 <= ci < rows:
+            raise ValueError(f"entry cond_idx {ci!r} is not in [0, {rows})")
+        if type(c) is not int or not 0 <= c <= l_max:
+            raise ValueError(f"entry c {c!r} is not in [0, l_max={l_max}]")
+        x = value_of.get(h) if type(h) is str else None
+        if x is None:
+            x = value_of[h] = BitString.unpack_hex(n, _json_str(h, "entry target_hex")).value
+        cell = ci << n | x
+        if cells[cell] >= 0:
+            raise ValueError(f"duplicate entry for cond_idx {ci}, target {h}")
+        cells[cell] = c
     return ComplexityTable(
         n=n, l_max=l_max, budget=budget, conditions=tuple(conds), _matrix=matrix
     )
@@ -696,9 +646,9 @@ for _base in (10, 16):
 # Entries are parsed this many bytes of the file at a time, so the
 # parse's temporaries stay block-sized.
 _PARSE_BYTES = 1 << 18
-# Smaller files load faster through json: the fast path costs about
-# 0.1 ms more per call (2-vCPU Xeon), which a few hundred entries do
-# not win back.
+# Smaller files load faster through json. Fast path / json + table_from_json on
+# the n=4 run's oracles (400-call medians, 2-vCPU Xeon): 473 B 0.105/0.027 ms,
+# 5,925 B 0.18/0.12 ms, 19,126 B 0.19/0.52 ms, 20,901 B 0.22/0.30 ms.
 _CANONICAL_MIN_BYTES = 1 << 14
 
 

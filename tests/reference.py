@@ -111,8 +111,9 @@ def brute_table_from_json(doc: dict) -> ComplexityTable:
     """Oracle JSON loader that checks and stores one entry at a time.
 
     Same document checks and messages as oracle.table_from_json on a
-    well-formed header; each entry's cond_idx, then c, then target_hex
-    is checked before a duplicate (cond_idx, target) cell is.
+    well-formed header: conditions, then entries, each in document
+    order, each entry's cond_idx, then c, then target_hex checked before
+    a duplicate (cond_idx, target) cell is, so the first fault raises.
     """
 
     def count(value, name):
@@ -127,11 +128,9 @@ def brute_table_from_json(doc: dict) -> ComplexityTable:
     if l_max >= 1 << 31:
         raise ValueError(f"l_max {l_max} does not fit an int32 entry")
     check_shape(n, len(doc["conditions"]))
-    conds = [
-        BitString.unpack_hex(count(c["len"], "condition len"), c["hex"])
-        for c in doc["conditions"]
-    ]
-    for i in range(len(conds)):
+    conds = []
+    for i, c in enumerate(doc["conditions"]):
+        conds.append(BitString.unpack_hex(count(c["len"], "condition len"), c["hex"]))
         for j in range(i):
             if conds[j] == conds[i]:
                 raise ValueError(f"condition {i} repeats condition {j}")

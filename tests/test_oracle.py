@@ -596,55 +596,86 @@ def load_outcome(loader, doc):
 NOT_INTS = st.sampled_from([True, False, 1.0, "1", None, [0], {}])
 
 
-FAULTS = [
-    None, "cond_idx", "cond_idx_type", "c", "c_type", "hex", "padding", "duplicate",
-    "condition",
-]
+ENTRY_FAULTS = ["cond_idx", "cond_idx_type", "c", "c_type", "hex", "padding", "duplicate"]
+FAULTS = [None, *ENTRY_FAULTS, "condition"]
+
+
+def draw_fault(doc, fault, i, table, data):
+    """Draw a fault of the given kind into entry i of doc, or for
+    "condition" into its conditions."""
+    entries = doc["entries"]
+    e = entries[i]
+    if fault == "condition":
+        conds = doc["conditions"]
+        assume(len(conds) > 1)
+        j = data.draw(st.integers(1, len(conds) - 1))
+        conds[j] = dict(conds[data.draw(st.integers(0, j - 1))])
+    elif fault in ("cond_idx", "c"):
+        top = len(table.conditions) if fault == "cond_idx" else table.l_max + 1
+        e[fault] = data.draw(st.sampled_from([-1, top, -(1 << 40), top + (1 << 40)]))
+    elif fault in ("cond_idx_type", "c_type"):
+        e[fault[:-5]] = data.draw(NOT_INTS)
+    elif fault == "hex":
+        e["target_hex"] = data.draw(st.sampled_from(["zz", "0g", "0", "000000"]))
+    elif fault == "padding":
+        assume(table.n % 8)
+        e["target_hex"] = f"{int(e['target_hex'], 16) | 1:02x}"
+    else:
+        twin = dict(e, c=data.draw(st.integers(0, table.l_max)))
+        twin["target_hex"] = data.draw(st.sampled_from([str.lower, str.upper]))(
+            twin["target_hex"]
+        )
+        entries.insert(data.draw(st.integers(i + 1, len(entries))), twin)
 
 
 def faulty_doc(table, fault, data):
-    """table_to_json(table) with one fault of the given kind drawn in."""
+    """table_to_json(table) with one fault of the given kind drawn in
+    and, on half the draws, a second entry fault in another entry, which
+    may come before or after the first."""
     doc = table_to_json(table)
     entries = doc["entries"]
-    if fault is not None:
-        if not entries:
-            zero = BitString(table.n, 0).pack_hex()
-            entries.append({"cond_idx": 0, "target_hex": zero, "c": 0})
-        i = data.draw(st.integers(0, len(entries) - 1))
-        e = entries[i]
-        if fault == "condition":
-            conds = doc["conditions"]
-            assume(len(conds) > 1)
-            j = data.draw(st.integers(1, len(conds) - 1))
-            conds[j] = dict(conds[data.draw(st.integers(0, j - 1))])
-        elif fault in ("cond_idx", "c"):
-            top = len(table.conditions) if fault == "cond_idx" else table.l_max + 1
-            e[fault] = data.draw(st.sampled_from([-1, top, -(1 << 40), top + (1 << 40)]))
-        elif fault in ("cond_idx_type", "c_type"):
-            e[fault[:-5]] = data.draw(NOT_INTS)
-        elif fault == "hex":
-            e["target_hex"] = data.draw(st.sampled_from(["zz", "0g", "0", "000000"]))
-        elif fault == "padding":
-            assume(table.n % 8)
-            e["target_hex"] = f"{int(e['target_hex'], 16) | 1:02x}"
-        else:
-            twin = dict(e, c=data.draw(st.integers(0, table.l_max)))
-            twin["target_hex"] = data.draw(st.sampled_from([str.lower, str.upper]))(
-                twin["target_hex"]
-            )
-            entries.insert(data.draw(st.integers(i + 1, len(entries))), twin)
+    if fault is None:
+        return doc
+    if not entries:
+        zero = BitString(table.n, 0).pack_hex()
+        entries.append({"cond_idx": 0, "target_hex": zero, "c": 0})
+    first = data.draw(st.integers(0, len(entries) - 1))
+    faults = [(first, fault)]
+    if data.draw(st.booleans()):
+        assume(len(entries) > 1)
+        other = data.draw(st.integers(0, len(entries) - 1).filter(lambda j: j != first))
+        faults.append((other, data.draw(st.sampled_from(ENTRY_FAULTS))))
+    # The later entry first, so a duplicate's twin, inserted after its
+    # entry, moves neither faulted entry.
+    for i, kind in sorted(faults, reverse=True):
+        draw_fault(doc, kind, i, table, data)
     return doc
 
 
 @settings(max_examples=300, deadline=None)
 @given(table=small_tables(), fault=st.sampled_from(FAULTS), data=st.data())
 def test_loader_matches_entry_by_entry_reference(table, fault, data):
-    """Whole-column checks against reference.brute_table_from_json: equal
-    tables on valid documents, the same message on one fault."""
+    """table_from_json against reference.brute_table_from_json: equal
+    tables on valid documents, the same message, the first fault's in
+    document order, on one fault or two."""
     doc = faulty_doc(table, fault, data)
     got = load_outcome(table_from_json, doc)
     assert got == load_outcome(brute_table_from_json, doc)
     assert (got[0] == "error") == (fault is not None)
+
+
+def test_first_entry_fault_in_document_order_is_reported():
+    """Two faulty entries: the message is the earlier entry's, whichever
+    field each fault is in."""
+    table = ComplexityTable(1, 4, MachineBudget(9, 9), (EMPTY,), np.array([[1, 2]], np.int32))
+    doc = table_to_json(table)
+    doc["entries"][0]["c"] = 99
+    doc["entries"][1]["cond_idx"] = 9
+    with pytest.raises(ValueError, match=r"^entry c 99 is not in \[0, l_max=4\]$"):
+        table_from_json(doc)
+    doc["entries"].reverse()
+    with pytest.raises(ValueError, match=r"^entry cond_idx 9 is not in \[0, 1\)$"):
+        table_from_json(doc)
 
 
 def load_file(path):
