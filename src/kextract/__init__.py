@@ -4,130 +4,66 @@ A total reference machine with exhaustively computed conditional
 complexity tables, distribution tooling for min-entropy geometry,
 balanced extractor tables with exact rectangle verification, and
 counting-based extraction demonstrations built on top.
+
+`import kextract` loads no submodule and no numpy. Each exported name is
+imported from its home module on first use (PEP 562) and then kept here,
+so `from kextract import X` and `kextract.X` work as they always have,
+and the submodules listed in _SUBMODULES load as attributes the same way.
 """
 
-from .bits import EMPTY, BitString, all_strings
-from .machine import (
-    DEFAULT_BUDGET,
-    FAIL,
-    MachineBudget,
-    gamma_decode,
-    gamma_encode,
-    pair_decode,
-    pair_encode,
-    run_machine,
-)
-from .oracle import (
-    NOT_FOUND,
-    ComplexityTable,
-    build_complexity_table,
-    load_table,
-    save_table,
-    symmetry_report,
-)
-from .distributions import (
-    Distribution,
-    FlatSource,
-    dist_from_json,
-    dist_to_json,
-    dist_to_min_entropy,
-    flatten_top,
-    heavy_set,
-    min_entropy,
-    push_forward,
-    statistical_distance,
-)
-from .tables import (
-    SingleSourceTable,
-    TwoSourceTable,
-    gen_constant,
-    gen_gf2_mult,
-    gen_inner_product,
-    gen_random,
-    gen_random_single,
-    gen_truncate,
-    read_table,
-    write_table,
-)
-from .balance import (
-    FeasibilityError,
-    balance_check_almost,
-    measure_eps_star,
-    rainbow_check,
-    search_rainbow,
-)
-from .extraction import (
-    SourcePairClass,
-    dependency,
-    enumerate_class,
-    equivalence_report,
-    extraction_check,
-    popular_color_demo,
-    popular_prefix_demo,
-    popular_range_procedure,
-)
-from .experiments import (
-    count_dependent,
-    dependent_census_sweep,
-    hitting_demo,
-    write_census_csv,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BitString",
-    "EMPTY",
-    "all_strings",
-    "MachineBudget",
-    "DEFAULT_BUDGET",
-    "FAIL",
-    "run_machine",
-    "gamma_encode",
-    "gamma_decode",
-    "pair_encode",
-    "pair_decode",
-    "NOT_FOUND",
-    "ComplexityTable",
-    "build_complexity_table",
-    "save_table",
-    "load_table",
-    "symmetry_report",
-    "Distribution",
-    "FlatSource",
-    "min_entropy",
-    "statistical_distance",
-    "heavy_set",
-    "flatten_top",
-    "dist_to_min_entropy",
-    "dist_to_json",
-    "dist_from_json",
-    "push_forward",
-    "TwoSourceTable",
-    "SingleSourceTable",
-    "gen_inner_product",
-    "gen_gf2_mult",
-    "gen_random",
-    "gen_random_single",
-    "gen_constant",
-    "gen_truncate",
-    "write_table",
-    "read_table",
-    "FeasibilityError",
-    "balance_check_almost",
-    "measure_eps_star",
-    "rainbow_check",
-    "search_rainbow",
-    "dependency",
-    "enumerate_class",
-    "SourcePairClass",
-    "extraction_check",
-    "popular_color_demo",
-    "popular_prefix_demo",
-    "popular_range_procedure",
-    "equivalence_report",
-    "count_dependent",
-    "dependent_census_sweep",
-    "hitting_demo",
-    "write_census_csv",
-]
+# Home module -> the names it exports here, in __all__ order.
+_EXPORTS = {
+    "bits": ("BitString", "EMPTY", "all_strings"),
+    "machine": (
+        "MachineBudget", "DEFAULT_BUDGET", "FAIL", "run_machine",
+        "gamma_encode", "gamma_decode", "pair_encode", "pair_decode",
+    ),
+    "oracle": (
+        "NOT_FOUND", "ComplexityTable", "build_complexity_table", "save_table",
+        "load_table", "symmetry_report",
+    ),
+    "distributions": (
+        "Distribution", "FlatSource", "min_entropy", "statistical_distance",
+        "heavy_set", "flatten_top", "dist_to_min_entropy", "dist_to_json",
+        "dist_from_json", "push_forward",
+    ),
+    "tables": (
+        "TwoSourceTable", "SingleSourceTable", "gen_inner_product", "gen_gf2_mult",
+        "gen_random", "gen_random_single", "gen_constant", "gen_truncate",
+        "write_table", "read_table",
+    ),
+    "balance": (
+        "FeasibilityError", "balance_check_almost", "measure_eps_star",
+        "rainbow_check", "search_rainbow",
+    ),
+    "extraction": (
+        "dependency", "enumerate_class", "SourcePairClass", "extraction_check",
+        "popular_color_demo", "popular_prefix_demo", "popular_range_procedure",
+        "equivalence_report",
+    ),
+    "experiments": (
+        "count_dependent", "dependent_census_sweep", "hitting_demo", "write_census_csv",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
+# The submodules reachable as attributes of a bare `import kextract`.
+_SUBMODULES = frozenset(_EXPORTS) | {"prng", "calibration"}
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:  # importing binds it here
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -93,8 +93,12 @@ from .tables import TwoSourceTable, gen_random
 OPS_LIMIT = 10_000_000_000
 
 
-class FeasibilityError(Exception):
-    """Raised when an exhaustive sweep would exceed the op budget."""
+class FeasibilityError(ValueError):
+    """Raised when an exhaustive sweep would exceed the op budget.
+
+    A ValueError: the parameters ask for more work than the guard allows.
+    So the CLI's usage-error handler, which catches ValueError, reports it
+    with exit 2 without importing this module."""
 
 
 def _guard(estimated: int, override: bool) -> None:

@@ -17,6 +17,13 @@ GUARDED reach that guard (table verify, table search, table eps-star,
 extract equiv), so only they and pipeline run, which passes the flag on
 to its steps among them, accept it; elsewhere it is a usage error. It
 never changes results and is not recorded in reports.
+
+Importing this module loads neither numpy nor the compute modules. The
+parser needs only the numpy-free bits, machine, calibration, pipeline
+and reports, so --version, --help and usage errors never load numpy.
+Each cmd_* handler imports what it runs when it runs, by a function-local
+import from the home module, so a wrapper patched onto that module's
+name (a tracer, say) sees the call.
 """
 
 from __future__ import annotations
@@ -26,42 +33,11 @@ import functools
 import sys
 import traceback
 
-import numpy as np
-
 from . import __version__, calibration
-from .balance import (
-    FeasibilityError,
-    balance_check_almost,
-    measure_eps_star,
-    rainbow_check,
-    search_rainbow,
-)
 from .bits import EMPTY, BitString, all_strings
-from .experiments import dependent_census_sweep, hitting_demo, write_census_csv
-from .extraction import (
-    enumerate_class,
-    equivalence_report,
-    extraction_check,
-    popular_color_demo,
-    popular_prefix_demo,
-    popular_range_procedure,
-)
 from .machine import DEFAULT_BUDGET, MachineBudget
-from .oracle import MAX_N, build_complexity_table, check_shape, load_table, save_table
 from .pipeline import STANDARDS
 from .reports import all_passed, assertion, build_report, write_report
-from .tables import (
-    SingleSourceTable,
-    TwoSourceTable,
-    gen_constant,
-    gen_gf2_mult,
-    gen_inner_product,
-    gen_random,
-    gen_random_single,
-    gen_truncate,
-    read_table,
-    write_table,
-)
 
 # (group, command) of the subcommands whose sweeps reach the feasibility
 # guard.
@@ -69,16 +45,17 @@ GUARDED = frozenset(
     {("table", "verify"), ("table", "search"), ("table", "eps-star"), ("extract", "equiv")}
 )
 
-# table gen --kind -> (options it needs besides --n, generator call). The
-# calls look the gen_* names up when they run, so a wrapper patched onto
+# table gen --kind -> (options it needs besides --n, generator call on
+# the tables module). cmd_table_gen imports tables when it runs and the
+# calls look the gen_* names up on it then, so a wrapper patched onto
 # those module names (a tracer, say) sees every generation.
 TABLE_KINDS = {
-    "inner-product": ((), lambda a: gen_inner_product(a.n)),
-    "gf2": (("m",), lambda a: gen_gf2_mult(a.n, a.m)),
-    "random": (("m", "seed"), lambda a: gen_random(a.n, a.m, a.seed)),
-    "random-single": (("m", "seed"), lambda a: gen_random_single(a.n, a.m, a.seed)),
-    "constant": (("m",), lambda a: gen_constant(a.n, a.m, a.color)),
-    "truncate": (("m",), lambda a: gen_truncate(a.n, a.m)),
+    "inner-product": ((), lambda t, a: t.gen_inner_product(a.n)),
+    "gf2": (("m",), lambda t, a: t.gen_gf2_mult(a.n, a.m)),
+    "random": (("m", "seed"), lambda t, a: t.gen_random(a.n, a.m, a.seed)),
+    "random-single": (("m", "seed"), lambda t, a: t.gen_random_single(a.n, a.m, a.seed)),
+    "constant": (("m",), lambda t, a: t.gen_constant(a.n, a.m, a.color)),
+    "truncate": (("m",), lambda t, a: t.gen_truncate(a.n, a.m)),
 }
 
 
@@ -233,6 +210,8 @@ def _parse_bits(text: str) -> BitString:
 
 
 def _conditions_for(spec: str, n: int) -> list[BitString]:
+    from .oracle import MAX_N, check_shape
+
     if spec == "lambda":
         return [EMPTY]
     if spec == "all":
@@ -252,16 +231,21 @@ def _params(args, *names: str) -> dict:
     return {name: getattr(args, name) for name in names}
 
 
-# table class -> the name its errors and summaries use
-_SHAPES = {TwoSourceTable: "two-source", SingleSourceTable: "single-source"}
+def _shape(table) -> str:
+    """The name a table's errors and summaries use for its kind."""
+    from .tables import TwoSourceTable
+
+    return "two-source" if isinstance(table, TwoSourceTable) else "single-source"
 
 
-def _read_table(path: str, kind: type, what: str):
-    """The KEXT table at path; a ValueError naming the kind that what
-    needs unless the table is of that kind."""
+def _read_table(path: str, shape: str, what: str):
+    """The KEXT table at path; a ValueError naming the shape that what
+    needs unless the table has that shape."""
+    from .tables import read_table
+
     table = read_table(path)
-    if not isinstance(table, kind):
-        raise ValueError(f"{what} needs a {_SHAPES[kind]} table")
+    if _shape(table) != shape:
+        raise ValueError(f"{what} needs a {shape} table")
     return table
 
 
@@ -276,6 +260,8 @@ def _finish(args, params: dict, data, assertions: list[dict]) -> int:
 
 
 def cmd_oracle_build(args) -> int:
+    from .oracle import build_complexity_table, save_table
+
     if not args.out:
         raise ValueError("oracle build needs --out for the table file")
     conds = _conditions_for(args.conditions, args.n)
@@ -292,6 +278,8 @@ def cmd_oracle_build(args) -> int:
 
 
 def cmd_oracle_query(args) -> int:
+    from .oracle import load_table
+
     table = load_table(args.table)
     target = _parse_bits(args.target)
     cond = _parse_bits(args.cond)
@@ -302,14 +290,16 @@ def cmd_oracle_query(args) -> int:
 
 
 def cmd_table_gen(args) -> int:
+    from . import tables
+
     if not args.out:
         raise ValueError("table gen needs --out for the KEXT file")
     needs, generate = TABLE_KINDS[args.kind]
     if any(getattr(args, name) is None for name in needs):
         raise ValueError(f"{args.kind} needs " + " and ".join(f"--{o}" for o in needs))
-    table = generate(args)
-    write_table(table, args.out)
-    print(f"[table gen] {args.kind} n={table.n} m={table.m} ({_SHAPES[type(table)]}) "
+    table = generate(tables, args)
+    tables.write_table(table, args.out)
+    print(f"[table gen] {args.kind} n={table.n} m={table.m} ({_shape(table)}) "
           f"-> {args.out}")
     return 0
 
@@ -323,7 +313,9 @@ def _note_rainbow_divisor(divisor: int) -> None:
 
 
 def cmd_table_verify(args) -> int:
-    table = _read_table(args.table, TwoSourceTable, "verification")
+    from .balance import balance_check_almost, rainbow_check
+
+    table = _read_table(args.table, "two-source", "verification")
     if args.mode == "almost":
         if args.k is None:
             raise ValueError("--mode almost needs --k")
@@ -362,6 +354,9 @@ def cmd_table_verify(args) -> int:
 
 
 def cmd_table_search(args) -> int:
+    from .balance import search_rainbow
+    from .tables import write_table
+
     result = search_rainbow(
         args.n,
         args.m,
@@ -390,7 +385,9 @@ def cmd_table_search(args) -> int:
 
 
 def cmd_table_eps_star(args) -> int:
-    table = _read_table(args.table, TwoSourceTable, "eps-star")
+    from .balance import measure_eps_star
+
+    table = _read_table(args.table, "two-source", "eps-star")
     value = measure_eps_star(
         table,
         args.k,
@@ -402,7 +399,10 @@ def cmd_table_eps_star(args) -> int:
 
 
 def cmd_extract_check(args) -> int:
-    table = _read_table(args.table, TwoSourceTable, "extract check")
+    from .extraction import enumerate_class, extraction_check
+    from .oracle import load_table
+
+    table = _read_table(args.table, "two-source", "extract check")
     cond_oracle = load_table(args.cond_oracle)
     output_oracle = load_table(args.output_oracle)
     cls = enumerate_class(cond_oracle, args.k, args.alpha)
@@ -427,7 +427,10 @@ def cmd_extract_check(args) -> int:
 
 
 def cmd_extract_equiv(args) -> int:
-    table = _read_table(args.table, TwoSourceTable, "extract equiv")
+    from .extraction import equivalence_report
+    from .oracle import load_table
+
+    table = _read_table(args.table, "two-source", "extract equiv")
     cond_oracle = load_table(args.cond_oracle)
     output_oracle = load_table(args.output_oracle)
     report = equivalence_report(
@@ -454,7 +457,10 @@ def cmd_extract_equiv(args) -> int:
 
 
 def cmd_demo_popular(args) -> int:
-    table = _read_table(args.table, SingleSourceTable, "demo popular")
+    from .extraction import popular_color_demo
+    from .oracle import load_table
+
+    table = _read_table(args.table, "single-source", "demo popular")
     oracle = load_table(args.oracle)
     report = popular_color_demo(table, oracle)
     print(
@@ -470,7 +476,10 @@ def cmd_demo_popular(args) -> int:
 
 
 def cmd_demo_curse(args) -> int:
-    table = _read_table(args.table, TwoSourceTable, "demo curse")
+    from .extraction import popular_prefix_demo
+    from .oracle import load_table
+
+    table = _read_table(args.table, "two-source", "demo curse")
     pair_oracle = load_table(args.pair_oracle)
     output_oracle = load_table(args.output_oracle) if args.output_oracle else None
     report = popular_prefix_demo(table, args.alpha, pair_oracle, output_oracle)
@@ -488,6 +497,9 @@ def cmd_demo_curse(args) -> int:
 
 
 def cmd_demo_vv(args) -> int:
+    from .extraction import popular_range_procedure
+    from .oracle import load_table
+
     oracle = load_table(args.oracle)
     if args.m is not None and oracle.n != args.m:
         raise ValueError(f"oracle targets {oracle.n}-bit strings, not m={args.m}")
@@ -506,6 +518,9 @@ def cmd_demo_vv(args) -> int:
 
 
 def cmd_exp_dep_census(args) -> int:
+    from .experiments import dependent_census_sweep, write_census_csv
+    from .oracle import load_table
+
     oracle = load_table(args.oracle)
     report = dependent_census_sweep(oracle, args.alpha, committed_max_c=args.max_c)
     print(
@@ -530,7 +545,13 @@ def cmd_exp_dep_census(args) -> int:
 
 
 def cmd_exp_hitting(args) -> int:
-    table = _read_table(args.table, TwoSourceTable, "exp hitting")
+    import numpy as np
+
+    from .experiments import hitting_demo
+    from .extraction import enumerate_class
+    from .oracle import load_table
+
+    table = _read_table(args.table, "two-source", "exp hitting")
     cond_oracle = load_table(args.cond_oracle)
     output_oracle = load_table(args.output_oracle)
     if (args.target_set is None) == (args.set_popular_row is None):
@@ -578,8 +599,9 @@ def dispatch(argv: list[str]) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    # OSError: a user-named path that is missing, a directory or a file
-    except (FeasibilityError, OSError, ValueError) as exc:
+    # OSError: a user-named path that is missing, a directory or a file;
+    # ValueError: bad parameters, FeasibilityError among them
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # a bug, never a check verdict

@@ -16,7 +16,9 @@ produced so far. A COPY whose window leaves the condition, a REPEAT
 longer than the current output, and any budget overrun all FAIL, and a
 failed program produces no string at all. That "no partial output on
 FAIL" rule keeps the map program -> output single-valued, which the
-counting arguments in oracle.py need to be exact.
+counting arguments in oracle.py need to be exact. NOT_FOUND, the
+sentinel oracle tables record for a target no program up to l_max
+outputs, is defined here beside FAIL and exported by oracle.py.
 """
 
 from __future__ import annotations
@@ -50,6 +52,38 @@ class _Fail:
 FAIL = _Fail()
 
 MachineResult = Union[BitString, _Fail]
+
+
+class _NotFound:
+    """Sentinel for "no program within l_max" in oracle tables; greater
+    than every int. It is defined beside FAIL, in this numpy-free module,
+    so that reports can name it without importing the oracle."""
+
+    __slots__ = ()
+    _instance: Optional["_NotFound"] = None
+
+    def __new__(cls) -> "_NotFound":
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "NOT_FOUND"
+
+    def __gt__(self, other: object) -> bool:
+        return other is not self
+
+    def __ge__(self, other: object) -> bool:
+        return True
+
+    def __lt__(self, other: object) -> bool:
+        return False
+
+    def __le__(self, other: object) -> bool:
+        return other is self
+
+
+NOT_FOUND = _NotFound()
 
 
 @dataclass(frozen=True)

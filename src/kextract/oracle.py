@@ -66,7 +66,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .bits import EMPTY, BitString
-from .machine import DEFAULT_BUDGET, MachineBudget
+from .machine import DEFAULT_BUDGET, NOT_FOUND, MachineBudget
 
 # Target lengths past this would allocate more than a 64 MB row per
 # condition (2^n int32 entries).
@@ -83,37 +83,7 @@ MAX_WORK = 1 << 29
 # dozen bits each) and the sums it passes on stay far below int32's limit.
 _UNREACHED = 1 << 30
 
-
-class _NotFound:
-    """Sentinel for "no program within l_max"; greater than every int."""
-
-    __slots__ = ()
-    _instance: Optional["_NotFound"] = None
-
-    def __new__(cls) -> "_NotFound":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NOT_FOUND"
-
-    def __gt__(self, other: object) -> bool:
-        return other is not self
-
-    def __ge__(self, other: object) -> bool:
-        return True
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __le__(self, other: object) -> bool:
-        return other is self
-
-
-NOT_FOUND = _NotFound()
-
-Complexity = Union[int, _NotFound]
+Complexity = Union[int, type(NOT_FOUND)]
 
 
 @dataclass

@@ -5,6 +5,10 @@ function of the command and its params, and it carries no wall-clock
 value: equal params give byte-identical files, which is the determinism
 contract. Execution details that cannot change results, such as the
 feasibility override, are deliberately kept out of the envelope.
+
+This module imports neither numpy nor the oracle, so the CLI can build
+its parser without them: numpy arrays and scalars are recognised by
+their tolist(), and NOT_FOUND comes from the numpy-free machine module.
 """
 
 from __future__ import annotations
@@ -13,10 +17,8 @@ import dataclasses
 import json
 from typing import Any, Optional
 
-import numpy as np
-
 from .bits import BitString
-from .oracle import NOT_FOUND
+from .machine import NOT_FOUND
 
 SCHEMA_VERSION = 1
 
@@ -59,11 +61,7 @@ def _jsonable(obj: Any) -> Any:
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if hasattr(obj, "tolist"):  # numpy arrays and scalars, as Python values
         return obj.tolist()
     return obj
 

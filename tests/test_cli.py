@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import kextract
-from kextract import balance, calibration, cli
+from kextract import balance, calibration, cli, oracle, tables
 from kextract.cli import GUARDED, build_parser, dispatch, main
 from kextract.oracle import load_table, save_table
 from kextract.reports import load_report
@@ -185,8 +185,8 @@ def test_out_is_checked_before_any_work(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("ran before the missing --out was refused")
 
-    monkeypatch.setattr(cli, "build_complexity_table", never)
-    monkeypatch.setattr(cli, "gen_inner_product", never)
+    monkeypatch.setattr(oracle, "build_complexity_table", never)
+    monkeypatch.setattr(tables, "gen_inner_product", never)
     assert dispatch(["oracle", "build", "--n", "8", "--conditions", "all"]) == 2
     assert dispatch(["table", "gen", "--kind", "inner-product", "--n", "4"]) == 2
 
@@ -538,11 +538,21 @@ def test_crash_exits_3_with_traceback(workdir, monkeypatch, capsys):
     def crash(*args, **kwargs):
         raise KeyError("bug")
 
-    monkeypatch.setattr(cli, "measure_eps_star", crash)
+    monkeypatch.setattr(balance, "measure_eps_star", crash)
     argv = ["table", "eps-star", "--table", workdir["rnd2"], "--k", "1", "--d", "0"]
     assert dispatch(argv) == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "KeyError: 'bug'" in err
+
+
+def test_failing_import_in_a_handler_exits_3(workdir, monkeypatch, capsys):
+    """Handlers import their compute modules when they run; an import that
+    fails there is a crash like any other, not a usage error."""
+    monkeypatch.setitem(sys.modules, "kextract.experiments", None)
+    argv = ["exp", "dep-census", "--oracle", workdir["o2all"], "--alpha", "0"]
+    assert dispatch(argv) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ModuleNotFoundError" in err
 
 
 def test_uncovered_condition_is_a_usage_error(workdir, capsys):

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from kextract.pipeline import STANDARD_N4
+
 RUN = Path(__file__).resolve().parent.parent / "kbench" / "run.py"
 
 
@@ -28,3 +30,22 @@ def test_kbench_workload_passes_its_checks(workload):
     last = json.loads(out.stdout.strip().splitlines()[-1])
     assert last["correct"] is True, out.stdout
     assert last["failed"] == 0
+
+
+@pytest.mark.skipif(not RUN.is_file(), reason="kbench/run.py is not in this checkout")
+def test_tracer_sees_every_pipeline_step_and_layer():
+    """The CLI imports its compute modules per subcommand; the tracer,
+    which patches names in every loaded kextract namespace, must still see
+    each step and the layers the steps call into."""
+    out = subprocess.run(
+        [sys.executable, str(RUN), "--workload", "pipeline-n4", "--seconds", "0",
+         "--trace", "1"],
+        cwd=RUN.parent.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    last = json.loads(out.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True, out.stdout
+    metrics = {name: m["value"] for name, m in last["metrics"].items()}
+    steps = [f"cli.step_s.{step['name']}" for step in STANDARD_N4["steps"]]
+    for name in steps + ["balance.self_s", "tables.gen_s", "oracle.build_s"]:
+        assert metrics[name] > 0, name

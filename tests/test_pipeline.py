@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from kextract import balance, cli
+from kextract import balance
 from kextract.cli import dispatch
 from kextract.pipeline import (
     STANDARD_N4,
@@ -215,7 +215,7 @@ def test_crashing_step_aborts_with_exit_3(tmp_path, monkeypatch, capsys):
     def crash(*args, **kwargs):
         raise KeyError("bug")
 
-    monkeypatch.setattr(cli, "measure_eps_star", crash)
+    monkeypatch.setattr(balance, "measure_eps_star", crash)
     config_path = str(tmp_path / "tiny.json")
     with open(config_path, "w") as fh:
         json.dump(TINY, fh)
