@@ -6,9 +6,10 @@ balanced extractor tables with exact rectangle verification, and
 counting-based extraction demonstrations built on top.
 
 `import kextract` loads no submodule and no numpy. Each exported name is
-imported from its home module on first use (PEP 562) and then kept here,
-so `from kextract import X` and `kextract.X` work as they always have,
-and the submodules listed in _SUBMODULES load as attributes the same way.
+looked up in its home module, imported on first use, whenever it is read
+here (PEP 562), so `from kextract import X` and `kextract.X` work as they
+always have and always give the home module's current X. The submodules
+listed in _SUBMODULES load as attributes the same way.
 """
 
 import importlib
@@ -60,9 +61,9 @@ def __getattr__(name: str):
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
-    globals()[name] = value
-    return value
+    # Not cached here: a name first read while its home module's binding
+    # is patched (by a tracer, say) would keep the patch once it is undone.
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
 
 
 def __dir__():

@@ -88,17 +88,10 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import prng
+from .machine import FeasibilityError
 from .tables import TwoSourceTable, gen_random
 
 OPS_LIMIT = 10_000_000_000
-
-
-class FeasibilityError(ValueError):
-    """Raised when an exhaustive sweep would exceed the op budget.
-
-    A ValueError: the parameters ask for more work than the guard allows.
-    So the CLI's usage-error handler, which catches ValueError, reports it
-    with exit 2 without importing this module."""
 
 
 def _guard(estimated: int, override: bool) -> None:

@@ -35,7 +35,7 @@ import traceback
 
 from . import __version__, calibration
 from .bits import EMPTY, BitString, all_strings
-from .machine import DEFAULT_BUDGET, MachineBudget
+from .machine import DEFAULT_BUDGET, FeasibilityError, MachineBudget
 from .pipeline import STANDARDS
 from .reports import all_passed, assertion, build_report, write_report
 
@@ -599,9 +599,8 @@ def dispatch(argv: list[str]) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    # OSError: a user-named path that is missing, a directory or a file;
-    # ValueError: bad parameters, FeasibilityError among them
-    except (OSError, ValueError) as exc:
+    # OSError: a user-named path that is missing, a directory or a file
+    except (FeasibilityError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # a bug, never a check verdict

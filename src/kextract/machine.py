@@ -18,7 +18,9 @@ failed program produces no string at all. That "no partial output on
 FAIL" rule keeps the map program -> output single-valued, which the
 counting arguments in oracle.py need to be exact. NOT_FOUND, the
 sentinel oracle tables record for a target no program up to l_max
-outputs, is defined here beside FAIL and exported by oracle.py.
+outputs, is defined here beside FAIL and exported by oracle.py, and
+FeasibilityError, balance.py's refusal of a sweep past its op budget,
+beside MachineBudget, so that the CLI can catch it without numpy.
 """
 
 from __future__ import annotations
@@ -99,6 +101,13 @@ class MachineBudget:
 
 
 DEFAULT_BUDGET = MachineBudget()
+
+
+class FeasibilityError(Exception):
+    """Raised when an exhaustive sweep would exceed the op budget.
+
+    balance.py raises it and exports it; it is defined in this numpy-free
+    module so that the CLI can catch it without importing balance."""
 
 
 def gamma_encode(q: int) -> BitString:

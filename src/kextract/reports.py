@@ -7,14 +7,16 @@ contract. Execution details that cannot change results, such as the
 feasibility override, are deliberately kept out of the envelope.
 
 This module imports neither numpy nor the oracle, so the CLI can build
-its parser without them: numpy arrays and scalars are recognised by
-their tolist(), and NOT_FOUND comes from the numpy-free machine module.
+its parser without them: numpy integers, floats and arrays are checked
+for only once numpy is loaded, as none can exist before, and NOT_FOUND
+comes from the numpy-free machine module.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from typing import Any, Optional
 
 from .bits import BitString
@@ -61,8 +63,14 @@ def _jsonable(obj: Any) -> Any:
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if hasattr(obj, "tolist"):  # numpy arrays and scalars, as Python values
-        return obj.tolist()
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return float(obj)
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
     return obj
 
 

@@ -88,6 +88,27 @@ def test_star_import_and_dir_cover_every_name():
     assert "__version__" in listed
 
 
+def test_a_name_first_read_under_a_patch_is_the_original_once_it_is_undone():
+    code = (
+        "import kextract, kextract.balance as b; orig = b.measure_eps_star; "
+        "b.measure_eps_star = patched = lambda *a: None; "
+        "assert kextract.measure_eps_star is patched; "
+        "b.measure_eps_star = orig; "
+        "from kextract import measure_eps_star; "
+        "print(kextract.measure_eps_star is orig and measure_eps_star is orig)"
+    )
+    out = _python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"
+
+
+def test_feasibility_error_is_one_class_and_not_a_value_error():
+    from kextract import balance, machine
+
+    assert kextract.FeasibilityError is balance.FeasibilityError is machine.FeasibilityError
+    assert not issubclass(kextract.FeasibilityError, ValueError)
+
+
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         kextract.no_such_name

@@ -1,3 +1,4 @@
+import array
 import dataclasses
 import json
 
@@ -93,5 +94,17 @@ def test_non_finite_values_are_refused(tmp_path):
     for value in (float("nan"), float("inf"), np.float64("-inf")):
         rep = build_report("demo x", {"eps": value}, {"value": 1}, [assertion("ok", True)])
         with pytest.raises(ValueError):
+            write_report(rep, str(path))
+        assert not path.exists()
+
+
+def test_only_numpy_integers_floats_and_arrays_are_converted(tmp_path):
+    """Other numpy scalars and array-like values stay unsupported: writing
+    them is refused, not turned into some Python value."""
+    path = tmp_path / "r.json"
+    for value in (np.bool_(True), np.datetime64("2020-01-01"), array.array("i", [1]),
+                  memoryview(b"x")):
+        rep = build_report("demo x", {}, {"value": value}, [assertion("ok", True)])
+        with pytest.raises(TypeError):
             write_report(rep, str(path))
         assert not path.exists()
