@@ -8,12 +8,14 @@ and then freeze the values the references produce.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from kextract.bits import EMPTY, BitString
+from kextract.distributions import FlatSource, dist_to_min_entropy, push_forward
 from kextract.experiments import HittingReport
 from kextract.extraction import (
     DeficiencyReport,
@@ -503,22 +505,16 @@ def dense_full_sweep(items: np.ndarray, rect: int, score, op=np.add) -> np.ndarr
     return np.array(best)
 
 
-def brute_eps_star(table, k: int, d: int) -> float:
-    """Max clipped overshoot via explicit push-forward distributions."""
-    side = 1 << table.n
-    rect = 1 << k
-    if d > table.m:
-        return 0.0
-    cap = 2.0 ** (-(table.m - d))
-    worst = 0.0
-    for rows in combinations(range(side), rect):
-        for cols in combinations(range(side), rect):
-            counts = rect_census(table.colors, rows, cols, table.num_colors)
-            dist = [c / (rect * rect) for c in counts]
-            over = sum(max(p - cap, 0.0) for p in dist)
-            if over > worst:
-                worst = over
-    return worst
+def brute_eps_star(table, k: int, d: int) -> Fraction:
+    """eps* by its definition on the probabilistic side: the largest
+    distance to min-entropy m - d (at least 0) over the push-forwards of
+    every pair of flat sources on 2^k-subsets."""
+    sources = [FlatSource(table.n, s) for s in combinations(range(1 << table.n), 1 << k)]
+    return max(
+        dist_to_min_entropy(push_forward(table, x, y), max(table.m - d, 0))
+        for x in sources
+        for y in sources
+    )
 
 
 def brute_rainbow_worst_tuples(table, rect_side: int, divisor: int) -> int:

@@ -6,11 +6,11 @@ pigeonhole, popularity) checked exactly, or a frozen measurement from
 the calibration module. Budgets are asserted inside each criterion.
 """
 
-import math
 import os
 import time
 import warnings
 from contextlib import contextmanager
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -25,7 +25,6 @@ from kextract.distributions import (
     dist_to_min_entropy,
     flatten_top,
     heavy_set,
-    min_entropy,
     statistical_distance,
 )
 from kextract.experiments import hitting_demo
@@ -95,17 +94,19 @@ def test_acceptance_03_heavy_and_flatten(capsys):
         temps = [1.0, 1.5, 2.0, 4.0]
         for i in range(10_000):
             n = int(rng.integers(1, 7))
-            d = Distribution(n, rng.dirichlet(np.ones(1 << n)))
+            # exact masses: each Dirichlet float taken as the dyadic it is
+            d = Distribution.from_masses(n, rng.dirichlet(np.ones(1 << n)))
             k = int(rng.integers(0, n + 1))
             t = temps[i % len(temps)]
             eps_k = dist_to_min_entropy(d, k)
-            heavy_mass = float(d.mass[sorted(heavy_set(d, k, t))].sum())
-            assert heavy_mass <= 1.0 / t + eps_k + 1e-9
+            heavy_mass = Fraction(sum(d.weights[a] for a in heavy_set(d, k, t)), d.total)
+            assert heavy_mass <= 1 / Fraction(t) + eps_k
             top_k = int(rng.integers(1, (1 << n) + 1))
-            eps = float(np.sort(d.mass)[::-1][:top_k].sum())
+            eps = Fraction(sum(sorted(d.weights, reverse=True)[:top_k]), d.total)
             flat, _ = flatten_top(d, top_k)
-            assert statistical_distance(d, flat) <= eps + 1e-9
-            assert min_entropy(flat) >= math.log2(top_k / eps) - 1e-9
+            assert statistical_distance(d, flat) <= eps
+            # min-entropy >= log2(top_k / eps), stated exactly
+            assert Fraction(max(flat.weights), flat.total) <= eps / top_k
         assert time.time() - t0 < 60
 
 

@@ -154,7 +154,21 @@ def test_eps_star_matches_brute_force():
         for k in (0, 1):
             for d in (0, 1):
                 got = measure_eps_star(table, k, d)
-                assert got == pytest.approx(brute_eps_star(table, k, d), abs=1e-12)
+                assert got == brute_eps_star(table, k, d)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [gen_inner_product(3), gen_random(3, 2, 1), gen_random(3, 3, 2), gen_gf2_mult(3, 2)],
+    ids=["ip3", "rnd3m2", "rnd3m3", "gf3m2"],
+)
+def test_eps_star_is_the_largest_distance_to_min_entropy(table):
+    """eps* has one definition: the largest exact distance of a flat
+    2^k-source pair's push-forward to min-entropy m - d. The sweeps must
+    equal it at every k <= n and 0 <= d <= m."""
+    for k in range(table.n + 1):
+        for d in range(table.m + 1):
+            assert brute_eps_star(table, k, d) == measure_eps_star(table, k, d), (k, d)
 
 
 def test_eps_star_inner_product_n4():
@@ -208,7 +222,7 @@ def test_color_63_bitset_eps_star():
             got = balance._eps_star(table, k, d, sweep="planes")
             assert got == balance._eps_star(table, k, d, sweep="one-hot")
             assert got == measure_eps_star(table, k, d)
-            assert got == pytest.approx(brute_eps_star(table, k, d), abs=1e-12)
+            assert got == brute_eps_star(table, k, d)
             checked += 1
     assert checked == 16
     assert measure_eps_star(table, 2, 0) == 1 - 0.25 / 16
@@ -519,7 +533,7 @@ def test_sweeps_at_the_largest_rectangles(table, k):
         if _eps_planes(table, k, d):
             assert balance._eps_star(table, k, d, sweep="planes") == full
         if brute:
-            assert full == pytest.approx(brute_eps_star(table, k, d), abs=1e-12)
+            assert full == brute_eps_star(table, k, d)
 
 
 # -------------------------------------------------------------- rainbow
@@ -821,7 +835,7 @@ def test_sweeps_match_brute_force_on_random_tables(table, data):
     )
     assert sum(counts[z] for z in rep.worst_colors) == rep.worst_cells
     got = measure_eps_star(table, k, d)
-    assert got == pytest.approx(brute_eps_star(table, k, d), abs=1e-12)
+    assert got == brute_eps_star(table, k, d)
     # the decomposed sweep tries color sets of at most 4^k // (floor(t) + 1)
     # colors; the other sweeps need no such argument
     for sweep in ("one-hot", "decomposed"):
@@ -910,7 +924,7 @@ def test_eps_star_sweeps_match_brute_force_with_many_colors(table, data):
     assert _eps_cap(k, table.m, d) in (1, 2, 4)
     want = brute_eps_star(table, k, d)
     got = measure_eps_star(table, k, d)
-    assert got == pytest.approx(want, abs=1e-12)
+    assert got == want
     assert got == balance._eps_star(table, k, d, sweep="planes")
     assert got == balance._eps_star(table, k, d, sweep="one-hot")
     # 2^16 - 1 color sets: the decomposed sweep is quick only at n <= 2
@@ -1053,7 +1067,7 @@ def test_eps_star_full_sweep_with_integer_t(table, data):
         assert plans == [] and got == 0.0
     else:
         assert plans == ["planes" if _eps_planes(table, k, d) else "one-hot"]
-    assert got == pytest.approx(brute_eps_star(table, k, d), abs=1e-12)
+    assert got == brute_eps_star(table, k, d)
 
 
 # ---------------------------------------------------------- bit planes
