@@ -41,9 +41,11 @@ one of two ways:
   4^k // (floor(t) + 1), each less |U| t, because sum_z max(c_z - t, 0) =
   max(0, max_U sum_{z in U} c_z - |U| t), and the best U, {z : c_z > t},
   is no larger. Rainbow is always scored this way, per column, and its
-  row-set sweep stops after the first block in which some rectangle
-  holds K^2 properly colored cells, the most any can hold: the first
-  maximum, which is the witness, lies in that block.
+  row-set sweep opens with a chunk of at most _OPENING row sets and
+  stops after the first chunk in which some rectangle holds K^2 properly
+  colored cells, the most any can hold: the first maximum, which is the
+  witness, lies in that chunk. A search trial's sweep also stops at the
+  count that fails the check, and drops the trial there.
 
 The decomposed sweep runs when there are strictly fewer color sets than
 row sets, and the full one when not; eps* at t <= 1 runs its one plane
@@ -187,7 +189,7 @@ def _rank(masks: np.ndarray, size: int) -> np.ndarray:
 
 def _subset_tree(
     items: np.ndarray, size: int, op: Callable, width: Optional[int] = None,
-    below: Optional[np.ndarray] = None,
+    below: Optional[np.ndarray] = None, first: Optional[int] = None,
 ) -> Iterator[np.ndarray]:
     """op folded over items[:, i] for every size-subset i of axis 1, in
     lexicographic order, as chunks [items.shape[0], <= width, ...].
@@ -200,11 +202,13 @@ def _subset_tree(
     passes through one reused buffer of width subsets, by default the
     largest group of subsets that share their first item (all n items
     when size is 1). Groups are packed into it; one that does not fit
-    starts the next chunk, and one wider than the buffer is split. A
-    chunk holds only until the next is drawn, and may be a view of
-    items, so callers must not write to it. below, when given, is the
-    level under the last one, the (size - 1)-subsets of items 1..n - 1 as
-    the tree would form them, and only the last level is formed.
+    starts the next chunk, and one wider than the buffer is split. first,
+    when given, caps the first chunk at first subsets; the chunks still
+    concatenate to the same subsets in the same order. A chunk holds only
+    until the next is drawn, and may be a view of items, so callers must
+    not write to it. below, when given, is the level under the last one,
+    the (size - 1)-subsets of items 1..n - 1 as the tree would form them,
+    and only the last level is formed.
     """
     lead, n, rest = items.shape[0], items.shape[1], items.shape[2:]
     if size == 0:
@@ -212,7 +216,10 @@ def _subset_tree(
         return
     if size == 1:
         width = width or n
-        yield from (items[:, v : v + width] for v in range(0, n, width))
+        start = first if first and first < width else 0
+        if start:
+            yield items[:, :start]
+        yield from (items[:, v : v + width] for v in range(start, n, width))
         return
     width = min(width or math.comb(n - 1, size - 1), math.comb(n, size))
     level = below
@@ -228,19 +235,19 @@ def _subset_tree(
             level = nxt
     # one buffer spares an allocation (and its page faults) per chunk
     last = np.empty((lead, width, *rest), items.dtype)
-    pos = 0
+    pos, cap = 0, min(first or width, width)
     for v in range(n - size + 1):
         group = level[:, level.shape[1] - math.comb(n - 1 - v, size - 1) :]
-        if pos and pos + group.shape[1] > width:
+        if pos and pos + group.shape[1] > cap:
             yield last[:, :pos]
-            pos = 0
+            pos, cap = 0, width
         while group.shape[1]:
-            take = min(width - pos, group.shape[1])
+            take = min(cap - pos, group.shape[1])
             op(group[:, :take], items[:, v : v + 1], out=last[:, pos : pos + take])
             group, pos = group[:, take:], pos + take
-            if pos == width:
-                yield last
-                pos = 0
+            if pos == cap:
+                yield last[:, :pos]
+                pos, cap = 0, width
     if pos:
         yield last[:, :pos]
 
@@ -376,6 +383,15 @@ def _block_size(row_cost: int, values: int = 1 << 23) -> int:
     return max(1, min(4096, values // row_cost))
 
 
+# Row sets in a bounded sweep's opening chunk, which is all a sweep whose
+# first row sets reach its bound scores. On sweep-colors' r5, r6 and
+# search jobs (2-vCPU host, in-process medians of 30 passes, two runs per
+# value) openings of 16 and 64 ran 2.2-2.3, 2.5-2.8 and 2.6-2.7 reference
+# ms, 1 and 256 up to 10% slower, 1,024 up to 20%; a K=8 sweep that never
+# reaches its bound pays one more chunk at any value.
+_OPENING = 64
+
+
 def _per_row_set(
     items: np.ndarray, rect: int, block: int,
     score: Callable[[np.ndarray], np.ndarray], op: Callable = np.add,
@@ -386,13 +402,16 @@ def _per_row_set(
     [M, side] is op folded over its rows; score maps a block's strips
     [M, side, B] to one value per row set.
 
-    bound, when given, is a value no score exceeds: the sweep stops after
-    the first block whose maximum reaches it and returns the scores up to
-    that block. Their first maximum is then the first maximum of the
-    whole sweep, at the same value."""
+    bound, when given, is a score at which the sweep may stop: it stops
+    after the first block whose maximum reaches it and returns the scores
+    up to the end of that block. Where no score exceeds bound, their first
+    maximum is the first maximum of the whole sweep, at the same value. A
+    bounded sweep's first block is an opening chunk of at most _OPENING
+    row sets, so a bound reached at once costs no full block."""
     lanes = items.reshape(-1, items.shape[2])
     scores = []
-    for chunk in _subset_tree(lanes, rect, op, block):
+    first = _OPENING if bound is not None else None
+    for chunk in _subset_tree(lanes, rect, op, block, first=first):
         scores.append(score(chunk.reshape(*items.shape[:2], -1)))
         if bound is not None and scores[-1].max() >= bound:
             break
@@ -873,16 +892,37 @@ def rainbow_check(
     columns, so the adversary's optimum is reached by taking each
     column's top set_size census colors and then the best rect_side
     columns; no tuple enumeration is needed. The verdict compares
-    integers (cells * divisor vs 2 * K^2), never fractions.
+    integers, never fractions: an orientation passes when cells * divisor
+    <= 2 * K^2, that is when cells < floor(2K^2 / divisor) + 1.
 
-    Each orientation's row-set sweep stops after the first block whose
-    best rectangle is fully colored, K^2 cells: no later row set scores
-    more, and the witness is the first maximum (np.argmax), so the worst
-    count, the rectangle, its color sets and the verdict are those of the
-    whole sweep. The guard still prices the whole sweep, a dense strip
-    product per row set and orientation, row sets x 2^n x 2^n x M, which
-    bounds the work that runs (it over-prices the row tree's adds, and
-    the blocks a stop skips); weighting it in seconds is left open.
+    Each orientation's row-set sweep opens with a chunk of at most
+    _OPENING row sets, then goes on a block at a time, and stops after the
+    first chunk whose best rectangle is fully colored, K^2 cells: no later
+    row set scores more, and the witness is the first maximum
+    (np.argmax), so the worst count, the rectangle, its color sets and
+    the verdict are those of the whole sweep. The guard still prices the
+    whole sweep, a dense strip product per row set and orientation, row
+    sets x 2^n x 2^n x M, which bounds the work that runs (it over-prices
+    the row tree's adds, and the blocks a stop skips); weighting it in
+    seconds is left open.
+    """
+    return _rainbow(table, rect_side, divisor, override, fail_fast=False)
+
+
+def _rainbow(
+    table: TwoSourceTable, rect_side: int, divisor: int, override: bool,
+    fail_fast: bool,
+) -> Optional[RainbowReport]:
+    """rainbow_check's report; with fail_fast, None once an orientation
+    is known to fail.
+
+    An orientation fails when its worst rectangle holds fail =
+    floor(2K^2 / divisor) + 1 cells or more. With fail_fast each sweep
+    stops at min(K^2, fail) cells, and one that reaches fail ends the
+    check: the other orientation and the witnesses are never formed. A
+    check that is not ended passes, and each of its sweeps either ran to
+    the end or stopped at K^2, so its report is rainbow_check's. At
+    divisor <= 2, fail > K^2 and fail_fast changes nothing.
     """
     side = 1 << table.n
     num_colors = table.num_colors
@@ -896,18 +936,18 @@ def rainbow_check(
     block = _block_size(side * num_colors)
     # no rectangle holds more than K^2 cells
     cell_bound = rect_side * rect_side
+    fail = 2 * cell_bound // divisor + 1
+    stop = min(cell_bound, fail) if fail_fast else cell_bound
     counts = _count_dtype(cell_bound)
 
     def cells(strip: np.ndarray) -> np.ndarray:
         # each column's top set_size colors, then the best rect_side columns
         return _top_sum(_top_sum(strip, set_size), rect_side)
 
-    def one_side(colors: np.ndarray) -> RainbowSide:
-        one_hot = _one_hot(colors, num_colors, counts)
-        per_set = _per_row_set(one_hot, rect_side, block, cells, bound=cell_bound)
+    def one_side(colors: np.ndarray, per_set: np.ndarray) -> RainbowSide:
         b1 = int(np.argmax(per_set))
         rows = _unrank(side, rect_side, b1)
-        strip = one_hot[:, :, rows].sum(axis=2, dtype=counts)
+        strip = _one_hot(colors[rows], num_colors, counts).sum(axis=2, dtype=counts)
         col_order = np.lexsort((np.arange(side), -_top_sum(strip, set_size)))
         chosen = tuple(sorted(int(v) for v in col_order[:rect_side]))
         sets = []
@@ -916,14 +956,20 @@ def rainbow_check(
             sets.append(tuple(sorted(int(z) for z in z_order[:set_size])))
         worst = int(per_set[b1])
         return RainbowSide(
-            passed=worst * divisor <= 2 * cell_bound,
+            passed=worst < fail,
             worst_cells=worst,
             rectangle=Rectangle(tuple(rows.tolist()), chosen),
             color_sets=tuple(sets),
         )
 
-    per_column = one_side(table.colors)
-    per_row = one_side(table.colors.T)
+    oriented = (table.colors, table.colors.T)
+    sweeps = []
+    for colors in oriented:
+        one_hot = _one_hot(colors, num_colors, counts)
+        sweeps.append(_per_row_set(one_hot, rect_side, block, cells, bound=stop))
+        if fail_fast and sweeps[-1].max() >= fail:
+            return None
+    per_column, per_row = map(one_side, oriented, sweeps)
     return RainbowReport(
         passed=per_column.passed and per_row.passed,
         rect_side=rect_side,
@@ -961,14 +1007,21 @@ def search_rainbow(
     Trial i uses seed + i (mod 2^64). Returns the first passing table,
     or an exhausted result after max_trials draws; exhaustion is an
     outcome, not an error.
+
+    Each trial is rainbow_check with its sweeps stopped at the fail
+    count (_rainbow's fail_fast): a trial is dropped as soon as one
+    orientation reaches floor(2K^2 / D) + 1 cells, without its other
+    orientation or a witness, and the report of the table found is
+    rainbow_check's.
     """
     if max_trials < 1:
         raise ValueError("max_trials must be positive")
     for i in range(max_trials):
         trial_seed = (seed + i) & prng.MASK64
         table = gen_random(n, m, trial_seed)
-        report = rainbow_check(table, rect_side, divisor, override=override)
-        if report.passed:
+        # a trial that is not dropped passes
+        report = _rainbow(table, rect_side, divisor, override, fail_fast=True)
+        if report is not None:
             return RainbowSearchResult(
                 found=True, trials=i + 1, seed=trial_seed, table=table, report=report
             )

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from kextract.balance import RainbowSearchResult, rainbow_check
 from kextract.bits import EMPTY, BitString
 from kextract.distributions import FlatSource, dist_to_min_entropy, push_forward
 from kextract.experiments import HittingReport
@@ -25,6 +26,8 @@ from kextract.extraction import (
 )
 from kextract.machine import DEFAULT_BUDGET, FAIL, MachineBudget, run_machine
 from kextract.oracle import NOT_FOUND, ComplexityTable, SymmetryReport, check_shape
+from kextract.prng import MASK64
+from kextract.tables import gen_random
 
 
 def brute_complexity_map(
@@ -539,6 +542,20 @@ def brute_rainbow_worst_tuples(table, rect_side: int, divisor: int) -> int:
                 if total > worst:
                     worst = total
     return worst
+
+
+def search_rainbow_every_trial(
+    n: int, m: int, rect_side: int, divisor: int, seed: int, max_trials: int
+) -> RainbowSearchResult:
+    """search_rainbow as a plain loop: the whole rainbow_check on every
+    trial, so no trial is dropped before its report is formed."""
+    for i in range(max_trials):
+        trial_seed = (seed + i) & MASK64
+        table = gen_random(n, m, trial_seed)
+        report = rainbow_check(table, rect_side, divisor)
+        if report.passed:
+            return RainbowSearchResult(True, i + 1, trial_seed, table, report)
+    return RainbowSearchResult(False, max_trials, None, None, None)
 
 
 def gf2_poly_is_irreducible(poly: int, degree: int) -> bool:

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
@@ -13,6 +13,7 @@ from reference import (
     brute_rainbow_worst_tuples,
     dense_full_sweep,
     rect_census,
+    search_rainbow_every_trial,
 )
 
 from kextract import balance
@@ -307,6 +308,25 @@ def test_subset_tree_follows_combinations(items, size):
             assert np.array_equal(got, np.stack(want, axis=1))
             if width is not None:
                 assert all(1 <= c.shape[1] <= width for c in chunks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_subset_tree_first_chunk_keeps_the_order(data):
+    """Capping the first chunk at any width leaves the concatenated
+    chunks, the same subsets in the same order, unchanged."""
+    items = data.draw(st.integers(0, 10), label="items")
+    size = data.draw(st.integers(0, items), label="size")
+    count = math.comb(items, size)
+    width = data.draw(st.none() | st.integers(1, count + 2), label="width")
+    first = data.draw(st.integers(1, count + 2), label="first")
+    arr = np.random.default_rng(items * 11 + size).integers(0, 100, (2, items, 1))
+    plain = [c.copy() for c in balance._subset_tree(arr, size, np.add, width)]
+    opened = [c.copy() for c in balance._subset_tree(arr, size, np.add, width, first=first)]
+    assert np.array_equal(np.concatenate(opened, axis=1), np.concatenate(plain, axis=1))
+    assert 1 <= opened[0].shape[1] <= first
+    if width is not None:
+        assert all(1 <= c.shape[1] <= width for c in opened)
 
 
 # ---------------------------------------------------------- guard rail
@@ -701,8 +721,9 @@ def _first_at(values, bound):
 
 
 def test_per_row_set_stops_after_the_first_block_at_the_bound():
-    """The scores come back up to the end of the block (a _subset_tree
-    chunk) that holds the first score at the bound, or all of them."""
+    """A bounded sweep opens with a chunk of at most _OPENING row sets,
+    then goes on in blocks, and its scores come back up to the end of the
+    chunk that holds the first score at the bound, or all of them."""
     table = _late_cell_bound_table()
     items = balance._one_hot(table.colors, table.num_colors, np.int8)
     sizes = []
@@ -711,16 +732,23 @@ def test_per_row_set_stops_after_the_first_block_at_the_bound():
         sizes.append(strip.shape[-1])
         return balance._top_sum(balance._top_sum(strip, 1), 2)
 
-    for block in (1, 2, 3, 5, 27, 28, 100):
-        sizes.clear()
+    for block, opening in product((1, 2, 3, 5, 27, 28, 100), (1, 2, 5, 64)):
         whole = balance._per_row_set(items, 2, block, score)
-        ends = np.cumsum(sizes)
         assert _first_at(whole, 4) == 27
         for bound in (2, 3, 4, 5):
-            stopped = balance._per_row_set(items, 2, block, score, bound=bound)
+            sizes.clear()
+            with mock.patch.object(balance, "_OPENING", opening):
+                stopped = balance._per_row_set(items, 2, block, score, bound=bound)
+            ends = np.cumsum(sizes)
             first = _first_at(whole, bound)
-            stop = len(whole) if first is None else ends[np.searchsorted(ends, first, "right")]
-            assert np.array_equal(stopped, whole[:stop])
+            assert sizes[0] == min(opening, block, len(whole))
+            assert all(size <= block for size in sizes)
+            assert np.array_equal(stopped, whole[: ends[-1]])
+            if first is None:
+                assert ends[-1] == len(whole)
+            else:
+                # the last chunk scored is the one that holds the first
+                assert ends[-1] > first >= (ends[-2] if len(ends) > 1 else 0)
 
 
 @pytest.mark.parametrize("divisor", [5, 8])
@@ -763,13 +791,10 @@ def test_rainbow_stop_never_reached(seed):
         assert one_side.worst_cells == brute_rainbow_worst_tuples(oriented, 3, 4)
 
 
-def test_rainbow_scores_only_the_first_block_at_r5_size():
-    """sweep-colors' r5 check, n=5, K=4, D=2: 35,960 row sets, 9 blocks
-    of at most 4,096, and row set 0 already fills a 4 x 4 rectangle, so
-    each orientation scores its first block only."""
-    table = gen_random(5, 2, 1)
+def _counted_per_row_set(blocks, calls):
+    """_per_row_set that records each sweep's blocks and each score call's
+    row sets."""
     per_row_set = balance._per_row_set
-    blocks, calls = [], []
 
     def counted(items, rect, block, score, op=np.add, bound=None):
         blocks.append(math.ceil(math.comb(items.shape[2], rect) / block))
@@ -780,12 +805,127 @@ def test_rainbow_scores_only_the_first_block_at_r5_size():
 
         return per_row_set(items, rect, block, counted_score, op, bound=bound)
 
-    with mock.patch.object(balance, "_per_row_set", counted):
+    return counted
+
+
+def test_rainbow_scores_only_the_first_block_at_r5_size():
+    """sweep-colors' r5 check, n=5, K=4, D=2: 35,960 row sets, 9 blocks
+    of at most 4,096, and row set 0 already fills a 4 x 4 rectangle, so
+    each orientation scores only its first block, the opening chunk of
+    64 row sets."""
+    table = gen_random(5, 2, 1)
+    blocks, calls = [], []
+    with mock.patch.object(balance, "_per_row_set", _counted_per_row_set(blocks, calls)):
         rep = rainbow_check(table, 4, 2)
     assert blocks == [9, 9]
-    assert calls == [4096, 4096]
+    assert calls == [balance._OPENING] * 2 == [64, 64]
     assert rep.per_column.worst_cells == rep.per_row.worst_cells == 16
     assert rep.per_column.rectangle.rows == rep.per_row.rectangle.rows == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("seed", [0, 2876137494685333844])
+def test_failing_search_trial_scores_one_opening_chunk(seed):
+    """sweep-colors' search, n=5, m=2, K=3, D=4 (its seed for kbench's
+    default seed, and 0): row set 0 already holds floor(2 * 9 / 4) + 1 =
+    5 cells, so a trial sweeps one orientation's opening chunk and is
+    dropped."""
+    table = gen_random(5, 2, seed)
+    assert balance.rainbow_check(table, 3, 4).per_column.worst_cells >= 5
+    blocks, calls = [], []
+    with mock.patch.object(balance, "_per_row_set", _counted_per_row_set(blocks, calls)):
+        res = search_rainbow(5, 2, 3, 4, seed=seed, max_trials=1)
+    assert res.exhausted and res.trials == 1
+    assert blocks == [math.ceil(math.comb(32, 3) / 4096)] == [2]
+    assert calls == [64]
+
+
+# ------------------------------------------- search parity with the loop
+
+
+def _assert_same_search(got, want):
+    assert (got.found, got.trials, got.seed, got.report) == (
+        want.found, want.trials, want.seed, want.report
+    )
+    if want.table is None:
+        assert got.table is None
+    else:
+        assert (got.table.n, got.table.m) == (want.table.n, want.table.m)
+        assert np.array_equal(got.table.colors, want.table.colors)
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+@pytest.mark.parametrize("max_trials", [1, 2, 3])
+def test_search_rainbow_matches_the_every_trial_loop(seed, max_trials):
+    """n=4, m=2, K=8, D=3: gen_random(4, 2, s) passes for s = 1-4 and 6,
+    and fails for s = 5 in its per-row orientation (45 > 42 cells), so
+    that trial is dropped in its second sweep."""
+    got = search_rainbow(4, 2, 8, 3, seed=seed, max_trials=max_trials)
+    _assert_same_search(got, search_rainbow_every_trial(4, 2, 8, 3, seed, max_trials))
+    if seed == 5:
+        assert got.trials == 2 if max_trials > 1 else got.exhausted
+
+
+@pytest.mark.parametrize("n, m, rect_side, divisor, seed, max_trials", [
+    (5, 2, 3, 4, 2876137494685333844, 6),  # sweep-colors' search, exhausted
+    (5, 2, 3, 4, 2**64 - 2, 3),  # trial seeds wrap past 2^64
+    (4, 2, 8, 2, 1, 4),  # the n4 pipeline's search, D <= 2
+    (3, 2, 4, 1, 9, 2),
+    (2, 2, 1, 4, 0, 5),  # K = 1: floor(2/D) + 1 = K^2, every trial fails
+])
+def test_search_rainbow_matches_the_every_trial_loop_elsewhere(
+    n, m, rect_side, divisor, seed, max_trials
+):
+    got = search_rainbow(n, m, rect_side, divisor, seed=seed, max_trials=max_trials)
+    _assert_same_search(
+        got, search_rainbow_every_trial(n, m, rect_side, divisor, seed, max_trials)
+    )
+
+
+def _row_constant_table():
+    """n=2, m=2, row u all color u: at K=2, D=3 (one color per column or
+    row, fail at floor(8/3) + 1 = 3 cells) every per-column rectangle
+    holds 2 cells and every per-row one 4."""
+    return TwoSourceTable(2, 2, np.repeat(np.arange(4).reshape(-1, 1), 4, axis=1))
+
+
+@pytest.mark.parametrize("make", [_late_cell_bound_table, _row_constant_table])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_fail_fast_rainbow_is_the_check_or_none(make, transpose):
+    """_rainbow with fail_fast gives rainbow_check's report where it
+    passes and None where it fails, for every K in (2, 3) and every
+    divisor."""
+    table = make().transposed() if transpose else make()
+    for rect_side in (2, 3):
+        for divisor in range(1, table.num_colors * rect_side + 1):
+            rep = rainbow_check(table, rect_side, divisor)
+            fast = balance._rainbow(table, rect_side, divisor, False, fail_fast=True)
+            assert fast == (rep if rep.passed else None)
+
+
+@pytest.mark.parametrize("table, rect_side, second", [
+    (_row_constant_table(), 2, [6]),
+    # per row, row set 925 is the first to hold 43 cells, in the second chunk
+    (gen_random(4, 2, 5), 8, [64, 4096]),
+])
+def test_fail_fast_stops_in_the_second_sweep(table, rect_side, second):
+    """At D=3 these tables pass per column and fail per row: fail_fast
+    sweeps every row set per column, stops per row after the chunk that
+    first reaches floor(2K^2 / 3) + 1 cells, and forms no witness."""
+    rep = rainbow_check(table, rect_side, 3)
+    assert rep.per_column.passed and not rep.per_row.passed
+    blocks, calls, unranked = [], [], []
+    unrank = balance._unrank
+
+    def counted_unrank(*args):
+        unranked.append(args)
+        return unrank(*args)
+
+    with mock.patch.object(balance, "_per_row_set", _counted_per_row_set(blocks, calls)), \
+            mock.patch.object(balance, "_unrank", counted_unrank):
+        assert balance._rainbow(table, rect_side, 3, False, fail_fast=True) is None
+    assert len(blocks) == 2 and not unranked
+    assert sum(calls[: -len(second)]) == math.comb(1 << table.n, rect_side)
+    assert calls[-len(second) :] == second
 
 
 # ----------------------------------------------------- property checks
@@ -871,6 +1011,9 @@ def test_rainbow_stop_matches_the_whole_sweep(table, data):
         physical = 4096  # at most a few hundred blocks per sweep
     stopped, whole = _stopped_and_whole(table, rect_side, divisor, physical)
     assert stopped == whole
+    with mock.patch.object(balance, "_block_size", lambda row_cost, values=0: physical):
+        fast = balance._rainbow(table, rect_side, divisor, False, fail_fast=True)
+    assert fast == (whole if whole.passed else None)
     if (rect_side, divisor) in _rainbow_pairs(table):
         assert whole.per_column.worst_cells == brute_rainbow_worst_tuples(
             table, rect_side, divisor
