@@ -40,10 +40,13 @@ carry. tests/test_oracle.py compares the builder with tests/reference.py,
 which runs every program through run_machine on small tables and
 relaxes with a fancy-index store per edge on larger ones.
 
-save_table writes json.dumps(table_to_json(table), indent=2,
-sort_keys=True) plus a newline without building that document, and
-load_table reads the same layout back and compares it with a fresh
-rendering, so both run one renderer, _canonical_chunks. An entry is a
+save_table writes a JSON document as json.dumps(doc, indent=2,
+sort_keys=True) plus a newline without building doc: the header
+(version, n, l_max, budget, conditions) and a {cond_idx, target_hex, c}
+entry per found cell, condition by condition, targets ascending.
+load_table accepts those bytes and no others: it parses the entries
+with numpy, renders the table again and compares the rendering with the
+file, so both run one renderer, _canonical_chunks. An entry is a
 c piece C(c), a cond_idx piece S(i) and a target piece T(x), and the
 entry list C(c_0) S(i_0) T(x_0) C(c_1) ... S(i_m) T(x_m) is regrouped
 as C(c_0) followed by S(i_e) Q_e for every entry e, where
@@ -323,35 +326,8 @@ def _minimal_lengths(
     return best
 
 
-def table_to_json(table: ComplexityTable) -> dict:
-    """Portable JSON form; bits are hex-packed MSB-first.
-
-    Entries run condition by condition, targets ascending within each;
-    NOT_FOUND entries are omitted.
-    """
-    cond_idx, targets = np.nonzero(table._matrix >= 0)
-    values = table._matrix[cond_idx, targets]
-    hexes = {x: BitString(table.n, x).pack_hex() for x in np.unique(targets).tolist()}
-    return {
-        "version": 1,
-        "n": table.n,
-        "l_max": table.l_max,
-        "budget": {
-            "out": table.budget.max_output_bits,
-            "ops": table.budget.max_opcodes,
-        },
-        "conditions": [
-            {"len": y.length, "hex": y.pack_hex()} for y in table.conditions
-        ],
-        "entries": [
-            {"cond_idx": ci, "target_hex": hexes[x], "c": c}
-            for ci, x, c in zip(cond_idx.tolist(), targets.tolist(), values.tolist())
-        ],
-    }
-
-
-# save_table's layout, json.dumps(table_to_json(table), indent=2,
-# sort_keys=True) plus a newline, cut into pieces. Every condition and
+# save_table's layout, json.dumps(doc, indent=2, sort_keys=True) plus a
+# newline, cut into pieces. Every condition and
 # entry is led by a comma, which the first of each list drops, and a
 # list that is not empty closes on a line of its own. An entry is a c
 # piece, a cond_idx piece and a target piece (its hex digits, then
@@ -477,10 +453,11 @@ def _canonical_chunks(table: ComplexityTable) -> Iterator[bytes]:
 
 
 def save_table(table: ComplexityTable, path: str) -> None:
-    """Write json.dumps(table_to_json(table), indent=2, sort_keys=True)
-    plus a newline, byte for byte, without building an entry dict: the
-    entries are rendered from the matrix a row at a time (see
-    _canonical_chunks). load_table reads this layout directly."""
+    """Write the table's JSON document (see the module docstring), byte
+    for byte as json.dumps(doc, indent=2, sort_keys=True) plus a newline
+    would, without building doc: the entries are rendered from the
+    matrix a row at a time (see _canonical_chunks). load_table reads
+    these bytes back."""
     with open(path, "wb", buffering=_WRITE_BYTES) as fh:
         fh.writelines(_canonical_chunks(table))
 
@@ -514,7 +491,7 @@ def _json_count(value: object, name: str) -> int:
 
 def _conditions(cond_docs: list) -> list[BitString]:
     """The conditions of an oracle document, checked one at a time in
-    list order as table_from_json describes."""
+    list order; none may repeat an earlier one."""
     first: dict[BitString, int] = {}
     for i, c in enumerate(cond_docs):
         y = BitString.unpack_hex(
@@ -527,8 +504,8 @@ def _conditions(cond_docs: list) -> list[BitString]:
 
 
 def _table_header(doc: object) -> tuple[int, int, MachineBudget, list[BitString]]:
-    """n, l_max, budget and conditions of an oracle document, checked as
-    table_from_json describes."""
+    """n, l_max, budget and conditions of an oracle document; a
+    ValueError names the first faulty field, in the order checked."""
     if type(doc) is not dict:
         raise ValueError("oracle table is not a JSON object")
     if doc.get("version") != 1:
@@ -546,55 +523,6 @@ def _table_header(doc: object) -> tuple[int, int, MachineBudget, list[BitString]
         _json_count(_field(budget_doc, "ops", "budget"), "budget ops"),
     )
     return n, l_max, budget, conds
-
-
-def table_from_json(doc: dict) -> ComplexityTable:
-    """Inverse of table_to_json.
-
-    Raises ValueError on a document or budget, condition or entry that
-    is not a JSON object or lacks a field; on conditions or entries that
-    are not a list; on a header count (n, l_max, a condition's len,
-    budget out/ops) that is not a nonnegative int; on l_max past
-    MAX_ENTRY, n > MAX_N or a matrix past MAX_CELLS; on a condition that
-    repeats an earlier one; on a condition hex or entry target_hex that
-    is not a string, of the wrong length or with nonzero padding bits; and
-    on an entry whose cond_idx is not a condition index, whose c is not
-    an int in [0, l_max], or whose (cond_idx, target) pair repeats an
-    earlier entry.
-
-    A document with several faults gets the message of the first one
-    checked: the header (version, n, l_max, the conditions one by one,
-    budget), then the entries one by one, each as an object with its
-    fields, then its cond_idx, c, target_hex and (cond_idx, target) pair.
-    """
-    n, l_max, budget, conds = _table_header(doc)
-    entries = _json_list(_field(doc, "entries", "oracle table"), "entries")
-    rows = len(conds)
-    matrix = np.full((rows, 1 << n), -1, dtype=np.int32)
-    cells = memoryview(matrix.reshape(-1))  # reads and writes Python ints
-    value_of: dict[str, int] = {}
-    for i, e in enumerate(entries):
-        try:
-            ci, c, h = e["cond_idx"], e["c"], e["target_hex"]
-        except (KeyError, TypeError):
-            # Not an object, or a field is missing: _field names which.
-            for key in ("cond_idx", "c", "target_hex"):
-                _field(e, key, f"entry {i}")
-            raise
-        if type(ci) is not int or not 0 <= ci < rows:
-            raise ValueError(f"entry cond_idx {ci!r} is not in [0, {rows})")
-        if type(c) is not int or not 0 <= c <= l_max:
-            raise ValueError(f"entry c {c!r} is not in [0, l_max={l_max}]")
-        x = value_of.get(h) if type(h) is str else None
-        if x is None:
-            x = value_of[h] = BitString.unpack_hex(n, _json_str(h, "entry target_hex")).value
-        cell = ci << n | x
-        if cells[cell] >= 0:
-            raise ValueError(f"duplicate entry for cond_idx {ci}, target {h}")
-        cells[cell] = c
-    return ComplexityTable(
-        n=n, l_max=l_max, budget=budget, conditions=tuple(conds), _matrix=matrix
-    )
 
 
 # Where an entry's fields lie around its three ":" bytes a: c runs
@@ -616,10 +544,6 @@ for _base in (10, 16):
 # Entries are parsed this many bytes of the file at a time, so the
 # parse's temporaries stay block-sized.
 _PARSE_BYTES = 1 << 18
-# Smaller files load faster through json. Fast path / json + table_from_json on
-# the n=4 run's oracles (400-call medians, 2-vCPU Xeon): 473 B 0.105/0.027 ms,
-# 5,925 B 0.18/0.12 ms, 19,126 B 0.19/0.52 ms, 20,901 B 0.22/0.30 ms.
-_CANONICAL_MIN_BYTES = 1 << 14
 
 
 def _field_values(data: np.ndarray, ends: np.ndarray, width: int, base: int) -> np.ndarray:
@@ -635,33 +559,48 @@ def _field_values(data: np.ndarray, ends: np.ndarray, width: int, base: int) -> 
     return value
 
 
-def _load_canonical(blob: bytes) -> Optional[ComplexityTable]:
-    """The table whose save_table file is blob, or None if blob is not
-    such a file; never raises on bad input.
+def _decimal(data: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Whether each field, the lengths bytes of data before its end, is
+    all decimal digits."""
+    back = np.arange(1, int(lengths.max()) + 1)
+    digit = data[ends[:, None] - back] - np.uint8(ord("0")) < 10
+    return (digit | (back > lengths[:, None])).all(axis=1)
 
-    The header goes through json and _table_header. Each entry's three
-    ":" bytes locate its c, cond_idx and target_hex, which are read a
-    block of the file at a time, one field at a time: each field's
-    digits are accumulated into an int64 value, reading every field of
-    the block as wide as its widest, and range-checked. The table is
-    then rendered again and each rendered piece compared with blob in
-    place at its offset, so it is returned only when every byte of blob
-    is save_table's output for it, and then it equals
-    table_from_json(json.loads(blob)); a byte that is not a digit of its
-    field reads as 0 and fails that comparison.
+
+def load_table(path: str) -> ComplexityTable:
+    """The table whose save_table file is at path; any other file is a
+    ValueError.
+
+    The header, the file with its entry list emptied, goes through json
+    and _table_header, with their messages; JSON nested too deeply for
+    the decoder is refused naming the file. Each entry's three ":" bytes
+    locate its c, cond_idx and target_hex, which are read a block of the
+    file at a time, one field at a time: each field's digits are
+    accumulated into an int64 value, reading every field of the block as
+    wide as its widest. The first entry, in file order, whose cond_idx
+    or c is a decimal number out of range is refused naming it. The
+    table is then rendered again and each rendered piece compared with
+    the file in place at its offset, and any other departure from
+    save_table's bytes is refused naming the offset of the first piece
+    that differs: a byte that is not a digit of its field reads as 0 and
+    fails that comparison, and fields out of place end the read.
     """
+    with open(path, "rb") as fh:
+        blob = fh.read()
     opened = blob.find(_ENTRIES_OPEN.encode("ascii"))
-    closed = blob.rfind(b"]")  # l_max, n and version follow the entries
     first = opened + len(_ENTRIES_OPEN)
-    if opened < 0 or closed < first:
-        return None
+    # Entries hold no "]", so their list closes at the first one after
+    # the last target_hex, whatever brackets close the document.
+    closed = blob.find(b"]", max(first, blob.rfind(b'"target_hex"')))
+    if opened < 0 or closed < 0:
+        raise ValueError(f"{path}: not the layout save_table writes: no closed entry list")
     try:
         doc = json.loads(blob[:opened] + b'"entries": []' + blob[closed + 1 :])
-        n, l_max, budget, conds = _table_header(doc)
-    except (ValueError, RecursionError):
-        return None
-    hex_digits, pad = 2 * ((n + 7) // 8), -n % 8
-    matrix = np.full((len(conds), 1 << n), -1, dtype=np.int32)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nesting is too deep to decode") from None
+    n, l_max, budget, conds = _table_header(doc)
+    rows, hex_digits, pad = len(conds), 2 * ((n + 7) // 8), -n % 8
+    matrix = np.full((rows, 1 << n), -1, dtype=np.int32)
     data = np.frombuffer(blob, dtype=np.uint8)
     carry = np.empty(0, dtype=np.intp)
     for lo in range(first, closed, _PARSE_BYTES):
@@ -684,44 +623,32 @@ def _load_canonical(blob: bytes) -> Optional[ComplexityTable]:
             or max(c_width, idx_width) > _MAX_DIGITS
             or hex_end[-1] > len(blob)
         ):
-            return None
+            break
         c = _field_values(data, c_end, c_width, 10)
         cond_idx = _field_values(data, idx_end, idx_width, 10)
-        if c.max() > l_max or cond_idx.max() >= len(conds):
-            return None
+        idx_over, c_over = cond_idx >= rows, c > l_max
+        if idx_over.any() or c_over.any():
+            # A field with a byte that is no digit read a wrong value,
+            # which is no range fault: it ends the read instead.
+            idx_over &= _decimal(data, idx_end, idx_len)
+            c_over &= _decimal(data, c_end, c_len)
+            faults = np.flatnonzero(idx_over | c_over)
+            if not len(faults):
+                break
+            if idx_over[faults[0]]:
+                raise ValueError(f"entry cond_idx {cond_idx[faults[0]]} is not in [0, {rows})")
+            raise ValueError(f"entry c {c[faults[0]]} is not in [0, l_max={l_max}]")
         matrix[cond_idx, _field_values(data, hex_end, hex_digits, 16) >> pad] = c
-    if len(carry):
-        return None
-    table = ComplexityTable(
-        n=n, l_max=l_max, budget=budget, conditions=tuple(conds), _matrix=matrix
-    )
+    table = ComplexityTable(n, l_max, budget, tuple(conds), matrix)
     pos = 0
     for chunk in _canonical_chunks(table):
         if not blob.startswith(chunk, pos):
-            return None
+            break
         pos += len(chunk)
-    return table if pos == len(blob) else None
-
-
-def load_table(path: str) -> ComplexityTable:
-    """The table in the oracle JSON file at path.
-
-    A file in save_table's layout of at least _CANONICAL_MIN_BYTES is
-    read directly (_load_canonical); any other file goes through
-    table_from_json(json.loads(...)), with its checks and messages. JSON
-    nested too deeply for the decoder is a ValueError naming the file.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) >= _CANONICAL_MIN_BYTES:
-        table = _load_canonical(blob)
-        if table is not None:
+    else:
+        if pos == len(blob):
             return table
-    try:
-        doc = json.loads(blob.decode("utf-8"))
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nesting is too deep to decode") from None
-    return table_from_json(doc)
+    raise ValueError(f"{path}: not the layout save_table writes: the piece at byte {pos} differs")
 
 
 @dataclass(frozen=True)

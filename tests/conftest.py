@@ -13,7 +13,7 @@ import pytest
 
 from kextract.bits import EMPTY, BitString, all_strings
 from kextract.machine import MachineBudget
-from kextract.oracle import build_complexity_table, table_from_json, table_to_json
+from kextract.oracle import ComplexityTable, build_complexity_table
 
 
 @pytest.fixture(scope="session")
@@ -74,16 +74,13 @@ def mixed_oracles():
     n2 = build_complexity_table(2, [EMPTY] + all_strings(2), l_max=6)
     # A loaded file may lack C(x|y) while holding C(x) and C(y|x), which
     # no build gives: here C(10 | 01) is dropped.
-    doc = table_to_json(n2)
-    dropped = (n2.condition_index(BitString(2, 1)), BitString(2, 2).pack_hex())
-    doc["entries"] = [
-        e for e in doc["entries"] if (e["cond_idx"], e["target_hex"]) != dropped
-    ]
+    edited = n2._matrix.copy()
+    edited[n2.condition_index(BitString(2, 1)), BitString(2, 2).value] = -1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return {
             "n2": n2,
-            "n2-edited": table_from_json(doc),
+            "n2-edited": ComplexityTable(n2.n, n2.l_max, n2.budget, n2.conditions, edited),
             # two ops: C(y) is NOT_FOUND, only C(y|y) = 6 exists
             "n3-two-ops": build_complexity_table(
                 3, conds3, l_max=6, budget=MachineBudget(8, 2)

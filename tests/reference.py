@@ -25,7 +25,7 @@ from kextract.extraction import (
     RangeProcedureReport,
 )
 from kextract.machine import DEFAULT_BUDGET, FAIL, MachineBudget, run_machine
-from kextract.oracle import NOT_FOUND, ComplexityTable, SymmetryReport, check_shape
+from kextract.oracle import NOT_FOUND, ComplexityTable, SymmetryReport
 from kextract.prng import MASK64
 from kextract.tables import gen_random
 
@@ -112,56 +112,33 @@ def fancy_index_matrix(
     return best
 
 
-def brute_table_from_json(doc: dict) -> ComplexityTable:
-    """Oracle JSON loader that checks and stores one entry at a time.
+def table_to_json(table: ComplexityTable) -> dict:
+    """The oracle document whose json.dumps(doc, indent=2, sort_keys=True)
+    plus a newline is the table's save_table file; bits are hex-packed
+    MSB-first.
 
-    Same document checks and messages as oracle.table_from_json on a
-    well-formed header: conditions, then entries, each in document
-    order, each entry's cond_idx, then c, then target_hex checked before
-    a duplicate (cond_idx, target) cell is, so the first fault raises.
+    Entries run condition by condition, targets ascending within each;
+    NOT_FOUND entries are omitted.
     """
-
-    def count(value, name):
-        if type(value) is not int or value < 0:
-            raise ValueError(f"{name} {value!r} is not a nonnegative int")
-        return value
-
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported table version {doc.get('version')!r}")
-    n = count(doc["n"], "n")
-    l_max = count(doc["l_max"], "l_max")
-    if l_max >= 1 << 31:
-        raise ValueError(f"l_max {l_max} does not fit an int32 entry")
-    check_shape(n, len(doc["conditions"]))
-    conds = []
-    for i, c in enumerate(doc["conditions"]):
-        conds.append(BitString.unpack_hex(count(c["len"], "condition len"), c["hex"]))
-        for j in range(i):
-            if conds[j] == conds[i]:
-                raise ValueError(f"condition {i} repeats condition {j}")
-    matrix = np.full((len(conds), 1 << n), -1, dtype=np.int32)
-    for e in doc["entries"]:
-        ci, c = e["cond_idx"], e["c"]
-        if type(ci) is not int or not 0 <= ci < len(conds):
-            raise ValueError(f"entry cond_idx {ci!r} is not in [0, {len(conds)})")
-        if type(c) is not int or not 0 <= c <= l_max:
-            raise ValueError(f"entry c {c!r} is not in [0, l_max={l_max}]")
-        x = BitString.unpack_hex(n, e["target_hex"])
-        if matrix[ci, x.value] >= 0:
-            raise ValueError(
-                f"duplicate entry for cond_idx {ci}, target {e['target_hex']}"
-            )
-        matrix[ci, x.value] = c
-    return ComplexityTable(
-        n=n,
-        l_max=l_max,
-        budget=MachineBudget(
-            count(doc["budget"]["out"], "budget out"),
-            count(doc["budget"]["ops"], "budget ops"),
-        ),
-        conditions=tuple(conds),
-        _matrix=matrix,
-    )
+    cond_idx, targets = np.nonzero(table._matrix >= 0)
+    values = table._matrix[cond_idx, targets]
+    hexes = {x: BitString(table.n, x).pack_hex() for x in np.unique(targets).tolist()}
+    return {
+        "version": 1,
+        "n": table.n,
+        "l_max": table.l_max,
+        "budget": {
+            "out": table.budget.max_output_bits,
+            "ops": table.budget.max_opcodes,
+        },
+        "conditions": [
+            {"len": y.length, "hex": y.pack_hex()} for y in table.conditions
+        ],
+        "entries": [
+            {"cond_idx": ci, "target_hex": hexes[x], "c": c}
+            for ci, x, c in zip(cond_idx.tolist(), targets.tolist(), values.tolist())
+        ],
+    }
 
 
 def _lookup(table, x: int, y: Optional[int] = None) -> Optional[int]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from reference import brute_class
 
-from kextract.bits import EMPTY, BitString
+from kextract.bits import EMPTY, BitString, all_strings
 from kextract.cli import dispatch
 from kextract.extraction import (
     DELTA_MARGIN,
@@ -20,7 +20,7 @@ from kextract.extraction import (
     popular_range_procedure,
 )
 from kextract.machine import MachineBudget
-from kextract.oracle import NOT_FOUND, build_complexity_table, save_table, table_from_json
+from kextract.oracle import NOT_FOUND, ComplexityTable, build_complexity_table, save_table
 from kextract.tables import (
     SingleSourceTable,
     gen_constant,
@@ -298,22 +298,16 @@ def test_range_procedure_picks_all_colors(oracle_m2_cond4):
 
 def _fabricated_oracle(ranges: dict[int, set[int]], n: int, m: int, c: int):
     """Range oracle where C(z|x) = c exactly for z in ranges[x]."""
-    conds = [{"len": n, "hex": BitString(n, xv).pack_hex()} for xv in range(1 << n)]
-    entries = [
-        {"cond_idx": xv, "target_hex": BitString(m, zv).pack_hex(), "c": c}
-        for xv in range(1 << n)
-        for zv in sorted(ranges.get(xv, ()))
-    ]
-    return table_from_json(
-        {
-            "version": 1,
-            "n": m,
-            "l_max": 8,
-            "budget": {"out": 4096, "ops": 4096},
-            "conditions": conds,
-            "entries": entries,
-        }
-    )
+    matrix = np.full((1 << n, 1 << m), -1, dtype=np.int32)
+    for xv, zs in ranges.items():
+        matrix[xv, sorted(zs)] = c
+    return ComplexityTable(m, 8, MachineBudget(4096, 4096), tuple(all_strings(n)), matrix)
+
+
+def _empty_oracle(m: int, conds: list[BitString]) -> ComplexityTable:
+    """An m-bit oracle at l_max 8 whose every entry is NOT_FOUND."""
+    matrix = np.full((len(conds), 1 << m), -1, dtype=np.int32)
+    return ComplexityTable(m, 8, MachineBudget(4096, 4096), tuple(conds), matrix)
 
 
 def test_range_procedure_filters_then_stalls():
@@ -345,16 +339,7 @@ def test_range_procedure_validation(oracle_m2_cond4, oracle_m2_out, oracle_n2_al
     partial = _fabricated_oracle({0: {0}}, 1, 2, 1)
     rep = popular_range_procedure(partial, 1)  # 1-bit conditions, covered
     assert rep.n == 1
-    broken = table_from_json(
-        {
-            "version": 1,
-            "n": 2,
-            "l_max": 8,
-            "budget": {"out": 4096, "ops": 4096},
-            "conditions": [{"len": 2, "hex": "00"}, {"len": 3, "hex": "00"}],
-            "entries": [],
-        }
-    )
+    broken = _empty_oracle(2, [BitString(2, 0), BitString(3, 0)])
     with pytest.raises(ValueError):
         popular_range_procedure(broken, 1)
 
@@ -362,16 +347,7 @@ def test_range_procedure_validation(oracle_m2_cond4, oracle_m2_out, oracle_n2_al
 def test_range_procedure_needs_every_condition(tmp_path, capsys):
     """Conditions of one length that miss one n-bit string are refused,
     also through `demo vv` as a usage error."""
-    partial = table_from_json(
-        {
-            "version": 1,
-            "n": 2,
-            "l_max": 8,
-            "budget": {"out": 4096, "ops": 4096},
-            "conditions": [{"len": 2, "hex": BitString(2, xv).pack_hex()} for xv in range(3)],
-            "entries": [],
-        }
-    )
+    partial = _empty_oracle(2, all_strings(2)[:3])
     with pytest.raises(ValueError, match="every n-bit condition"):
         popular_range_procedure(partial, 1)
     path = str(tmp_path / "partial.json")

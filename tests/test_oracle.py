@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference import (
-    brute_complexity_map,
-    brute_symmetry,
-    brute_table_from_json,
-    fancy_index_matrix,
-)
+from reference import brute_complexity_map, brute_symmetry, fancy_index_matrix, table_to_json
 
 from kextract import calibration, oracle
 from kextract.bits import EMPTY, BitString, all_strings
@@ -28,8 +23,6 @@ from kextract.oracle import (
     load_table,
     save_table,
     symmetry_report,
-    table_from_json,
-    table_to_json,
 )
 
 
@@ -379,23 +372,29 @@ def test_json_schema_fields(oracle_n2_all):
     assert lean["entries"] == []
 
 
-def test_json_version_check(oracle_n2_all):
-    doc = table_to_json(oracle_n2_all)
-    doc["version"] = 2
-    with pytest.raises(ValueError):
-        table_from_json(doc)
+def test_json_version_check(tmp_path, oracle_n2_all):
+    path = tmp_path / "t.json"
+    save_table(oracle_n2_all, str(path))
+    path.write_bytes(path.read_bytes().replace(b'"version": 1', b'"version": 2'))
+    with pytest.raises(ValueError, match="unsupported table version 2"):
+        load_table(str(path))
 
 
-# The field each malformed-structure case's message names.
+# An entry that is not an object of in-range decimal fields departs from
+# save_table's layout, and is refused as such.
+LAYOUT = "not the layout save_table writes"
+# What each case's message names.
 NAMED_FAULTS = {
     "document": "oracle table is not a JSON object",
-    "entry": "entry 0 is not a JSON object",
-    "entries": "entries is not a JSON list",
-    "missing": "entry 0 has no 'c' field",
-    "target_type": "entry target_hex .* is not a string",
     "hex": "condition hex .* is not a string",
     "repeat": "condition 1 repeats condition 0",
     "wide": "l_max 1099511627776 does not fit an int32 entry",
+    "entry": LAYOUT,
+    "entries": LAYOUT,
+    "missing": LAYOUT,
+    "target_type": LAYOUT,
+    "duplicate": LAYOUT,
+    "target_hex": LAYOUT,
 }
 
 
@@ -461,19 +460,20 @@ def test_corrupt_json_is_a_usage_error(tmp_path, oracle_n2_all, field, value):
     else:
         doc["entries"][0][field] = value
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     with pytest.raises(ValueError, match=NAMED_FAULTS.get(field)):
-        table_from_json(doc)
+        load_table(str(path))
     code = dispatch(["oracle", "query", "--table", str(path), "--target", "00"])
     assert code == 2
 
 
-def test_l_max_up_to_int32_loads(oracle_n2_all):
-    doc = table_to_json(oracle_n2_all)
-    doc["l_max"] = (1 << 31) - 1
-    doc["entries"][0]["c"] = (1 << 31) - 1  # C('00')
-    del doc["entries"][1]  # C('01') becomes NOT_FOUND
-    table = table_from_json(doc)
+def test_l_max_up_to_int32_loads(tmp_path, oracle_n2_all):
+    matrix = oracle_n2_all._matrix.copy()
+    matrix[0, :2] = MAX_ENTRY, -1  # C('00'), and C('01') becomes NOT_FOUND
+    edited = ComplexityTable(2, MAX_ENTRY, oracle_n2_all.budget, oracle_n2_all.conditions, matrix)
+    path = tmp_path / "t.json"
+    save_table(edited, str(path))
+    table = load_table(str(path))
     assert table.complexity(BitString.from01("00")) == (1 << 31) - 1
     # The NOT_FOUND floor, l_max + 1, is past int32 and still exact.
     assert table.lower_bounds()[:2].tolist() == [(1 << 31) - 1, 1 << 31]
@@ -561,15 +561,13 @@ def row_tables(draw):
 @given(table=row_tables(), block=st.integers(1, 7))
 def test_save_splits_rows_across_entry_blocks(tmp_path_factory, table, block):
     """Entry blocks of 1 to 7 entries, so rows are split between blocks:
-    save_table still writes json.dumps's bytes, and the fast path reads
+    save_table still writes json.dumps's bytes, and load_table reads
     them back."""
     path = tmp_path_factory.mktemp("blocks") / "t.json"
     with mock.patch.object(oracle, "_ENTRY_BLOCK", block):
         save_table(table, str(path))
-        blob = path.read_bytes()
-        assert blob == canonical_bytes(table)
-        loaded = oracle._load_canonical(blob)
-    assert loaded is not None
+        assert path.read_bytes() == canonical_bytes(table)
+        loaded = load_table(str(path))
     assert (loaded.l_max, loaded.conditions) == (table.l_max, table.conditions)
     assert (loaded._matrix == table._matrix).all()
 
@@ -582,15 +580,6 @@ def test_target_pieces_spell_pack_hex():
         assert oracle._target_pieces(n, np.array(xs)) == [
             f'{BitString(n, x).pack_hex()}"\n    }}'.encode() for x in xs
         ]
-
-
-def load_outcome(loader, doc):
-    """What a loader makes of doc: the table's contents or its message."""
-    try:
-        t = loader(doc)
-    except ValueError as exc:
-        return "error", str(exc)
-    return t.n, t.l_max, t.budget, t.conditions, t._matrix.tolist()
 
 
 NOT_INTS = st.sampled_from([True, False, 1.0, "1", None, [0], {}])
@@ -654,48 +643,38 @@ def faulty_doc(table, fault, data):
 
 @settings(max_examples=300, deadline=None)
 @given(table=small_tables(), fault=st.sampled_from(FAULTS), data=st.data())
-def test_loader_matches_entry_by_entry_reference(table, fault, data):
-    """table_from_json against reference.brute_table_from_json: equal
-    tables on valid documents, the same message, the first fault's in
-    document order, on one fault or two."""
+def test_file_loader_refuses_every_faulty_document(tmp_path_factory, table, fault, data):
+    """Each document above written in save_table's layout: load_table
+    gives back the table when there is no fault, and a ValueError, never
+    another exception, when there are one or two."""
     doc = faulty_doc(table, fault, data)
-    got = load_outcome(table_from_json, doc)
-    assert got == load_outcome(brute_table_from_json, doc)
-    assert (got[0] == "error") == (fault is not None)
+    path = tmp_path_factory.mktemp("faults") / "t.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    if fault is not None:
+        with pytest.raises(ValueError):
+            load_table(str(path))
+        return
+    loaded = load_table(str(path))
+    assert (loaded.n, loaded.l_max, loaded.budget) == (table.n, table.l_max, table.budget)
+    assert loaded.conditions == table.conditions
+    assert (loaded._matrix == table._matrix).all()
 
 
-def test_first_entry_fault_in_document_order_is_reported():
+def test_first_entry_fault_in_document_order_is_reported(tmp_path):
     """Two faulty entries: the message is the earlier entry's, whichever
     field each fault is in."""
     table = ComplexityTable(1, 4, MachineBudget(9, 9), (EMPTY,), np.array([[1, 2]], np.int32))
     doc = table_to_json(table)
     doc["entries"][0]["c"] = 99
     doc["entries"][1]["cond_idx"] = 9
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     with pytest.raises(ValueError, match=r"^entry c 99 is not in \[0, l_max=4\]$"):
-        table_from_json(doc)
+        load_table(str(path))
     doc["entries"].reverse()
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     with pytest.raises(ValueError, match=r"^entry cond_idx 9 is not in \[0, 1\)$"):
-        table_from_json(doc)
-
-
-def load_file(path):
-    """load_table(path) with every file size offered to the fast path."""
-    with mock.patch.object(oracle, "_CANONICAL_MIN_BYTES", 0):
-        return load_table(str(path))
-
-
-@settings(max_examples=300, deadline=None)
-@given(table=small_tables(), fault=st.sampled_from(FAULTS), data=st.data())
-def test_file_loader_matches_dict_loader(tmp_path_factory, table, fault, data):
-    """Each document above written in save_table's layout: load_table
-    gives table_from_json's table or message, and the fast path takes
-    exactly the valid ones, which are save_table's own files."""
-    doc = faulty_doc(table, fault, data)
-    blob = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-    path = tmp_path_factory.mktemp("faults") / "t.json"
-    path.write_bytes(blob)
-    assert load_outcome(load_file, path) == load_outcome(table_from_json, doc)
-    assert (oracle._load_canonical(blob) is None) == (fault is not None)
+        load_table(str(path))
 
 
 def swap_entries(blob, i):
@@ -713,72 +692,52 @@ def swap_across_rows(blob):
     return swap_entries(blob, sum(e["cond_idx"] == 0 for e in entries) - 1)
 
 
-# Files one edit away from save_table's output, and whether they are
-# still a valid table; the fast path refuses them all.
+# Files one edit away from save_table's output, each refused with the
+# message it names.
 NEAR_CANONICAL = {
-    "uppercase-hex": (lambda b: b.replace(b'"c0"', b'"C0"', 1), True),
-    "leading-zero-c": (lambda b: b.replace(b'"c": ', b'"c": 0', 1), False),
-    "negative-c": (lambda b: b.replace(b'"c": ', b'"c": -', 1), False),
-    "crlf": (lambda b: b.replace(b"\n", b"\r\n"), True),
-    "no-trailing-newline": (lambda b: b[:-1], True),
-    "trailing-space": (lambda b: b + b" ", True),
-    "utf8-bom": (lambda b: b"\xef\xbb\xbf" + b, False),
-    "entries-out-of-order": (lambda b: swap_entries(b, 0), True),
-    "rows-out-of-order": (swap_across_rows, True),
-    "letter-in-c": (lambda b: b.replace(b'"c": ', b'"c": 1a', 1), False),
+    "uppercase-hex": (lambda b: b.replace(b'"c0"', b'"C0"', 1), LAYOUT),
+    "leading-zero-c": (lambda b: b.replace(b'"c": ', b'"c": 0', 1), LAYOUT),
+    "negative-c": (lambda b: b.replace(b'"c": ', b'"c": -', 1), LAYOUT),
+    "crlf": (lambda b: b.replace(b"\n", b"\r\n"), LAYOUT),
+    "no-trailing-newline": (lambda b: b[:-1], LAYOUT),
+    "trailing-space": (lambda b: b + b" ", LAYOUT),
+    "utf8-bom": (lambda b: b"\xef\xbb\xbf" + b, LAYOUT),
+    "entries-out-of-order": (lambda b: swap_entries(b, 0), LAYOUT),
+    "rows-out-of-order": (swap_across_rows, LAYOUT),
+    "letter-in-c": (lambda b: b.replace(b'"c": ', b'"c": 1a', 1), LAYOUT),
     "ten-digit-cond-idx": (
         lambda b: b.replace(b'"cond_idx": ', b'"cond_idx": 100000000', 1),
-        False,
+        r"entry cond_idx 1000000000 is not in \[0, 5\)",
     ),
-    "eleven-digit-c": (lambda b: b.replace(b'"c": ', b'"c": 1000000000', 1), False),
+    "eleven-digit-c": (lambda b: b.replace(b'"c": ', b'"c": 1000000000', 1), LAYOUT),
+    "truncated": (lambda b: b[: len(b) // 2], LAYOUT),
+    "compact": (lambda b: json.dumps(json.loads(b)).encode(), LAYOUT),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NEAR_CANONICAL))
-def test_fast_path_refuses_near_canonical_files(tmp_path, oracle_n2_all, case):
-    edit, valid = NEAR_CANONICAL[case]
+def test_fast_path_refuses_near_canonical_files(tmp_path, capsys, oracle_n2_all, case):
+    """load_table accepts save_table's bytes and no others, even a valid
+    document of the same table."""
+    edit, message = NEAR_CANONICAL[case]
     path = tmp_path / "t.json"
     save_table(oracle_n2_all, str(path))
-    blob = edit(path.read_bytes())
-    path.write_bytes(blob)
-    assert oracle._load_canonical(blob) is None
-    got = load_outcome(load_file, path)
-    assert got == load_outcome(lambda b: table_from_json(json.loads(b.decode("utf-8"))), blob)
-    if valid:
-        assert got == load_outcome(lambda t: t, oracle_n2_all)
-    else:
-        assert got[0] == "error"
-        assert dispatch(["oracle", "query", "--table", str(path), "--target", "00"]) == 2
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        load_table(str(path))
+    assert dispatch(["oracle", "query", "--table", str(path), "--target", "00"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_fast_path_reads_the_widest_entry(tmp_path):
-    """c = 2^31 - 1 takes ten digits and still loads without json."""
+    """c = 2^31 - 1 takes ten digits and still loads."""
     matrix = np.array([[MAX_ENTRY, -1, 0, 7]], dtype=np.int32)
     table = ComplexityTable(2, MAX_ENTRY, MachineBudget(9, 9), (EMPTY,), matrix)
     path = tmp_path / "t.json"
     save_table(table, str(path))
-    loaded = oracle._load_canonical(path.read_bytes())
-    assert loaded is not None and (loaded._matrix == matrix).all()
-    assert loaded.l_max == MAX_ENTRY and loaded.budget == table.budget
-
-
-@pytest.mark.parametrize("n", [0, 2, 4, 5, 8])
-def test_load_reads_save_output_without_json(tmp_path, monkeypatch, n):
-    """save_table's files load through the fast path alone, padded hex
-    widths included; table_from_json, the general path, is never run."""
-    table = build_quiet(n, [EMPTY] + all_strings(8), l_max=16)
-    path = tmp_path / "t.json"
-    save_table(table, str(path))
-    assert path.stat().st_size >= oracle._CANONICAL_MIN_BYTES
-
-    def refuse(doc):
-        raise AssertionError("the general path ran")
-
-    monkeypatch.setattr(oracle, "table_from_json", refuse)
     loaded = load_table(str(path))
-    assert (loaded.n, loaded.l_max, loaded.budget) == (table.n, table.l_max, table.budget)
-    assert loaded.conditions == table.conditions
-    assert (loaded._matrix == table._matrix).all()
+    assert (loaded._matrix == matrix).all()
+    assert loaded.l_max == MAX_ENTRY and loaded.budget == table.budget
 
 
 def test_large_oracle_file_is_pinned(tmp_path):
