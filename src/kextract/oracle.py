@@ -44,9 +44,10 @@ save_table writes a JSON document as json.dumps(doc, indent=2,
 sort_keys=True) plus a newline without building doc: the header
 (version, n, l_max, budget, conditions) and a {cond_idx, target_hex, c}
 entry per found cell, condition by condition, targets ascending.
-load_table accepts those bytes and no others: it parses the entries
-with numpy, renders the table again and compares the rendering with the
-file, so both run one renderer, _canonical_chunks. An entry is a
+load_table accepts those bytes and no others: it reads the header and
+tail by that layout with three byte patterns and the entries with numpy,
+renders the table again and compares the rendering with the file, so
+both run one renderer, _canonical_chunks. An entry is a
 c piece C(c), a cond_idx piece S(i) and a target piece T(x), and the
 entry list C(c_0) S(i_0) T(x_0) C(c_1) ... S(i_m) T(x_m) is regrouped
 as C(c_0) followed by S(i_e) Q_e for every entry e, where
@@ -59,8 +60,8 @@ the table has many rows.
 
 from __future__ import annotations
 
-import json
 import operator
+import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -462,69 +463,13 @@ def save_table(table: ComplexityTable, path: str) -> None:
         fh.writelines(_canonical_chunks(table))
 
 
-def _field(obj: object, key: str, where: str) -> object:
-    """obj[key]; obj must be a JSON object holding key."""
-    if type(obj) is not dict:
-        raise ValueError(f"{where} is not a JSON object")
-    if key not in obj:
-        raise ValueError(f"{where} has no {key!r} field")
-    return obj[key]
-
-
-def _json_list(value: object, name: str) -> list:
-    if type(value) is not list:
-        raise ValueError(f"{name} is not a JSON list")
-    return value
-
-
-def _json_str(value: object, name: str) -> str:
-    if type(value) is not str:
-        raise ValueError(f"{name} {value!r} is not a string")
-    return value
-
-
-def _json_count(value: object, name: str) -> int:
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{name} {value!r} is not a nonnegative int")
-    return value
-
-
-def _conditions(cond_docs: list) -> list[BitString]:
-    """The conditions of an oracle document, checked one at a time in
-    list order; none may repeat an earlier one."""
-    first: dict[BitString, int] = {}
-    for i, c in enumerate(cond_docs):
-        y = BitString.unpack_hex(
-            _json_count(_field(c, "len", f"condition {i}"), "condition len"),
-            _json_str(_field(c, "hex", f"condition {i}"), "condition hex"),
-        )
-        if first.setdefault(y, i) != i:
-            raise ValueError(f"condition {i} repeats condition {first[y]}")
-    return list(first)
-
-
-def _table_header(doc: object) -> tuple[int, int, MachineBudget, list[BitString]]:
-    """n, l_max, budget and conditions of an oracle document; a
-    ValueError names the first faulty field, in the order checked."""
-    if type(doc) is not dict:
-        raise ValueError("oracle table is not a JSON object")
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported table version {doc.get('version')!r}")
-    n = _json_count(_field(doc, "n", "oracle table"), "n")
-    l_max = _json_count(_field(doc, "l_max", "oracle table"), "l_max")
-    if l_max > MAX_ENTRY:
-        raise ValueError(f"l_max {l_max} does not fit an int32 entry")
-    cond_docs = _json_list(_field(doc, "conditions", "oracle table"), "conditions")
-    check_shape(n, len(cond_docs))
-    conds = _conditions(cond_docs)
-    budget_doc = _field(doc, "budget", "oracle table")
-    budget = MachineBudget(
-        _json_count(_field(budget_doc, "out", "budget"), "budget out"),
-        _json_count(_field(budget_doc, "ops", "budget"), "budget ops"),
-    )
-    return n, l_max, budget, conds
-
-
+# save_table's budget, one of its conditions and its tail from "l_max",
+# their numbers as groups; load_table's byte comparison checks the rest.
+_BUDGET_FIELDS = re.compile(
+    rb'\{\n  "budget": \{\n    "ops": (\d+),\n    "out": (\d+)\n  \},\n  "conditions": \['
+)
+_CONDITION_FIELDS = re.compile(rb'\{\n      "hex": "([0-9a-f]*)",\n      "len": (\d+)\n')
+_TAIL_FIELDS = re.compile(rb'"l_max": (\d+),\n  "n": (\d+),\n  "version": (\d+)\n')
 # Where an entry's fields lie around its three ":" bytes a: c runs
 # from a[0] + 2 up to a[1] - 18, cond_idx from a[1] + 2 up to a[2] - 20
 # and target_hex from a[2] + 3 for its 2 ceil(n/8) digits (ends
@@ -559,59 +504,68 @@ def _field_values(data: np.ndarray, ends: np.ndarray, width: int, base: int) -> 
     return value
 
 
-def _decimal(data: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Whether each field, the lengths bytes of data before its end, is
-    all decimal digits."""
-    back = np.arange(1, int(lengths.max()) + 1)
-    digit = data[ends[:, None] - back] - np.uint8(ord("0")) < 10
-    return (digit | (back > lengths[:, None])).all(axis=1)
+def _layout_fault(path: str, pos: int) -> ValueError:
+    return ValueError(f"{path}: not the layout save_table writes: the piece at byte {pos} differs")
 
 
 def load_table(path: str) -> ComplexityTable:
     """The table whose save_table file is at path; any other file is a
     ValueError.
 
-    The header, the file with its entry list emptied, goes through json
-    and _table_header, with their messages; JSON nested too deeply for
-    the decoder is refused naming the file. Each entry's three ":" bytes
-    locate its c, cond_idx and target_hex, which are read a block of the
-    file at a time, one field at a time: each field's digits are
-    accumulated into an int64 value, reading every field of the block as
-    wide as its widest. The first entry, in file order, whose cond_idx
-    or c is a decimal number out of range is refused naming it. The
-    table is then rendered again and each rendered piece compared with
-    the file in place at its offset, and any other departure from
-    save_table's bytes is refused naming the offset of the first piece
-    that differs: a byte that is not a digit of its field reads as 0 and
-    fails that comparison, and fields out of place end the read.
+    The file is read by save_table's layout: the budget at its start,
+    each condition before the entry list, and l_max, n and version at
+    the last "l_max" key. Each entry's three ":" bytes locate its c,
+    cond_idx and target_hex, read a block of the file at a time, one
+    field at a time: each field's digits are accumulated into an int64
+    value, every field of the block read as wide as its widest. A byte
+    that is not a digit of its field reads as 0, and fields out of place
+    or a cond_idx past the last condition end the read. The table is
+    then rendered again and each piece compared with the file in place,
+    so any departure from save_table's bytes is refused naming the
+    offset of the first piece that differs.
+
+    A file in that layout is still refused by name for a version other
+    than 1, a shape past check_shape, an l_max past int32 or a condition
+    hex that does not fit its len (all before anything is allocated), a
+    repeated condition, or an entry c past l_max (the first in file
+    order).
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    opened = blob.find(_ENTRIES_OPEN.encode("ascii"))
-    first = opened + len(_ENTRIES_OPEN)
-    # Entries hold no "]", so their list closes at the first one after
-    # the last target_hex, whatever brackets close the document.
-    closed = blob.find(b"]", max(first, blob.rfind(b'"target_hex"')))
-    if opened < 0 or closed < 0:
-        raise ValueError(f"{path}: not the layout save_table writes: no closed entry list")
-    try:
-        doc = json.loads(blob[:opened] + b'"entries": []' + blob[closed + 1 :])
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nesting is too deep to decode") from None
-    n, l_max, budget, conds = _table_header(doc)
-    rows, hex_digits, pad = len(conds), 2 * ((n + 7) // 8), -n % 8
+    head = _BUDGET_FIELDS.match(blob)
+    if head is None:
+        raise _layout_fault(path, 0)
+    opened = blob.find(_ENTRIES_OPEN.encode("ascii"), head.end())
+    at = blob.rfind(b'"l_max"')
+    tail = _TAIL_FIELDS.match(blob, at) if 0 <= opened < at else None
+    if tail is None:
+        raise _layout_fault(path, max(at, opened, head.end()))
+    l_max, n, version = map(int, tail.groups())
+    if version != 1:
+        raise ValueError(f"unsupported table version {version}")
+    if l_max > MAX_ENTRY:
+        raise ValueError(f"l_max {l_max} does not fit an int32 entry")
+    cond_fields = _CONDITION_FIELDS.findall(blob, head.end(), opened)
+    check_shape(n, len(cond_fields))
+    first: dict[BitString, int] = {}
+    for i, (digits, length) in enumerate(cond_fields):
+        y = BitString.unpack_hex(int(length), digits.decode("ascii"))
+        if first.setdefault(y, i) != i:
+            raise ValueError(f"condition {i} repeats condition {first[y]}")
+    budget = MachineBudget(int(head[2]), int(head[1]))
+    rows, hex_digits, pad = len(first), 2 * ((n + 7) // 8), -n % 8
     matrix = np.full((rows, 1 << n), -1, dtype=np.int32)
     data = np.frombuffer(blob, dtype=np.uint8)
     carry = np.empty(0, dtype=np.intp)
-    for lo in range(first, closed, _PARSE_BYTES):
-        colons = np.flatnonzero(data[lo : min(lo + _PARSE_BYTES, closed)] == ord(":")) + lo
+    for lo in range(opened + len(_ENTRIES_OPEN), at, _PARSE_BYTES):
+        colons = np.flatnonzero(data[lo : min(lo + _PARSE_BYTES, at)] == ord(":")) + lo
         if len(carry):
             colons = np.concatenate([carry, colons])
         whole = len(colons) - len(colons) % 3
-        at, carry = colons[:whole].reshape(-1, 3), colons[whole:]
-        if not len(at):
+        fields, carry = colons[:whole].reshape(-1, 3), colons[whole:]
+        if not len(fields):
             continue
-        c_colon, idx_colon, hex_colon = at.T
+        c_colon, idx_colon, hex_colon = fields.T
         c_end, idx_end = idx_colon - _AFTER_C, hex_colon - _AFTER_COND_IDX
         hex_end = hex_colon + 3 + hex_digits
         c_len, idx_len = c_end - c_colon - 2, idx_end - idx_colon - 2
@@ -624,22 +578,13 @@ def load_table(path: str) -> ComplexityTable:
             or hex_end[-1] > len(blob)
         ):
             break
-        c = _field_values(data, c_end, c_width, 10)
         cond_idx = _field_values(data, idx_end, idx_width, 10)
-        idx_over, c_over = cond_idx >= rows, c > l_max
-        if idx_over.any() or c_over.any():
-            # A field with a byte that is no digit read a wrong value,
-            # which is no range fault: it ends the read instead.
-            idx_over &= _decimal(data, idx_end, idx_len)
-            c_over &= _decimal(data, c_end, c_len)
-            faults = np.flatnonzero(idx_over | c_over)
-            if not len(faults):
-                break
-            if idx_over[faults[0]]:
-                raise ValueError(f"entry cond_idx {cond_idx[faults[0]]} is not in [0, {rows})")
-            raise ValueError(f"entry c {c[faults[0]]} is not in [0, l_max={l_max}]")
+        if cond_idx.max() >= rows:
+            break
+        # A c past int32 wraps as it is stored, so it renders differently.
+        c = _field_values(data, c_end, c_width, 10)
         matrix[cond_idx, _field_values(data, hex_end, hex_digits, 16) >> pad] = c
-    table = ComplexityTable(n, l_max, budget, tuple(conds), matrix)
+    table = ComplexityTable(n, l_max, budget, tuple(first), matrix)
     pos = 0
     for chunk in _canonical_chunks(table):
         if not blob.startswith(chunk, pos):
@@ -647,8 +592,11 @@ def load_table(path: str) -> ComplexityTable:
         pos += len(chunk)
     else:
         if pos == len(blob):
+            over = matrix[matrix > l_max]
+            if len(over):
+                raise ValueError(f"entry c {over[0]} is not in [0, l_max={l_max}]")
             return table
-    raise ValueError(f"{path}: not the layout save_table writes: the piece at byte {pos} differs")
+    raise _layout_fault(path, pos)
 
 
 @dataclass(frozen=True)

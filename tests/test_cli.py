@@ -262,19 +262,21 @@ def test_unusable_user_path_is_a_usage_error(workdir, tmp_path, capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(lambda p: ["oracle", "query", "--table", p, "--target", "0"], id="oracle"),
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(lambda p: ["oracle", "query", "--table", p, "--target", "0"],
+                 "not the layout save_table writes: the piece at byte 0 differs", id="oracle"),
     pytest.param(lambda p: ["pipeline", "run", "--config", p, "--out-dir", p + ".out"],
-                 id="pipeline-config"),
+                 "JSON nesting is too deep to decode", id="pipeline-config"),
 ])
-def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys, argv):
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys, argv, message):
     """JSON nested past the decoder's recursion limit is malformed input,
-    not a crash. The entry list lets an oracle file reach the decoder."""
+    not a crash: a pipeline config is refused by its decoder, and an
+    oracle file, read by save_table's layout, departs from it at byte 0."""
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000 + '"entries": []')
     assert dispatch(argv(str(path))) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {path}: JSON nesting is too deep to decode"]
+    assert err == [f"error: {path}: {message}"]
 
 
 def test_table_gen_kinds(workdir, tmp_path):

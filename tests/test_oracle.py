@@ -380,13 +380,14 @@ def test_json_version_check(tmp_path, oracle_n2_all):
         load_table(str(path))
 
 
-# An entry that is not an object of in-range decimal fields departs from
-# save_table's layout, and is refused as such.
+# A field that is not a decimal number or a lowercase hex string, and
+# any other text save_table would not write, departs from its layout and
+# is refused as such.
 LAYOUT = "not the layout save_table writes"
 # What each case's message names.
 NAMED_FAULTS = {
-    "document": "oracle table is not a JSON object",
-    "hex": "condition hex .* is not a string",
+    "document": LAYOUT,
+    "hex": LAYOUT,
     "repeat": "condition 1 repeats condition 0",
     "wide": "l_max 1099511627776 does not fit an int32 entry",
     "entry": LAYOUT,
@@ -661,20 +662,66 @@ def test_file_loader_refuses_every_faulty_document(tmp_path_factory, table, faul
 
 
 def test_first_entry_fault_in_document_order_is_reported(tmp_path):
-    """Two faulty entries: the message is the earlier entry's, whichever
-    field each fault is in."""
+    """Entries with c past l_max in the saved layout: the message names
+    the earlier one in file order. A cond_idx past the last condition
+    departs from the layout instead."""
     table = ComplexityTable(1, 4, MachineBudget(9, 9), (EMPTY,), np.array([[1, 2]], np.int32))
     doc = table_to_json(table)
     doc["entries"][0]["c"] = 99
-    doc["entries"][1]["cond_idx"] = 9
+    doc["entries"][1]["c"] = 98
     path = tmp_path / "t.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     with pytest.raises(ValueError, match=r"^entry c 99 is not in \[0, l_max=4\]$"):
         load_table(str(path))
-    doc["entries"].reverse()
+    doc["entries"][0]["c"] = 1
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    with pytest.raises(ValueError, match=r"^entry cond_idx 9 is not in \[0, 1\)$"):
+    with pytest.raises(ValueError, match=r"^entry c 98 is not in \[0, l_max=4\]$"):
         load_table(str(path))
+    doc["entries"][0]["cond_idx"] = 9
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with pytest.raises(ValueError, match=f"{LAYOUT}: the piece at byte "):
+        load_table(str(path))
+
+
+def assert_usage_error(path, capsys, message=None):
+    """load_table refuses the file with a ValueError (matching message)
+    and nothing else, and oracle query on it exits 2 with an error line."""
+    with pytest.raises(ValueError, match=message):
+        load_table(str(path))
+    assert dispatch(["oracle", "query", "--table", str(path), "--target", "00"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+# Each byte a replacement tries: digits, JSON punctuation, a letter, a
+# space, a newline, a sign and two bytes outside ASCII.
+REPLACEMENTS = [bytes([b]) for b in b'019a":,[]{} \n-\x00\xff']
+
+
+def test_layout_reader_survives_every_truncation_and_byte_edit(tmp_path, capsys):
+    """Every prefix of a small saved file, and every single-byte
+    replacement in its header and tail: load_table either reads a table
+    that saves back to the same bytes (a digit edit can spell another
+    valid table) or refuses the file as a usage error."""
+    path, resaved = tmp_path / "t.json", tmp_path / "resaved.json"
+    save_table(build_quiet(2, [EMPTY, BitString.from01("1")], l_max=8), str(path))
+    blob = path.read_bytes()
+    header = range(blob.index(b'"entries": [') + len(b'"entries": ['))
+    tail = range(blob.rindex(b"]"), len(blob))
+    edits = [blob[:end] for end in range(len(blob))] + [
+        blob[:i] + byte + blob[i + 1 :]
+        for i in [*header, *tail]
+        for byte in REPLACEMENTS
+        if byte != blob[i : i + 1]
+    ]
+    for edited in edits:
+        path.write_bytes(edited)
+        try:
+            loaded = load_table(str(path))
+        except ValueError:
+            assert_usage_error(path, capsys)
+        else:
+            save_table(loaded, str(resaved))
+            assert resaved.read_bytes() == edited
 
 
 def swap_entries(blob, i):
@@ -707,11 +754,26 @@ NEAR_CANONICAL = {
     "letter-in-c": (lambda b: b.replace(b'"c": ', b'"c": 1a', 1), LAYOUT),
     "ten-digit-cond-idx": (
         lambda b: b.replace(b'"cond_idx": ', b'"cond_idx": 100000000', 1),
-        r"entry cond_idx 1000000000 is not in \[0, 5\)",
+        LAYOUT,
     ),
     "eleven-digit-c": (lambda b: b.replace(b'"c": ', b'"c": 1000000000', 1), LAYOUT),
     "truncated": (lambda b: b[: len(b) // 2], LAYOUT),
     "compact": (lambda b: json.dumps(json.loads(b)).encode(), LAYOUT),
+    "empty": (lambda b: b"", LAYOUT),
+    "header-only": (lambda b: b[: b.index(b'"entries": [') + len(b'"entries": [')], LAYOUT),
+    # Header values too large for any table, refused before they are used.
+    "eleven-digit-len": (
+        lambda b: b.replace(b'"len": 2', b'"len": 99999999999', 1),
+        "hex payload does not match bit length",
+    ),
+    "eleven-digit-n": (
+        lambda b: b.replace(b'"n": 2', b'"n": 10000000000'),
+        r"target length n=10000000000 is not in \[0, 24\]",
+    ),
+    "thirty-digit-l-max": (
+        lambda b: b.replace(b'"l_max": 6', b'"l_max": ' + b"9" * 30),
+        f"l_max {'9' * 30} does not fit an int32 entry",
+    ),
 }
 
 
@@ -723,13 +785,10 @@ def test_fast_path_refuses_near_canonical_files(tmp_path, capsys, oracle_n2_all,
     path = tmp_path / "t.json"
     save_table(oracle_n2_all, str(path))
     path.write_bytes(edit(path.read_bytes()))
-    with pytest.raises(ValueError, match=message):
-        load_table(str(path))
-    assert dispatch(["oracle", "query", "--table", str(path), "--target", "00"]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert_usage_error(path, capsys, message)
 
 
-def test_fast_path_reads_the_widest_entry(tmp_path):
+def test_load_reads_the_widest_entry(tmp_path):
     """c = 2^31 - 1 takes ten digits and still loads."""
     matrix = np.array([[MAX_ENTRY, -1, 0, 7]], dtype=np.int32)
     table = ComplexityTable(2, MAX_ENTRY, MachineBudget(9, 9), (EMPTY,), matrix)
